@@ -14,12 +14,9 @@ from .belief import (
     single_step_regret_bound,
 )
 from .environments import (
-    EnvState,
     ProtocolViolationError,
-    StepOutcome,
     TransitionGraphSpec,
     build_transition_kernel,
-    env_step,
     generate_trajectory,
     sample_arm_set,
 )

@@ -111,59 +111,60 @@ def _resolve_sets(model: RewardModel, arms, contexts) -> tuple[np.ndarray, np.nd
     return arms, contexts
 
 
-def mean_pairwise_kl(model: RewardModel, arm: int, arms=None, contexts=None) -> float:
-    """Average divergence of every competing arm's distribution from ``arm``'s.
+def info_arm_stats(model: RewardModel, arms=None, contexts=None) -> InfoArmStats:
+    """Divergence, gap, and usefulness ratio for every arm in the set.
 
-    The triple average runs over contexts, states, and the other arms of
-    the (optionally restricted) arm set, with 1/|X|, 1/|S|, 1/|A|
-    normalization.  The scored arm's distribution sits in the reference
-    slot of the divergence, so arms whose rewards are tight and far from
-    the rest of the set score high; this is what makes a low-variance
-    probe arm stand out as informative.
+    ``mean_kl`` is the average divergence of every competing arm's
+    distribution from the scored arm's.  The triple average runs over
+    contexts, states, and the other arms of the (optionally restricted)
+    arm set, with 1/|X|, 1/|S|, 1/|A| normalization.  The scored arm's
+    distribution sits in the reference slot of the divergence, so arms
+    whose rewards are tight and far from the rest of the set score high;
+    this is what makes a low-variance probe arm stand out as informative.
+
+    ``mean_gap`` is the signed mean reward advantage of the scored arm
+    over the rest of the set, with the same triple average and
+    normalization.  Probe arms with deliberately low reward come out
+    negative.
+
+    Both come from one [context, state, other, scored] broadcast; a
+    scored arm's term against itself is exactly zero.  Sums over a
+    leading axis of a C-ordered array add in index order, so the totals
+    equal those of the scalar triple loop (the divergence up to numpy's
+    and libm's logarithms differing in the last bit).
     """
     arm_set, context_set = _resolve_sets(model, arms, contexts)
-    total = 0.0
-    for x in context_set:
-        for s in range(model.num_states):
-            inner = 0.0
-            for other in arm_set:
-                if other == arm:
-                    continue
-                inner += gaussian_kl(
-                    model.means[other, x, s],
-                    model.stds[other, x, s],
-                    model.means[arm, x, s],
-                    model.stds[arm, x, s],
-                )
-            total += inner / arm_set.size
-    return total / (context_set.size * model.num_states)
+    index = np.ix_(arm_set, context_set)
+    # C order, so the sums below run over the leading axes in index order
+    means = np.ascontiguousarray(model.means[index].transpose(1, 2, 0))
+    stds = np.ascontiguousarray(model.stds[index].transpose(1, 2, 0))
+    other_mean, arm_mean = means[..., :, None], means[..., None, :]
+    other_std, arm_std = stds[..., :, None], stds[..., None, :]
+    kl = (
+        np.log(arm_std / other_std)
+        + (other_std * other_std + (other_mean - arm_mean) ** 2) / (2.0 * arm_std * arm_std)
+        - 0.5
+    )
+    gap = arm_mean - other_mean
+    scale = context_set.size * model.num_states
+
+    def average(terms: np.ndarray) -> np.ndarray:
+        per_cell = terms.sum(axis=2) / arm_set.size
+        return per_cell.reshape(-1, arm_set.size).sum(axis=0) / scale
+
+    return InfoArmStats(arms=arm_set, mean_kl=average(kl), mean_gap=average(gap))
+
+
+def mean_pairwise_kl(model: RewardModel, arm: int, arms=None, contexts=None) -> float:
+    """``mean_kl`` of :func:`info_arm_stats` for one arm of the set."""
+    stats = info_arm_stats(model, arms, contexts)
+    return float(stats.mean_kl[stats.arms == arm][0])
 
 
 def mean_pairwise_gap(model: RewardModel, arm: int, arms=None, contexts=None) -> float:
-    """Signed mean reward advantage of ``arm`` over the rest of the set.
-
-    Same triple average and normalization as :func:`mean_pairwise_kl`.
-    Probe arms with deliberately low reward come out negative.
-    """
-    arm_set, context_set = _resolve_sets(model, arms, contexts)
-    total = 0.0
-    for x in context_set:
-        for s in range(model.num_states):
-            inner = 0.0
-            for other in arm_set:
-                if other == arm:
-                    continue
-                inner += model.means[arm, x, s] - model.means[other, x, s]
-            total += inner / arm_set.size
-    return total / (context_set.size * model.num_states)
-
-
-def info_arm_stats(model: RewardModel, arms=None, contexts=None) -> InfoArmStats:
-    """Divergence, gap, and usefulness ratio for every arm in the set."""
-    arm_set, context_set = _resolve_sets(model, arms, contexts)
-    mean_kl = np.array([mean_pairwise_kl(model, a, arm_set, context_set) for a in arm_set])
-    mean_gap = np.array([mean_pairwise_gap(model, a, arm_set, context_set) for a in arm_set])
-    return InfoArmStats(arms=arm_set, mean_kl=mean_kl, mean_gap=mean_gap)
+    """``mean_gap`` of :func:`info_arm_stats` for one arm of the set."""
+    stats = info_arm_stats(model, arms, contexts)
+    return float(stats.mean_gap[stats.arms == arm][0])
 
 
 def best_info_arm(model: RewardModel, arms=None, contexts=None) -> tuple[int, InfoArmStats]:

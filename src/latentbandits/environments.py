@@ -1,15 +1,16 @@
-"""Latent bandit environment generation and stepping.
+"""Latent bandit environment generation.
 
-Environments own the hidden state trajectory.  Transition structures come
-from small graph families: a fully connected chain, a two-branch chain
-whose start state forks into one of two branches, and the same branch
-graph with cross-branch skip edges.  Branch-type graphs designate state 0
-as a start state that transitions away immediately.
+Environments own the hidden state trajectory, generated once per run and
+replayed by every policy.  Transition structures come from small graph
+families: a fully connected chain, a two-branch chain whose start state
+forks into one of two branches, and the same branch graph with
+cross-branch skip edges.  Branch-type graphs designate state 0 as a
+start state that transitions away immediately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +72,6 @@ def _graph_edges(spec: TransitionGraphSpec) -> tuple[dict[int, list[int]], set[i
         for s in range(n):
             out[s] = [t for t in range(n) if t != s]
     elif spec.kind in ("two_branch", "skip_chain"):
-        if n < 5 or n % 2 == 0:
-            raise ValueError(f"{spec.kind} graphs need an odd number of states >= 5")
         starts.add(0)
         half = (n - 1) // 2
         branch_a = list(range(1, 1 + half))
@@ -121,33 +120,6 @@ def build_transition_kernel(spec: TransitionGraphSpec) -> TransitionKernel:
     return TransitionKernel(matrix)
 
 
-@dataclass
-class EnvState:
-    """Mutable environment bookkeeping: current hidden state and clock."""
-
-    true_state: int
-    time: int = 1
-    schedule: list[int] | None = None
-
-    def __post_init__(self):
-        if self.schedule is not None:
-            self.schedule = sorted(int(t) for t in self.schedule)
-            if len(set(self.schedule)) != len(self.schedule):
-                raise ValueError("schedule times must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """What one environment step produced. ``true_state`` is logged for
-    regret accounting and never shown to policies."""
-
-    context: int
-    offered_arms: np.ndarray
-    reward: float
-    optimal_mean: float
-    true_state: int
-
-
 def sample_arm_set(catalog_size: int, set_size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of distinct arm indices."""
     if set_size > catalog_size:
@@ -155,67 +127,29 @@ def sample_arm_set(catalog_size: int, set_size: int, rng: np.random.Generator) -
     return np.sort(rng.choice(catalog_size, size=set_size, replace=False))
 
 
-def advance_state(env: EnvState, kernel: TransitionKernel, rng: np.random.Generator) -> int:
-    """Advance the hidden state by one step and return the new state.
+def _advance_state(
+    state: int, time: int, kernel: TransitionKernel, rng: np.random.Generator, schedule
+) -> int:
+    """The hidden state after step ``time`` (counted from 1).
 
     A fixed schedule overrides kernel sampling: between scheduled times
     the state is frozen, and at a scheduled time it jumps to a different
     state drawn from the kernel's off-diagonal mass (two-state chains
     therefore flip deterministically).
     """
-    if env.schedule is not None:
-        if env.time in env.schedule:
-            row = kernel.matrix[env.true_state].copy()
-            row[env.true_state] = 0.0
-            total = row.sum()
-            if total <= 0:
-                # absorbing row: fall back to any other state uniformly
-                row = np.ones_like(row)
-                row[env.true_state] = 0.0
-                total = row.sum()
-            env.true_state = int(rng.choice(row.size, p=row / total))
-    else:
-        env.true_state = int(rng.choice(kernel.num_states, p=kernel.matrix[env.true_state]))
-    env.time += 1
-    return env.true_state
-
-
-def env_step(
-    env: EnvState,
-    kernel: TransitionKernel,
-    model: RewardModel,
-    chosen_arm: int,
-    rng: np.random.Generator,
-    context: int = 0,
-    offered_arms=None,
-) -> StepOutcome:
-    """Draw the reward for ``chosen_arm`` and move the hidden state.
-
-    The reward is Gaussian around the current state's mean; the state
-    advances afterwards, so the observation always reflects the state in
-    force when the arm was chosen.
-    """
-    if offered_arms is None:
-        offered = np.arange(model.num_arms)
-    else:
-        offered = np.asarray(offered_arms, dtype=int)
-    if chosen_arm not in offered:
-        raise ProtocolViolationError(
-            f"arm {chosen_arm} is not in the offered set at time {env.time}"
-        )
-    state = env.true_state
-    mean = model.mean(chosen_arm, context, state)
-    std = model.std(chosen_arm, context, state)
-    reward = float(rng.normal(mean, std))
-    optimal_mean = float(model.means[offered, context, state].max())
-    advance_state(env, kernel, rng)
-    return StepOutcome(
-        context=context,
-        offered_arms=offered,
-        reward=reward,
-        optimal_mean=optimal_mean,
-        true_state=state,
-    )
+    if schedule is None:
+        return int(rng.choice(kernel.num_states, p=kernel.matrix[state]))
+    if time not in schedule:
+        return state
+    row = kernel.matrix[state].copy()
+    row[state] = 0.0
+    total = row.sum()
+    if total <= 0:
+        # absorbing row: fall back to any other state uniformly
+        row = np.ones_like(row)
+        row[state] = 0.0
+        total = row.sum()
+    return int(rng.choice(row.size, p=row / total))
 
 
 @dataclass(frozen=True)
@@ -232,10 +166,6 @@ class Trajectory:
     arm_sets: list
     noise: np.ndarray
 
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[0]
-
 
 def generate_trajectory(
     model: RewardModel,
@@ -245,22 +175,25 @@ def generate_trajectory(
     rng: np.random.Generator,
     schedule=None,
     arm_set_size: int | None = None,
-    context_sampler=None,
 ) -> Trajectory:
-    """Roll the hidden chain forward and fix contexts, arm sets and noise."""
+    """Roll the hidden chain forward and fix arm sets and noise.
+
+    The generator draws the start state from the prior, then per step
+    the offered arm set (when ``arm_set_size`` is given) before the next
+    state, and the noise of all steps last.  Contexts are all 0.
+    """
     prior = np.asarray(prior, dtype=float)
-    start = int(rng.choice(prior.size, p=prior))
-    env = EnvState(true_state=start, schedule=list(schedule) if schedule else None)
+    state = int(rng.choice(prior.size, p=prior))
+    schedule = frozenset(int(t) for t in schedule) if schedule else None
     states = np.empty(horizon, dtype=int)
-    contexts = np.empty(horizon, dtype=int)
     arm_sets = []
     for t in range(horizon):
-        states[t] = env.true_state
-        contexts[t] = 0 if context_sampler is None else int(context_sampler(rng))
+        states[t] = state
         if arm_set_size is None:
             arm_sets.append(np.arange(model.num_arms))
         else:
             arm_sets.append(sample_arm_set(model.num_arms, arm_set_size, rng))
-        advance_state(env, kernel, rng)
+        state = _advance_state(state, t + 1, kernel, rng, schedule)
     noise = rng.standard_normal(horizon)
+    contexts = np.zeros(horizon, dtype=int)
     return Trajectory(states=states, contexts=contexts, arm_sets=arm_sets, noise=noise)

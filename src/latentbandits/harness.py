@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .environments import (
     generate_trajectory,
 )
 from .models import RewardModel, TransitionKernel, model_from_dict
-from .policies import POLICY_NAMES, make_policy
+from .policies import POLICY_NAMES, check_policy_params, make_policy
 from .presets import PRESETS
 
 OUT_DIR_ENV_VAR = "LBL_OUT_DIR"
@@ -130,17 +130,27 @@ class ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
 
-    def validate(self) -> None:
+    def validate(self) -> "ResolvedEnvironment":
+        """Check the config without running it; returns the resolved
+        environment.  Policy params are bound to their factory's
+        signature, but no policy is built."""
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if self.num_runs < 1:
             raise ConfigError("num_runs must be at least 1")
         if not self.policies:
             raise ConfigError("at least one policy is required")
+        names = [spec.name for spec in self.policies]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate policy names in {names}: results are keyed by name")
         for spec in self.policies:
             if spec.name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy name {spec.name!r}")
-        resolve_environment(self.environment)  # raises ConfigError on bad specs
+            try:
+                check_policy_params(spec.name, spec.params)
+            except TypeError as exc:
+                raise ConfigError(f"policy {spec.name!r} params: {exc}") from exc
+        return resolve_environment(self.environment)  # raises ConfigError on bad specs
 
 
 def load_config(path) -> ExperimentConfig:
@@ -230,6 +240,8 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
         if prior.size != model.num_states:
             raise ConfigError("prior length does not match the number of states")
 
+    if spec.schedule is not None and len(set(spec.schedule)) != len(spec.schedule):
+        raise ConfigError(f"schedule times must be distinct, got {list(spec.schedule)}")
     if spec.arm_set_size is not None and spec.arm_set_size > model.num_arms:
         raise ConfigError("arm_set_size exceeds the number of arms")
     return ResolvedEnvironment(
@@ -274,14 +286,7 @@ def _run_kernel(env: ResolvedEnvironment, config: ExperimentConfig, run_index: i
     # nonuniform graphs re-sample their off-diagonal masses per run, so a
     # multi-run experiment averages over kernel instantiations
     if env.graph is not None and env.graph.off_diagonal == "random_nonuniform":
-        spec = TransitionGraphSpec(
-            kind=env.graph.kind,
-            num_states=env.graph.num_states,
-            stay_prob=env.graph.stay_prob,
-            off_diagonal="random_nonuniform",
-            seed=int(env.graph.seed + 7919 * run_index),
-        )
-        return build_transition_kernel(spec)
+        return build_transition_kernel(replace(env.graph, seed=int(env.graph.seed + 7919 * run_index)))
     return env.kernel
 
 
@@ -295,11 +300,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     Run r uses seed ``base_seed + r`` to generate its shared trajectory,
     and policy i of run r draws its own randomness from the stream
     ``(base_seed, r, i)``; identical configs therefore produce identical
-    traces byte for byte.  Any policy protocol violation aborts the run
-    with diagnostics.
+    traces byte for byte.  A policy choosing an arm outside the offered
+    set aborts the run with a ProtocolViolationError naming the run,
+    policy and step.
     """
-    config.validate()
-    env = resolve_environment(config.environment)
+    env = config.validate()
     out_dir = out_dir or config.out_dir
     trace_dir = None
     if out_dir:
@@ -372,12 +377,7 @@ def _run_policies(
             offered = trajectory.arm_sets[t]
             if policy.wants_true_state:
                 policy.set_true_state(state)
-            try:
-                arm = policy.step(context, offered)
-            except ValueError as exc:
-                raise ProtocolViolationError(
-                    f"run {run_index}, policy {spec.name!r}, step {t + 1}: {exc}"
-                ) from exc
+            arm = policy.step(context, offered)
             if arm not in offered:
                 raise ProtocolViolationError(
                     f"run {run_index}, policy {spec.name!r}, step {t + 1}: "
@@ -445,22 +445,8 @@ def bayes_regret(results: ExperimentResults, confidence_z: float = 1.96) -> dict
 def _apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     env = config.environment
     if axis == "arm_set_size":
-        new_env = EnvironmentSpec(
-            model=env.model,
-            kernel=env.kernel,
-            prior=env.prior,
-            schedule=env.schedule,
-            arm_set_size=int(value),
-        )
-        return ExperimentConfig(
-            environment=new_env,
-            policies=config.policies,
-            horizon=config.horizon,
-            num_runs=config.num_runs,
-            base_seed=config.base_seed,
-            name=config.name,
-        )
-    if axis in ("probe_gap", "probe_sigma"):
+        new_env = replace(env, arm_set_size=int(value))
+    elif axis in ("probe_gap", "probe_sigma"):
         resolved = resolve_environment(env)
         means = resolved.model.means.copy()
         stds = resolved.model.stds.copy()
@@ -474,22 +460,11 @@ def _apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
             means[probe] = center + offsets
         else:
             stds[probe] = float(value)
-        new_env = EnvironmentSpec(
-            model={"means": means.tolist(), "stds": stds.tolist()},
-            kernel=env.kernel,
-            prior=env.prior,
-            schedule=env.schedule,
-            arm_set_size=env.arm_set_size,
-        )
-        return ExperimentConfig(
-            environment=new_env,
-            policies=config.policies,
-            horizon=config.horizon,
-            num_runs=config.num_runs,
-            base_seed=config.base_seed,
-            name=config.name,
-        )
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+        new_env = replace(env, model={"means": means.tolist(), "stds": stds.tolist()})
+    else:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    # a grid point neither writes traces into the parent's out_dir nor sweeps again
+    return replace(config, environment=new_env, out_dir=None, sweep_axes=None)
 
 
 def sweep(config: ExperimentConfig, out_dir: str | None = None) -> list:

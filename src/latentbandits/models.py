@@ -156,16 +156,6 @@ class BeliefState:
     def num_states(self) -> int:
         return self.probs.shape[0]
 
-    @classmethod
-    def uniform(cls, num_states: int) -> "BeliefState":
-        return cls(np.full(num_states, 1.0 / num_states))
-
-    @classmethod
-    def point_mass(cls, state: int, num_states: int) -> "BeliefState":
-        probs = np.zeros(num_states)
-        probs[state] = 1.0
-        return cls(probs)
-
     def argmax(self) -> int:
         # np.argmax already breaks ties toward the lowest index
         return int(np.argmax(self.probs))

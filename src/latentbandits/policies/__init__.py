@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from ..models import RewardModel, TransitionKernel
@@ -34,20 +36,59 @@ from .rollout import (
     rollout_likelihood_matrix,
 )
 
-POLICY_NAMES = (
-    "mts",
-    "agemts",
-    "explore_commit",
-    "explore_then_ps",
-    "cducb",
-    "cdts",
-    "exp4s",
-    "mucb",
-    "cd_linucb",
-    "cd_lints",
-    "oracle",
-    "uniform_random",
-)
+
+def _explore_commit(
+    model, kernel, prior, rng, info_arm, n_e=None, delta=None, std1=None, std2=None,
+    z_alpha=1.96, z_beta=0.84,
+):
+    """Explore-commit with its budget given as ``n_e`` or sized by the
+    z-test from ``delta``, ``std1`` and ``std2``."""
+    if n_e is None:
+        n_e = explore_commit_sample_size(delta, std1, std2, z_alpha, z_beta)
+    return ExploreCommit(model, kernel, prior, info_arm=info_arm, n_e=n_e, rng=rng)
+
+
+def _explore_then_ps(model, kernel, prior, horizon, rng, info_arm, tau=None):
+    """Explore-then-PS with its budget given as ``tau`` or forecast."""
+    if tau is None:
+        tau = explore_then_ps_tau(model, info_arm, horizon)
+    return ExploreThenPS(model, kernel, prior, info_arm=info_arm, tau=tau, rng=rng)
+
+
+# registry name -> factory; a factory's parameters other than the
+# experiment quantities below are the policy's config params
+POLICIES = {
+    "mts": MTS,
+    "agemts": AGEmTS,
+    "explore_commit": _explore_commit,
+    "explore_then_ps": _explore_then_ps,
+    "cducb": CDUCB,
+    "cdts": CDTS,
+    "exp4s": EXP4S,
+    "mucb": MUCB,
+    "cd_linucb": CDLinUCB,
+    "cd_lints": CDLinTS,
+    "oracle": OraclePolicy,
+    "uniform_random": UniformRandom,
+}
+POLICY_NAMES = tuple(POLICIES)
+_EXPERIMENT_QUANTITIES = ("model", "kernel", "prior", "horizon", "rng", "arm_features")
+
+
+def _quantities_for(factory, quantities: dict) -> dict:
+    """The experiment quantities ``factory`` takes, by parameter name."""
+    wanted = inspect.signature(factory).parameters
+    return {key: value for key, value in quantities.items() if key in wanted}
+
+
+def check_policy_params(name: str, params: dict) -> None:
+    """Raise TypeError unless ``params`` bind to the factory's signature.
+
+    Nothing is constructed, so this costs no per-policy set-up work.
+    """
+    factory = POLICIES[name]
+    placeholders = _quantities_for(factory, dict.fromkeys(_EXPERIMENT_QUANTITIES))
+    inspect.signature(factory).bind(**placeholders, **params)
 
 
 def make_policy(
@@ -62,50 +103,13 @@ def make_policy(
 ) -> Policy:
     """Build a policy from its registry name and a parameter map.
 
-    This is the construction path used by experiment configs; parameter
-    keys are passed through to the policy constructor.
+    This is the construction path used by experiment configs.  The
+    factory receives the experiment quantities its signature names
+    (model, kernel, prior, horizon, rng, arm_features) plus ``params``
+    as keywords.
     """
-    params = dict(params or {})
-    if name == "mts":
-        return MTS(model, kernel, prior, rng=rng)
-    if name == "agemts":
-        return AGEmTS(model, kernel, prior, horizon=horizon, rng=rng, **params)
-    if name == "explore_commit":
-        from .explore import explore_commit_sample_size as size
-
-        info_arm = params.pop("info_arm")
-        if "n_e" not in params:
-            params["n_e"] = size(
-                params.pop("delta"),
-                params.pop("std1"),
-                params.pop("std2"),
-                params.pop("z_alpha", 1.96),
-                params.pop("z_beta", 0.84),
-            )
-        return ExploreCommit(model, kernel, prior, info_arm=info_arm, rng=rng, **params)
-    if name == "explore_then_ps":
-        info_arm = params.pop("info_arm")
-        if "tau" not in params:
-            params["tau"] = explore_then_ps_tau(model, info_arm, horizon)
-        return ExploreThenPS(model, kernel, prior, info_arm=info_arm, rng=rng, **params)
-    if name == "cducb":
-        return CDUCB(model, rng=rng, **params)
-    if name == "cdts":
-        return CDTS(model, rng=rng, **params)
-    if name == "exp4s":
-        return EXP4S(model, horizon=horizon, rng=rng, **params)
-    if name == "mucb":
-        return MUCB(model, rng=rng, **params)
-    if name == "cd_linucb":
-        if arm_features is None:
-            raise ValueError("cd_linucb requires arm features")
-        return CDLinUCB(model, arm_features, rng=rng, **params)
-    if name == "cd_lints":
-        if arm_features is None:
-            raise ValueError("cd_lints requires arm features")
-        return CDLinTS(model, arm_features, rng=rng, **params)
-    if name == "oracle":
-        return OraclePolicy(model, rng=rng)
-    if name == "uniform_random":
-        return UniformRandom(rng=rng)
-    raise ValueError(f"unknown policy name {name!r}")
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy name {name!r}")
+    factory = POLICIES[name]
+    quantities = dict(zip(_EXPERIMENT_QUANTITIES, (model, kernel, prior, horizon, rng, arm_features)))
+    return factory(**_quantities_for(factory, quantities), **(params or {}))

@@ -40,26 +40,13 @@ class AGEmTS(BeliefPolicy):
         self.r_u = single_step_regret_bound(model)
         self.rollouts_run = 0
         self.info_plays = 0
-        self._info_cache: dict = {}
-
-    def reset(self) -> None:
-        super().reset()
-        self.rollouts_run = 0
-        self.info_plays = 0
-
-    def _info_arm(self, context: int, offered: np.ndarray) -> int:
-        key = (context, offered.tobytes())
-        if key not in self._info_cache:
-            arm, _ = best_info_arm(self.model, arms=offered, contexts=[context])
-            self._info_cache[key] = arm
-        return self._info_cache[key]
 
     def _choose(self, context: int, offered: np.ndarray) -> int:
         anchor = self._belief.argmax()
         arm = self.model.best_arm(context, anchor, offered)
         if entropy(self._belief) < self.entropy_threshold:
             return arm
-        info_arm = self._info_arm(context, offered)
+        info_arm, _ = best_info_arm(self.model, arms=offered, contexts=[context])
         if info_arm == arm:
             return arm
         remaining = max(1, self.horizon - self.time + 1)

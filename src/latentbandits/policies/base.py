@@ -1,14 +1,14 @@
 """Common policy interface.
 
 Every agent exposes ``step(context, offered_arms) -> arm`` followed by
-``observe(reward)``.  A policy instance is single-threaded: it owns a
-mutable belief/history and consumes randomness only through the generator
-injected at construction, so identical seeds yield identical traces.
+``observe(reward)``.  A policy instance serves one run and is
+single-threaded: it owns its mutable belief or statistics and consumes
+randomness only through the generator injected at construction, so
+identical seeds yield identical traces.  Checking that the chosen arm
+was offered is the harness's job.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -25,16 +25,8 @@ class Policy:
     def __init__(self, rng: np.random.Generator | None = None):
         self.rng = rng if rng is not None else np.random.default_rng()
         self.time = 1
-        self.history: deque | None = None
         self._pending: tuple[int, np.ndarray, int] | None = None
         self.last_info_play = False
-
-    def reset(self) -> None:
-        self.time = 1
-        self._pending = None
-        self.last_info_play = False
-        if self.history is not None:
-            self.history.clear()
 
     @property
     def belief(self) -> BeliefState | None:
@@ -43,19 +35,15 @@ class Policy:
     def step(self, context: int, offered_arms) -> int:
         offered = np.asarray(offered_arms, dtype=int)
         self.last_info_play = False
-        arm = self._choose(context, offered)
-        if arm not in offered:
-            raise ValueError(f"{self.name} chose arm {arm} outside the offered set")
-        self._pending = (context, offered, int(arm))
-        return int(arm)
+        arm = int(self._choose(context, offered))
+        self._pending = (context, offered, arm)
+        return arm
 
     def observe(self, reward: float) -> None:
         if self._pending is None:
             raise RuntimeError("observe() called before step()")
         context, offered, arm = self._pending
         self._pending = None
-        if self.history is not None:
-            self.history.append((arm, float(reward), context))
         self._learn(context, offered, arm, float(reward))
         self.time += 1
 
@@ -86,10 +74,6 @@ class BeliefPolicy(Policy):
         self.model = model
         self.kernel = kernel
         self.prior = BeliefState(np.asarray(prior, dtype=float))
-        self._belief = self.prior
-
-    def reset(self) -> None:
-        super().reset()
         self._belief = self.prior
 
     @property

@@ -44,10 +44,6 @@ class _StateModelBandit(Policy):
         ]
         self._last_meta: int | None = None
 
-    def reset(self) -> None:
-        super().reset()
-        self._reset_stats()
-
     def _pick_state(self) -> int:
         raise NotImplementedError
 
@@ -171,11 +167,6 @@ class EXP4S(Policy):
         self.weights = np.full(k, 1.0 / k)
         self._advice: np.ndarray | None = None
 
-    def reset(self) -> None:
-        super().reset()
-        self.weights = np.full(self.model.num_states, 1.0 / self.model.num_states)
-        self._advice = None
-
     def _choose(self, context: int, offered: np.ndarray) -> int:
         k = self.model.num_states
         advice = np.zeros((k, self.model.num_arms))
@@ -210,12 +201,6 @@ class MUCB(Policy):
         self.counts = np.zeros(model.num_arms, dtype=int)
         self.sums = np.zeros(model.num_arms)
         self.surviving = np.ones(model.num_states, dtype=bool)
-
-    def reset(self) -> None:
-        super().reset()
-        self.counts = np.zeros(self.model.num_arms, dtype=int)
-        self.sums = np.zeros(self.model.num_arms)
-        self.surviving = np.ones(self.model.num_states, dtype=bool)
 
     def consistent_states(self, context: int) -> np.ndarray:
         played = np.flatnonzero(self.counts > 0)
@@ -261,6 +246,8 @@ class _LinearBandit(Policy):
         threshold: float = 5.0,
     ):
         super().__init__(rng)
+        if arm_features is None:
+            raise ValueError(f"{self.name} requires arm features")
         self.model = model
         self.features = np.asarray(arm_features, dtype=float)
         if self.features.shape[0] != model.num_arms:
@@ -274,10 +261,6 @@ class _LinearBandit(Policy):
         self.a_matrix = self.ridge * np.eye(d)
         self.b_vector = np.zeros(d)
         self.detector.clear()
-
-    def reset(self) -> None:
-        super().reset()
-        self._reset_regression()
 
     def _scores(self, offered: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -297,8 +280,9 @@ class _LinearBandit(Policy):
 class CDLinUCB(_LinearBandit):
     name = "cd_linucb"
 
-    def __init__(self, *args, alpha: float = 1.0, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, model, arm_features, rng=None, ridge=1.0, window_size=50, threshold=5.0,
+                 alpha: float = 1.0):
+        super().__init__(model, arm_features, rng, ridge, window_size, threshold)
         self.alpha = alpha
 
     def _scores(self, offered: np.ndarray) -> np.ndarray:
@@ -311,8 +295,9 @@ class CDLinUCB(_LinearBandit):
 class CDLinTS(_LinearBandit):
     name = "cd_lints"
 
-    def __init__(self, *args, scale: float = 1.0, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, model, arm_features, rng=None, ridge=1.0, window_size=50, threshold=5.0,
+                 scale: float = 1.0):
+        super().__init__(model, arm_features, rng, ridge, window_size, threshold)
         self.scale = scale
 
     def _scores(self, offered: np.ndarray) -> np.ndarray:

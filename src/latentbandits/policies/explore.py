@@ -57,11 +57,6 @@ class ExploreCommit(BeliefPolicy):
         self._probe_rewards: list[float] = []
         self._committed_state: int | None = None
 
-    def reset(self) -> None:
-        super().reset()
-        self._probe_rewards = []
-        self._committed_state = None
-
     def _commit(self, context: int) -> int:
         if not self._probe_rewards:
             return self.prior.argmax()

@@ -13,14 +13,14 @@ from .policies import explore_commit_sample_size
 # detector windows/thresholds are stated explicitly so they land in run
 # metadata verbatim
 _DETECTOR_PARAMS = {"window_size": 50, "threshold": 15.0}
-_FULL_POLICY_SET = (
+_POLICIES_WITHOUT_MUCB = (
     PolicySpec("mts"),
     PolicySpec("agemts"),
     PolicySpec("cducb", dict(_DETECTOR_PARAMS)),
     PolicySpec("cdts", dict(_DETECTOR_PARAMS)),
     PolicySpec("exp4s"),
-    PolicySpec("mucb"),
 )
+_FULL_POLICY_SET = _POLICIES_WITHOUT_MUCB + (PolicySpec("mucb"),)
 
 
 def _config(name, environment, default_policies, default_horizon, default_runs, **overrides):
@@ -57,20 +57,16 @@ def two_state_stationary(**overrides) -> ExperimentConfig:
     return _config("two_state_stationary", env, _FULL_POLICY_SET, 2000, 100, **overrides)
 
 
+def _two_state_switching(**fields) -> EnvironmentSpec:
+    """The two-state preset on the 0.995-stay switching chain."""
+    kernel = {"graph": {"kind": "fully_connected", "num_states": 2, "stay_prob": 0.995}}
+    return EnvironmentSpec(model={"preset": "two_state"}, kernel=kernel, **fields)
+
+
 def two_state_random_switch(**overrides) -> ExperimentConfig:
     """Two-state chain switching randomly about every 200 steps."""
-    env = EnvironmentSpec(
-        model={"preset": "two_state"},
-        kernel={"graph": {"kind": "fully_connected", "num_states": 2, "stay_prob": 0.995}},
-    )
-    policies = (
-        PolicySpec("mts"),
-        PolicySpec("agemts"),
-        PolicySpec("cducb", dict(_DETECTOR_PARAMS)),
-        PolicySpec("cdts", dict(_DETECTOR_PARAMS)),
-        PolicySpec("exp4s"),
-    )
-    return _config("two_state_random_switch", env, policies, 1000, 100, **overrides)
+    env = _two_state_switching()
+    return _config("two_state_random_switch", env, _POLICIES_WITHOUT_MUCB, 1000, 100, **overrides)
 
 
 def two_state_fixed_200(**overrides) -> ExperimentConfig:
@@ -79,19 +75,8 @@ def two_state_fixed_200(**overrides) -> ExperimentConfig:
     Policies still model the switching with the random 0.995-stay kernel;
     only the environment follows the fixed schedule.
     """
-    env = EnvironmentSpec(
-        model={"preset": "two_state"},
-        kernel={"graph": {"kind": "fully_connected", "num_states": 2, "stay_prob": 0.995}},
-        schedule=(200, 400, 600, 800),
-    )
-    policies = (
-        PolicySpec("mts"),
-        PolicySpec("agemts"),
-        PolicySpec("cducb", dict(_DETECTOR_PARAMS)),
-        PolicySpec("cdts", dict(_DETECTOR_PARAMS)),
-        PolicySpec("exp4s"),
-    )
-    return _config("two_state_fixed_200", env, policies, 1000, 100, **overrides)
+    env = _two_state_switching(schedule=(200, 400, 600, 800))
+    return _config("two_state_fixed_200", env, _POLICIES_WITHOUT_MUCB, 1000, 100, **overrides)
 
 
 def two_state_explore_strategies(**overrides) -> ExperimentConfig:
@@ -162,14 +147,7 @@ def _movielens(name: str, kind: str, model_file: str | None, **overrides) -> Exp
         prior={"point": 0},
         arm_set_size=20,
     )
-    policies = (
-        PolicySpec("mts"),
-        PolicySpec("agemts"),
-        PolicySpec("cducb", dict(_DETECTOR_PARAMS)),
-        PolicySpec("cdts", dict(_DETECTOR_PARAMS)),
-        PolicySpec("exp4s"),
-    )
-    return _config(name, env, policies, 1000, 100, **overrides)
+    return _config(name, env, _POLICIES_WITHOUT_MUCB, 1000, 100, **overrides)
 
 
 def movielens_full(model_file=None, **overrides) -> ExperimentConfig:
@@ -201,10 +179,7 @@ def regions_stationary(**overrides) -> ExperimentConfig:
 
 def regions_nonstationary(**overrides) -> ExperimentConfig:
     """Same sweep with random 200-step-scale switching."""
-    env = EnvironmentSpec(
-        model={"preset": "two_state"},
-        kernel={"graph": {"kind": "fully_connected", "num_states": 2, "stay_prob": 0.995}},
-    )
+    env = _two_state_switching()
     config = _config("regions_nonstationary", env, ("mts", "agemts"), 1000, 100, **overrides)
     if config.sweep_axes is None:
         config = _override(config, {"sweep_axes": dict(_REGION_AXES)})

@@ -54,14 +54,16 @@ def kl_numeric(m1, s1, m2, s2):
     return value
 
 
-def mean_kl_oracle(model, arm):
-    """Arm-outer loop order, exact summation."""
+def mean_kl_oracle(model, arm, arms=None, contexts=None):
+    """Arm-outer loop order, exact summation, over the offered arms and
+    contexts (all of them by default)."""
+    arms = range(model.num_arms) if arms is None else list(arms)
+    contexts = range(model.num_contexts) if contexts is None else list(contexts)
     terms = []
-    arms = range(model.num_arms)
     for other in arms:
         if other == arm:
             continue
-        for x in range(model.num_contexts):
+        for x in contexts:
             for s in range(model.num_states):
                 terms.append(
                     gaussian_kl(
@@ -71,18 +73,20 @@ def mean_kl_oracle(model, arm):
                         model.stds[arm, x, s],
                     )
                 )
-    return math.fsum(terms) / (model.num_arms * model.num_contexts * model.num_states)
+    return math.fsum(terms) / (len(arms) * len(contexts) * model.num_states)
 
 
-def mean_gap_oracle(model, arm):
+def mean_gap_oracle(model, arm, arms=None, contexts=None):
+    arms = range(model.num_arms) if arms is None else list(arms)
+    contexts = range(model.num_contexts) if contexts is None else list(contexts)
     terms = []
-    for other in range(model.num_arms):
+    for other in arms:
         if other == arm:
             continue
-        for x in range(model.num_contexts):
+        for x in contexts:
             for s in range(model.num_states):
                 terms.append(model.means[arm, x, s] - model.means[other, x, s])
-    return math.fsum(terms) / (model.num_arms * model.num_contexts * model.num_states)
+    return math.fsum(terms) / (len(arms) * len(contexts) * model.num_states)
 
 
 def regret_bound_oracle(model):
@@ -278,6 +282,18 @@ class TestPairwiseStats:
                 assert mean_pairwise_kl(model, arm) == pytest.approx(
                     mean_kl_oracle(model, arm), abs=1e-12
                 )
+        # AGEmTS's call shape: an offered slate of a larger catalogue, one context
+        for _ in range(20):
+            model = random_model(rng, num_arms=30, num_states=5)
+            offered = np.sort(rng.choice(30, size=10, replace=False))
+            context = [int(rng.integers(2))]
+            for arm in offered:
+                assert mean_pairwise_kl(model, arm, offered, context) == pytest.approx(
+                    mean_kl_oracle(model, arm, offered, context), abs=1e-12
+                )
+                assert mean_pairwise_gap(model, arm, offered, context) == pytest.approx(
+                    mean_gap_oracle(model, arm, offered, context), abs=1e-12
+                )
 
     def test_probe_arm_gap_is_negative(self, five_state_raw):
         assert mean_pairwise_gap(five_state_raw, 4) < 0
@@ -296,7 +312,7 @@ class TestBestInfoArm:
         assert best_info_arm(five_state)[0] == 4
         assert best_info_arm(five_state_raw)[0] == 4
 
-    def test_brute_force_argmax_agrees(self, two_state, five_state_raw):
+    def test_brute_force_argmax_agrees(self, two_state, five_state_raw, rng):
         for model in (two_state, five_state_raw):
             ratios = []
             for arm in range(model.num_arms):
@@ -304,6 +320,15 @@ class TestBestInfoArm:
                 gap = mean_gap_oracle(model, arm)
                 ratios.append(kl / gap**2 if gap != 0 else math.inf)
             assert best_info_arm(model)[0] == int(np.argmax(ratios))
+        # offered slates of a larger catalogue, as AGEmTS scores them
+        for _ in range(20):
+            model = random_model(rng, num_arms=30, num_states=5, num_contexts=1)
+            offered = np.sort(rng.choice(30, size=10, replace=False))
+            ratios = [
+                mean_kl_oracle(model, arm, offered, [0]) / mean_gap_oracle(model, arm, offered, [0]) ** 2
+                for arm in offered
+            ]
+            assert best_info_arm(model, offered, [0])[0] == offered[int(np.argmax(ratios))]
 
     def test_identical_arms_tie_break_low(self):
         model = RewardModel(means=np.full((3, 1, 2), 1.0), stds=np.full((3, 1, 2), 0.5))

@@ -37,6 +37,20 @@ class TestValidate:
     def test_movielens_without_model_is_config_error(self):
         assert main(["validate", "movielens_full"]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["policies"].append(dict(doc["policies"][0])),
+        lambda doc: doc["policies"].append({"name": "agemts", "params": {"bogus": 1}}),
+        lambda doc: doc["policies"].append({"name": "explore_commit", "params": {"n_e": 5}}),
+        lambda doc: doc["environment"].update(schedule=[5, 5]),
+    ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule"])
+    def test_unrunnable_configs_are_config_errors(self, tmp_path, edit):
+        doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
+        doc["policies"] = [p for p in doc["policies"] if p["name"] != "agemts"]
+        edit(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+
 
 class TestRun:
     def test_run_writes_outputs(self, tmp_path, capsys):

@@ -1,17 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 
 from latentbandits import (
-    EnvState,
+    EnvironmentSpec,
+    ExperimentConfig,
+    PolicySpec,
     ProtocolViolationError,
-    RewardModel,
     TransitionGraphSpec,
     build_transition_kernel,
-    env_step,
     generate_trajectory,
+    run_experiment,
     sample_arm_set,
 )
-from latentbandits.environments import advance_state
+from latentbandits.policies.base import Policy
+
+
+def _config(model, policies, horizon, kernel=None, **env_kwargs):
+    env = EnvironmentSpec(model=model, kernel=kernel or {"identity": True}, **env_kwargs)
+    specs = tuple(PolicySpec(name) for name in policies)
+    return ExperimentConfig(environment=env, policies=specs, horizon=horizon, num_runs=1, base_seed=5)
 
 
 class TestBuildTransitionKernel:
@@ -76,40 +85,49 @@ class TestBuildTransitionKernel:
 
 
 class TestEnvStep:
-    def test_tiny_noise_reward_is_the_mean(self, identity2, rng):
-        model = RewardModel(
-            means=[[1.0, 2.0], [2.0, 1.0]], stds=np.full((2, 2), 1e-12)
-        )
-        env = EnvState(true_state=0)
-        outcome = env_step(env, identity2, model, 0, rng)
-        assert outcome.reward == pytest.approx(1.0, abs=1e-9)
-        assert outcome.optimal_mean == 2.0
-        assert outcome.true_state == 0
+    """One environment step as the harness takes it: the trajectory fixes
+    the state, the harness draws the reward and accounts the regret."""
+
+    def test_tiny_noise_reward_is_the_mean(self, tmp_path):
+        means = [[1.0, 2.0], [2.0, 1.0]]
+        model = {"means": means, "stds": np.full((2, 2), 1e-12).tolist()}
+        run_experiment(_config(model, ["uniform_random"], 50), out_dir=str(tmp_path))
+        lines = (tmp_path / "traces" / "run_0000.jsonl").read_text().splitlines()
+        for record in map(json.loads, lines):
+            assert record["reward"] == pytest.approx(means[record["arm"]][record["state"]], abs=1e-9)
 
     def test_identity_kernel_keeps_state(self, two_state, identity2, rng):
-        env = EnvState(true_state=1)
-        for _ in range(50):
-            outcome = env_step(env, identity2, two_state, 0, rng)
-            assert outcome.true_state == 1
+        trajectory = generate_trajectory(two_state, identity2, [0.0, 1.0], 50, rng)
+        assert trajectory.states.tolist() == [1] * 50
 
     def test_schedule_flips_exactly_at_change_points(self, two_state, switch_kernel, rng):
-        env = EnvState(true_state=0, schedule=[200, 400])
-        states = []
-        for _ in range(500):
-            states.append(env_step(env, switch_kernel, two_state, 0, rng).true_state)
+        trajectory = generate_trajectory(
+            two_state, switch_kernel, [1.0, 0.0], 500, rng, schedule=[200, 400]
+        )
+        states = trajectory.states.tolist()
         assert states[:200] == [0] * 200
         assert states[200:400] == [1] * 200
         assert states[400:] == [0] * 100
 
-    def test_arm_outside_offered_set_is_violation(self, two_state, identity2, rng):
-        env = EnvState(true_state=0)
-        with pytest.raises(ProtocolViolationError):
-            env_step(env, identity2, two_state, 2, rng, offered_arms=[0, 1])
+    def test_arm_outside_offered_set_is_violation(self, monkeypatch):
+        from latentbandits import harness
 
-    def test_optimal_mean_over_offered_subset(self, five_state, identity2, rng):
-        env = EnvState(true_state=1)
-        outcome = env_step(env, identity2, five_state, 2, rng, offered_arms=[2, 4])
-        assert outcome.optimal_mean == five_state.means[[2, 4], 0, 1].max()
+        class AlwaysArmTwo(Policy):
+            def _choose(self, context, offered):
+                return 2
+
+        monkeypatch.setattr(harness, "make_policy", lambda *args, **kwargs: AlwaysArmTwo())
+        config = _config({"preset": "two_state"}, ["mts"], 50, arm_set_size=2)
+        with pytest.raises(ProtocolViolationError, match="arm 2 not offered"):
+            run_experiment(config)
+
+    def test_optimal_mean_over_offered_subset(self):
+        # the oracle plays the best offered arm, so regret measured against
+        # the best offered arm is exactly zero on every slate
+        config = _config({"preset": "five_state"}, ["oracle"], 200, arm_set_size=2,
+                         prior="uniform")
+        results = run_experiment(config)
+        assert not results.runs[0].cum_regret["oracle"].any()
 
 
 class TestSampleArmSet:
@@ -163,22 +181,15 @@ class TestChainStatistics:
         kernel = build_transition_kernel(spec)
         allowed = kernel.matrix > 0
         rng = np.random.default_rng(3)
-        env = EnvState(true_state=0)
-        previous = env.true_state
-        for _ in range(10_000):
-            current = advance_state(env, kernel, rng)
-            assert allowed[previous, current]
-            previous = current
+        prior = [1.0, 0.0, 0.0, 0.0, 0.0]
+        states = generate_trajectory(five_state, kernel, prior, 10_000, rng).states
+        assert allowed[states[:-1], states[1:]].all()
 
-    def test_regret_accounting_nonnegative(self, five_state, rng):
-        spec = TransitionGraphSpec(kind="fully_connected", num_states=5, stay_prob=0.9)
-        kernel = build_transition_kernel(spec)
-        env = EnvState(true_state=0)
-        for _ in range(500):
-            arm = int(rng.integers(5))
-            outcome = env_step(env, kernel, five_state, arm, rng)
-            chosen_mean = five_state.mean(arm, 0, outcome.true_state)
-            assert outcome.optimal_mean >= chosen_mean - 1e-12
+    def test_regret_accounting_nonnegative(self):
+        kernel = {"graph": {"kind": "fully_connected", "num_states": 5, "stay_prob": 0.9}}
+        config = _config({"preset": "five_state"}, ["uniform_random"], 500, kernel=kernel)
+        regret = run_experiment(config).runs[0].cum_regret["uniform_random"]
+        assert np.diff(regret, prepend=0.0).min() >= -1e-12
 
 
 def test_generate_trajectory_reproducible(two_state, switch_kernel):

@@ -69,6 +69,39 @@ class TestConfig:
         with pytest.raises(ConfigError, match="disagree"):
             config.validate()
 
+    def test_duplicate_policy_names_rejected(self):
+        # results are keyed by name: a second agemts would overwrite the first's curve
+        config = tiny_config(policies=(PolicySpec("agemts", {"entropy_threshold": 1.0}),
+                                       PolicySpec("agemts", {"entropy_threshold": 0.5})))
+        with pytest.raises(ConfigError, match="duplicate policy names"):
+            config.validate()
+
+    @pytest.mark.parametrize("spec", [
+        PolicySpec("agemts", {"bogus": 1}),
+        PolicySpec("explore_commit", {"n_e": 5}),
+        PolicySpec("mts", {"rng": 3}),
+    ])
+    def test_params_not_binding_to_the_factory_rejected(self, spec):
+        with pytest.raises(ConfigError, match=f"policy '{spec.name}' params"):
+            tiny_config(policies=(spec,)).validate()
+
+    def test_valid_params_accepted_without_building(self, monkeypatch):
+        from latentbandits import policies
+
+        def no_tau(*args, **kwargs):
+            raise AssertionError("validate must not build policies")
+
+        monkeypatch.setattr(policies, "explore_then_ps_tau", no_tau)
+        config = tiny_config(policies=(PolicySpec("agemts", {"entropy_threshold": 0.5}),
+                                       PolicySpec("explore_then_ps", {"info_arm": 2})))
+        assert config.validate().model.num_arms == 3
+
+    def test_duplicate_schedule_times_rejected(self):
+        config = tiny_config(kernel={"graph": {"kind": "fully_connected", "num_states": 2}},
+                             schedule=(5, 5))
+        with pytest.raises(ConfigError, match="schedule"):
+            config.validate()
+
     def test_point_prior_resolves(self):
         env = resolve_environment(tiny_config(prior={"point": 1}).environment)
         np.testing.assert_array_equal(env.prior, [0.0, 1.0])
@@ -217,6 +250,14 @@ class TestSweep:
         }
         header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
         assert header == "probe_gap,probe_sigma,regret_mts"
+
+    def test_grid_points_write_no_traces(self, tmp_path):
+        doc = tiny_config(policies=("mts",), horizon=20, num_runs=2).to_dict()
+        doc["sweep_axes"] = {"arm_set_size": [2, 3]}
+        doc["out_dir"] = str(tmp_path / "parent")
+        rows = sweep(ExperimentConfig.from_dict(doc), out_dir=str(tmp_path / "sweep"))
+        assert [row["arm_set_size"] for row in rows] == [2, 3]
+        assert not (tmp_path / "parent").exists()
 
     def test_unknown_axis_rejected(self):
         doc = tiny_config().to_dict()
