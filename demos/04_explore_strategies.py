@@ -6,7 +6,7 @@ optimized budget followed by continued filtering.  Also shows the
 fallback: when the probe costs more than any recoverable regret, the
 forecast objective picks a zero budget.
 
-Run: python demos/04_explore_strategies.py              (about 20 s)
+Run: python demos/04_explore_strategies.py              (about 10 s)
 """
 
 import numpy as np

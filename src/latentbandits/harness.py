@@ -143,14 +143,15 @@ class ExperimentConfig:
         names = [spec.name for spec in self.policies]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate policy names in {names}: results are keyed by name")
+        resolved = resolve_environment(self.environment)  # raises ConfigError on bad specs
         for spec in self.policies:
             if spec.name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy name {spec.name!r}")
             try:
-                check_policy_params(spec.name, spec.params)
-            except TypeError as exc:
+                check_policy_params(spec.name, spec.params, resolved.arm_features)
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"policy {spec.name!r} params: {exc}") from exc
-        return resolve_environment(self.environment)  # raises ConfigError on bad specs
+        return resolved
 
 
 def load_config(path) -> ExperimentConfig:

@@ -37,14 +37,23 @@ from .rollout import (
 )
 
 
+def _explore_commit_budget(n_e=None, delta=None, std1=None, std2=None, z_alpha=1.96, z_beta=0.84):
+    """Explore-commit's budget: ``n_e`` if given, else the z-test sample
+    size from ``delta``, ``std1`` and ``std2``."""
+    if n_e is not None:
+        return n_e
+    if delta is None or std1 is None or std2 is None:
+        raise ValueError("explore_commit needs n_e, or all of delta, std1 and std2")
+    return explore_commit_sample_size(delta, std1, std2, z_alpha, z_beta)
+
+
 def _explore_commit(
     model, kernel, prior, rng, info_arm, n_e=None, delta=None, std1=None, std2=None,
     z_alpha=1.96, z_beta=0.84,
 ):
     """Explore-commit with its budget given as ``n_e`` or sized by the
     z-test from ``delta``, ``std1`` and ``std2``."""
-    if n_e is None:
-        n_e = explore_commit_sample_size(delta, std1, std2, z_alpha, z_beta)
+    n_e = _explore_commit_budget(n_e, delta, std1, std2, z_alpha, z_beta)
     return ExploreCommit(model, kernel, prior, info_arm=info_arm, n_e=n_e, rng=rng)
 
 
@@ -72,23 +81,36 @@ POLICIES = {
     "uniform_random": UniformRandom,
 }
 POLICY_NAMES = tuple(POLICIES)
+# registry name -> cheap check of the params that binding them to the
+# factory's signature cannot make; it takes the params its signature names
+PARAM_CHECKS = {"explore_commit": _explore_commit_budget}
 _EXPERIMENT_QUANTITIES = ("model", "kernel", "prior", "horizon", "rng", "arm_features")
 
 
 def _quantities_for(factory, quantities: dict) -> dict:
-    """The experiment quantities ``factory`` takes, by parameter name."""
+    """The entries of ``quantities`` that ``factory`` takes, by parameter name."""
     wanted = inspect.signature(factory).parameters
     return {key: value for key, value in quantities.items() if key in wanted}
 
 
-def check_policy_params(name: str, params: dict) -> None:
-    """Raise TypeError unless ``params`` bind to the factory's signature.
+def check_policy_params(name: str, params: dict, arm_features=None) -> None:
+    """Raise TypeError unless ``params`` bind to the factory's signature,
+    and ValueError if the policy still could not be built: its factory
+    requires ``arm_features`` and there are none, or its entry in
+    ``PARAM_CHECKS`` rejects the params.
 
     Nothing is constructed, so this costs no per-policy set-up work.
     """
     factory = POLICIES[name]
+    signature = inspect.signature(factory)
     placeholders = _quantities_for(factory, dict.fromkeys(_EXPERIMENT_QUANTITIES))
-    inspect.signature(factory).bind(**placeholders, **params)
+    signature.bind(**placeholders, **params)
+    features = signature.parameters.get("arm_features")
+    if features is not None and features.default is inspect.Parameter.empty and arm_features is None:
+        raise ValueError(f"{name} requires arm features and the model has none")
+    if name in PARAM_CHECKS:
+        check = PARAM_CHECKS[name]
+        check(**_quantities_for(check, params))
 
 
 def make_policy(

@@ -85,29 +85,44 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
 _GH_WEIGHTS = _GH_WEIGHTS / _GH_WEIGHTS.sum()
 
 
-def _expected_posterior(p, model: RewardModel, arm: int, true_state: int, context: int):
+def _quadrature_likelihoods(model: RewardModel, arm, true_state, context: int):
+    """Likelihoods of the true and the other state at the quadrature rewards.
+
+    Rewards are drawn (by quadrature) from ``arm``'s distribution in the
+    true state.  They depend on nothing else, so a forecast computes them
+    once and reuses them at every step.  ``arm`` and ``true_state`` may be
+    integer arrays that broadcast together; the node axis comes last.
+    """
+    mean_t = model.means[arm, context, true_state][..., None]
+    std_t = model.stds[arm, context, true_state][..., None]
+    mean_o = model.means[arm, context, 1 - true_state][..., None]
+    std_o = model.stds[arm, context, 1 - true_state][..., None]
+    rewards = mean_t + std_t * _GH_NODES
+    z_t = (rewards - mean_t) / std_t
+    z_o = (rewards - mean_o) / std_o
+    lik_t = np.exp(-0.5 * z_t * z_t) / std_t
+    lik_o = np.exp(-0.5 * z_o * z_o) / std_o
+    return lik_t, lik_o
+
+
+def _expected_posterior(p, likelihoods):
     """E over reward noise of the one-step posterior P(true state).
 
-    ``p`` may be a scalar or an array of current beliefs.  Rewards are
-    drawn (by quadrature) from the arm's distribution in the true state,
-    so this is the mean one-step Bayes update an agent playing ``arm``
-    would experience, noise included.
+    ``p`` may be a scalar or an array of current beliefs that broadcasts
+    against ``likelihoods`` (from ``_quadrature_likelihoods``) without
+    its node axis, so this is the mean one-step Bayes update an agent
+    playing that arm would experience, noise included.  At rewards where
+    both likelihoods underflow the belief is left unchanged.
     """
-    other = 1 - true_state
-    rewards = (
-        model.means[arm, context, true_state]
-        + model.stds[arm, context, true_state] * _GH_NODES
-    )
-    z_t = (rewards - model.means[arm, context, true_state]) / model.stds[arm, context, true_state]
-    z_o = (rewards - model.means[arm, context, other]) / model.stds[arm, context, other]
-    lik_t = np.exp(-0.5 * z_t * z_t) / model.stds[arm, context, true_state]
-    lik_o = np.exp(-0.5 * z_o * z_o) / model.stds[arm, context, other]
+    lik_t, lik_o = likelihoods
     p = np.asarray(p, dtype=float)
     num = p[..., None] * lik_t
     den = num + (1.0 - p[..., None]) * lik_o
-    post = np.where(den > 0, num / np.where(den > 0, den, 1.0), p[..., None])
-    result = post @ _GH_WEIGHTS
-    return np.clip(result, 0.0, 1.0)
+    if (den > 0).all():
+        post = num / den
+    else:
+        post = np.where(den > 0, num / np.where(den > 0, den, 1.0), p[..., None])
+    return np.clip(post @ _GH_WEIGHTS, 0.0, 1.0)
 
 
 def belief_forecast_two_state(
@@ -135,22 +150,53 @@ def belief_forecast_two_state(
     if true_state not in (0, 1):
         raise ValueError("true_state must be 0 or 1")
 
-    best_true = model.best_arm(context, true_state)
-    best_other = model.best_arm(context, 1 - true_state)
+    if arm is not None:
+        lik_arm = _quadrature_likelihoods(model, arm, true_state, context)
+    else:
+        lik_true = _quadrature_likelihoods(model, model.best_arm(context, true_state), true_state, context)
+        lik_other = _quadrature_likelihoods(
+            model, model.best_arm(context, 1 - true_state), true_state, context
+        )
 
     trajectory = np.empty(steps + 1)
     trajectory[0] = p0
     p = float(p0)
     for t in range(steps):
         if arm is not None:
-            p = float(_expected_posterior(p, model, arm, true_state, context))
+            p = float(_expected_posterior(p, lik_arm))
         else:
             p = float(
-                p * _expected_posterior(p, model, best_true, true_state, context)
-                + (1.0 - p) * _expected_posterior(p, model, best_other, true_state, context)
+                p * _expected_posterior(p, lik_true)
+                + (1.0 - p) * _expected_posterior(p, lik_other)
             )
         trajectory[t + 1] = p
     return trajectory
+
+
+def _ps_regret(start, first_step: int, horizon: int, ps_gap, likelihoods) -> np.ndarray:
+    """Forecast posterior-sampling regret of the continuations in ``start``.
+
+    ``start`` has one row of beliefs per true state.  Continuation i
+    takes over with belief ``start[:, i]`` at step ``first_step + i`` and
+    accumulates (1 - P_t) times the row's ``ps_gap`` per step up to the
+    horizon.  ``likelihoods`` holds, per true state, those of its best
+    arm and of the other state's best arm, shaped [state, 1, arm, node].
+    All continuations run at once: at step t the active ones are a
+    prefix of each row.
+    """
+    p = np.array(start, dtype=float)
+    regret = np.zeros_like(p)
+    for t in range(first_step, horizon):
+        active = p[:, : t - first_step + 1]
+        regret[:, : active.shape[1]] += (1.0 - active) * ps_gap[:, None]
+        expected = _expected_posterior(active[..., None], likelihoods)
+        active[:] = active * expected[..., 0] + (1.0 - active) * expected[..., 1]
+    return regret
+
+
+# relative slack on the pruning bound, far above the rounding that can
+# separate the zero budget's total here from a full scan's
+_PRUNE_MARGIN = 1e-9
 
 
 def explore_then_ps_tau(
@@ -158,12 +204,19 @@ def explore_then_ps_tau(
 ) -> int:
     """Probe budget minimizing forecast explore cost plus filtering regret.
 
-    Evaluates every budget tau in [0, horizon]: tau plays of the probe arm
-    cost tau times the per-step probe regret, after which the forecast
-    posterior-sampling regret accumulates (1 - P_t) times the cross-state
-    best-arm gap for the remaining steps.  The objective is a simple
-    average over both possible true states, and tau = 0 encodes falling
-    back to pure posterior sampling.  Ties break toward the smaller
+    The objective for a budget tau in [0, horizon] averages over both
+    possible true states: tau plays of the probe arm cost tau times the
+    per-step probe regret, after which the forecast posterior-sampling
+    regret accumulates (1 - P_t) times the cross-state best-arm gap for
+    the remaining steps.  tau = 0 encodes falling back to pure posterior
+    sampling.
+
+    Not every budget is forecast.  The filtering regret is never
+    negative, so the objective at tau is at least the explore cost alone,
+    tau * (cost_0 + cost_1) / 2.  The zero budget is scored first; a
+    budget whose lower bound exceeds that total by more than the relative
+    margin ``_PRUNE_MARGIN`` can neither tie nor win, so only the budgets
+    0..K at or below the line are scored.  Ties break toward the smaller
     budget.
     """
     if model.num_states != 2:
@@ -171,38 +224,33 @@ def explore_then_ps_tau(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
 
-    totals = np.zeros(horizon + 1)
-    for true_state in (0, 1):
-        other = 1 - true_state
-        best_true = model.best_arm(context, true_state)
-        best_other = model.best_arm(context, other)
-        explore_cost = (
-            model.means[best_true, context, true_state]
-            - model.means[info_arm, context, true_state]
-        )
-        ps_gap = (
-            model.means[best_true, context, true_state]
-            - model.means[best_other, context, true_state]
-        )
+    states = np.arange(2)
+    best = np.array([model.best_arm(context, 0), model.best_arm(context, 1)])
+    means = model.means[:, context, :]
+    explore_cost = means[best, states] - means[info_arm, states]
+    ps_gap = means[best, states] - means[best[::-1], states]
+    arms = np.stack([best, best[::-1]], axis=1)[:, None, :]
+    likelihoods = _quadrature_likelihoods(model, arms, states[:, None, None], context)
 
-        # belief after tau probe plays, for every tau at once
-        probe_path = belief_forecast_two_state(
-            0.5, model, horizon, true_state=true_state, arm=info_arm, context=context
-        )
+    zero_budget = _ps_regret(np.full((2, 1), 0.5), 0, horizon, ps_gap, likelihoods)[:, 0]
+    totals = [0.5 * zero_budget[0] + 0.5 * zero_budget[1]]
 
-        # run all posterior-sampling continuations in parallel: entry tau
-        # becomes active at step tau and accumulates (1 - p) * gap per step
-        p = probe_path.copy()
-        ps_regret = np.zeros(horizon + 1)
-        taus = np.arange(horizon + 1)
-        for t in range(horizon):
-            active = taus <= t
-            ps_regret[active] += (1.0 - p[active]) * ps_gap
-            pa = p[active]
-            p[active] = pa * _expected_posterior(
-                pa, model, best_true, true_state, context
-            ) + (1.0 - pa) * _expected_posterior(pa, model, best_other, true_state, context)
-        totals += 0.5 * (taus * explore_cost + ps_regret)
+    # the explore costs are never negative, so the survivors are a prefix
+    taus = np.arange(horizon + 1)
+    lower_bound = 0.5 * (taus * explore_cost[0]) + 0.5 * (taus * explore_cost[1])
+    last = int(np.count_nonzero(lower_bound <= totals[0] * (1.0 + _PRUNE_MARGIN))) - 1
+    if last > 0:
+        # belief after tau probe plays, for every surviving tau at once
+        probe_paths = [
+            belief_forecast_two_state(0.5, model, last, true_state=s, arm=info_arm, context=context)
+            for s in (0, 1)
+        ]
+        ps_regret = _ps_regret(np.array(probe_paths)[:, 1:], 1, horizon, ps_gap, likelihoods)
+        budgets = taus[1 : last + 1]
+        totals.extend(
+            0.5 * (budgets * explore_cost[0] + ps_regret[0])
+            + 0.5 * (budgets * explore_cost[1] + ps_regret[1])
+        )
     return int(np.argmin(totals))
 
 

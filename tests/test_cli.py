@@ -42,7 +42,11 @@ class TestValidate:
         lambda doc: doc["policies"].append({"name": "agemts", "params": {"bogus": 1}}),
         lambda doc: doc["policies"].append({"name": "explore_commit", "params": {"n_e": 5}}),
         lambda doc: doc["environment"].update(schedule=[5, 5]),
-    ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule"])
+        lambda doc: doc["policies"].append({"name": "explore_commit", "params": {"info_arm": 2}}),
+        lambda doc: doc["policies"].append({"name": "cd_linucb", "params": {}}),
+        lambda doc: doc["policies"].append({"name": "cd_lints", "params": {}}),
+    ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
+            "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features"])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, edit):
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
         doc["policies"] = [p for p in doc["policies"] if p["name"] != "agemts"]

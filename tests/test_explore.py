@@ -1,5 +1,8 @@
+import explore_reference as reference
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latentbandits import RewardModel
 from latentbandits.policies import (
@@ -10,6 +13,7 @@ from latentbandits.policies import (
     explore_commit_sample_size,
     explore_then_ps_tau,
 )
+from latentbandits.policies.explore import _quadrature_likelihoods
 
 ARMS3 = np.arange(3)
 
@@ -183,3 +187,73 @@ class TestExploreThenPSPolicy:
             policy.observe(float(rng.normal(1.7, 0.01)))
         assert policy.belief.probs[0] > 0.999
         assert policy.step(0, ARMS3) == 0
+
+
+@st.composite
+def two_state_models(draw):
+    """Random two-state models with a probe arm, reaching the corners of
+    the budget search: a probe that is some state's best arm, one arm best
+    in both states (a zero best-arm gap), and stds down to 1e-3, where
+    the other state's quadrature likelihoods underflow to zero."""
+    num_arms = draw(st.integers(min_value=2, max_value=4))
+    means = np.array(
+        draw(st.lists(st.floats(min_value=-1.0, max_value=3.0), min_size=2 * num_arms, max_size=2 * num_arms))
+    ).reshape(num_arms, 1, 2)
+    stds = np.array(
+        draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2 * num_arms, max_size=2 * num_arms))
+    ).reshape(num_arms, 1, 2)
+    info_arm = draw(st.integers(min_value=0, max_value=num_arms - 1))
+    corner = draw(st.sampled_from(["none", "probe_best", "zero_gap"]))
+    if corner == "probe_best":
+        state = draw(st.integers(min_value=0, max_value=1))
+        means[info_arm, 0, state] = means[:, 0, state].max() + 0.1
+    elif corner == "zero_gap":
+        arm = draw(st.integers(min_value=0, max_value=num_arms - 1))
+        means[arm, 0, :] = means.max() + 0.2
+    return RewardModel(means=means, stds=stds), info_arm
+
+
+TIGHT = RewardModel(means=[[2.1, 1.5], [1.6, 2.1], [1.7, 1.5]],
+                    stds=[[0.5, 0.5], [0.5, 0.5], [1e-3, 1e-3]])
+
+
+class TestBudgetSearchMatchesFullScan:
+    """The bound-pruned search against the full scan it replaced."""
+
+    @given(two_state_models(), st.integers(min_value=1, max_value=400))
+    @example((TIGHT, 2), 400)
+    @example((RewardModel(means=[[2.1, 2.0], [1.9, 1.8], [1.7, 1.5]], stds=np.full((3, 2), 0.5)), 2), 300)
+    @example((RewardModel(means=[[2.1, 1.5], [1.6, 2.1], [2.2, 1.5]], stds=np.full((3, 2), 0.5)), 2), 300)
+    @settings(max_examples=40, deadline=None)
+    def test_budget_equals_reference(self, model_and_probe, horizon):
+        model, info_arm = model_and_probe
+        assert explore_then_ps_tau(model, info_arm, horizon) == reference.explore_then_ps_tau(
+            model, info_arm, horizon
+        )
+
+    @given(two_state_models(), st.sampled_from([0.0, 0.5, 1.0, 0.37]), st.integers(0, 1),
+           st.booleans(), st.integers(min_value=0, max_value=200))
+    @example((TIGHT, 2), 0.0, 1, True, 50)
+    @settings(max_examples=60, deadline=None)
+    def test_forecast_bit_identical(self, model_and_probe, p0, true_state, probe, steps):
+        model, info_arm = model_and_probe
+        arm = info_arm if probe else None
+        ours = belief_forecast_two_state(p0, model, steps, true_state=true_state, arm=arm)
+        theirs = reference.belief_forecast_two_state(p0, model, steps, true_state=true_state, arm=arm)
+        np.testing.assert_array_equal(ours, theirs)
+
+    def test_zero_denominator_keeps_the_belief(self):
+        # from a zero belief in the true state, every node where the other
+        # state's likelihood underflows has a zero denominator
+        _, lik_other = _quadrature_likelihoods(TIGHT, 2, 1, 0)
+        assert (lik_other == 0).all()
+        path = belief_forecast_two_state(0.0, TIGHT, 5, true_state=1, arm=2)
+        np.testing.assert_array_equal(path, np.zeros(6))
+
+    @pytest.mark.parametrize("probe_std", [0.01, 0.05])
+    @pytest.mark.parametrize("horizon", [1, 2, 300])
+    def test_presets_match(self, probe_std, horizon):
+        from latentbandits import two_state_model
+
+        model = two_state_model(probe_std=probe_std)
+        assert explore_then_ps_tau(model, 2, horizon) == reference.explore_then_ps_tau(model, 2, horizon)

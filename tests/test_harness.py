@@ -85,6 +85,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"policy '{spec.name}' params"):
             tiny_config(policies=(spec,)).validate()
 
+    @pytest.mark.parametrize("spec", [
+        PolicySpec("explore_commit", {"info_arm": 2}),
+        PolicySpec("explore_commit", {"info_arm": 2, "delta": 0.2, "std1": 0.5}),
+        PolicySpec("explore_commit", {"info_arm": 2, "delta": 0.0, "std1": 0.5, "std2": 0.5}),
+        PolicySpec("cd_linucb"),
+        PolicySpec("cd_lints", {"scale": 0.5}),
+    ], ids=["no_budget", "partial_triple", "zero_delta", "cd_linucb", "cd_lints"])
+    def test_params_that_cannot_build_rejected(self, spec):
+        # these bind to the factory but would fail at run
+        with pytest.raises(ConfigError, match=f"policy '{spec.name}' params"):
+            tiny_config(policies=(spec,)).validate()
+
+    def test_z_test_budget_and_features_accepted(self, tmp_path, two_state):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"means": two_state.means.tolist(), "stds": two_state.stds.tolist(),
+                                    "features": np.eye(3).tolist()}))
+        config = tiny_config(model={"file": str(path)}, policies=(
+            PolicySpec("explore_commit", {"info_arm": 2, "delta": 0.2, "std1": 0.5, "std2": 0.5}),
+            PolicySpec("cd_linucb"),
+            PolicySpec("cd_lints"),
+        ))
+        assert config.validate().arm_features.shape == (3, 3)
+        assert set(run_experiment(config).policy_names) == {"explore_commit", "cd_linucb", "cd_lints"}
+
     def test_valid_params_accepted_without_building(self, monkeypatch):
         from latentbandits import policies
 
