@@ -5,7 +5,6 @@ from .belief import (
     entropy,
     expected_dwell_time,
     gaussian_kl,
-    gaussian_likelihood,
     info_arm_stats,
     mean_pairwise_gap,
     mean_pairwise_kl,

@@ -23,24 +23,14 @@ from .models import (
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def gaussian_likelihood(reward: float, mean: float, std: float) -> float:
-    """Normal probability density of ``reward`` under N(mean, std**2)."""
-    if not (math.isfinite(reward) and math.isfinite(mean) and math.isfinite(std)):
-        raise ValueError("gaussian_likelihood requires finite inputs")
-    if std <= 0:
-        raise ValueError("std must be strictly positive")
-    z = (reward - mean) / std
-    return math.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
-
-
-def reward_log_likelihoods(model: RewardModel, arm: int, context: int, reward: float) -> np.ndarray:
-    """Per-state log density of an observed reward for one (arm, context).
+def reward_log_likelihoods(model: RewardModel, arm: int, reward: float) -> np.ndarray:
+    """Per-state log density of an observed reward of ``arm``.
 
     Kept in log space because tight arms (std around 0.01) produce
     densities spanning hundreds of orders of magnitude.
     """
-    means = model.means[arm, context, :]
-    stds = model.stds[arm, context, :]
+    means = model.means[arm]
+    stds = model.stds[arm]
     z = (reward - means) / stds
     return -0.5 * z * z - np.log(stds) - _LOG_SQRT_2PI
 
@@ -99,90 +89,80 @@ def gaussian_kl(mean1: float, std1: float, mean2: float, std2: float) -> float:
     )
 
 
-def _resolve_sets(model: RewardModel, arms, contexts) -> tuple[np.ndarray, np.ndarray]:
+def _arm_set(model: RewardModel, arms) -> np.ndarray:
     if arms is None:
-        arms = np.arange(model.num_arms)
-    else:
-        arms = np.asarray(arms, dtype=int)
-    if contexts is None:
-        contexts = np.arange(model.num_contexts)
-    else:
-        contexts = np.asarray(contexts, dtype=int)
-    return arms, contexts
+        return np.arange(model.num_arms)
+    return np.asarray(arms, dtype=int)
 
 
-def info_arm_stats(model: RewardModel, arms=None, contexts=None) -> InfoArmStats:
+def info_arm_stats(model: RewardModel, arms=None) -> InfoArmStats:
     """Divergence, gap, and usefulness ratio for every arm in the set.
 
     ``mean_kl`` is the average divergence of every competing arm's
-    distribution from the scored arm's.  The triple average runs over
-    contexts, states, and the other arms of the (optionally restricted)
-    arm set, with 1/|X|, 1/|S|, 1/|A| normalization.  The scored arm's
-    distribution sits in the reference slot of the divergence, so arms
-    whose rewards are tight and far from the rest of the set score high;
-    this is what makes a low-variance probe arm stand out as informative.
+    distribution from the scored arm's.  The double average runs over
+    states and the other arms of the (optionally restricted) arm set,
+    with 1/|S| and 1/|A| normalization.  The scored arm's distribution
+    sits in the reference slot of the divergence, so arms whose rewards
+    are tight and far from the rest of the set score high; this is what
+    makes a low-variance probe arm stand out as informative.
 
     ``mean_gap`` is the signed mean reward advantage of the scored arm
-    over the rest of the set, with the same triple average and
+    over the rest of the set, with the same double average and
     normalization.  Probe arms with deliberately low reward come out
     negative.
 
-    Both come from one [context, state, other, scored] broadcast; a
-    scored arm's term against itself is exactly zero.  Sums over a
-    leading axis of a C-ordered array add in index order, so the totals
-    equal those of the scalar triple loop (the divergence up to numpy's
-    and libm's logarithms differing in the last bit).
+    Both come from one [state, other, scored] broadcast; a scored arm's
+    term against itself is exactly zero.  Sums over a leading axis of a
+    C-ordered array add in index order, so the totals equal those of the
+    scalar double loop (the divergence up to numpy's and libm's
+    logarithms differing in the last bit).
     """
-    arm_set, context_set = _resolve_sets(model, arms, contexts)
-    index = np.ix_(arm_set, context_set)
+    arm_set = _arm_set(model, arms)
     # C order, so the sums below run over the leading axes in index order
-    means = np.ascontiguousarray(model.means[index].transpose(1, 2, 0))
-    stds = np.ascontiguousarray(model.stds[index].transpose(1, 2, 0))
-    other_mean, arm_mean = means[..., :, None], means[..., None, :]
-    other_std, arm_std = stds[..., :, None], stds[..., None, :]
+    means = np.ascontiguousarray(model.means[arm_set].T)
+    stds = np.ascontiguousarray(model.stds[arm_set].T)
+    other_mean, arm_mean = means[:, :, None], means[:, None, :]
+    other_std, arm_std = stds[:, :, None], stds[:, None, :]
     kl = (
         np.log(arm_std / other_std)
         + (other_std * other_std + (other_mean - arm_mean) ** 2) / (2.0 * arm_std * arm_std)
         - 0.5
     )
     gap = arm_mean - other_mean
-    scale = context_set.size * model.num_states
 
     def average(terms: np.ndarray) -> np.ndarray:
-        per_cell = terms.sum(axis=2) / arm_set.size
-        return per_cell.reshape(-1, arm_set.size).sum(axis=0) / scale
+        return (terms.sum(axis=1) / arm_set.size).sum(axis=0) / model.num_states
 
     return InfoArmStats(arms=arm_set, mean_kl=average(kl), mean_gap=average(gap))
 
 
-def mean_pairwise_kl(model: RewardModel, arm: int, arms=None, contexts=None) -> float:
+def mean_pairwise_kl(model: RewardModel, arm: int, arms=None) -> float:
     """``mean_kl`` of :func:`info_arm_stats` for one arm of the set."""
-    stats = info_arm_stats(model, arms, contexts)
+    stats = info_arm_stats(model, arms)
     return float(stats.mean_kl[stats.arms == arm][0])
 
 
-def mean_pairwise_gap(model: RewardModel, arm: int, arms=None, contexts=None) -> float:
+def mean_pairwise_gap(model: RewardModel, arm: int, arms=None) -> float:
     """``mean_gap`` of :func:`info_arm_stats` for one arm of the set."""
-    stats = info_arm_stats(model, arms, contexts)
+    stats = info_arm_stats(model, arms)
     return float(stats.mean_gap[stats.arms == arm][0])
 
 
-def best_info_arm(model: RewardModel, arms=None, contexts=None) -> tuple[int, InfoArmStats]:
+def best_info_arm(model: RewardModel, arms=None) -> tuple[int, InfoArmStats]:
     """Arm maximizing mean divergence over squared mean gap.
 
     Ties break toward the lowest arm index.  Arms with both zero
     divergence and zero gap carry a -inf ratio and can only win when no
     arm discriminates at all, in which case the first arm is returned.
     """
-    stats = info_arm_stats(model, arms, contexts)
+    stats = info_arm_stats(model, arms)
     winner = int(stats.arms[np.argmax(stats.ratio)])
     return winner, stats
 
 
-def single_step_regret_bound(model: RewardModel, arms=None, contexts=None) -> float:
-    """Largest max-arm minus min-arm mean gap over all (context, state) pairs."""
-    arm_set, context_set = _resolve_sets(model, arms, contexts)
-    sub = model.means[np.ix_(arm_set, context_set, np.arange(model.num_states))]
+def single_step_regret_bound(model: RewardModel, arms=None) -> float:
+    """Largest max-arm minus min-arm mean gap over the states."""
+    sub = model.means[_arm_set(model, arms)]
     return float((sub.max(axis=0) - sub.min(axis=0)).max())
 
 

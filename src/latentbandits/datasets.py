@@ -338,7 +338,7 @@ def build_reward_model(
         raise ValueError("catalog must not be empty")
     num_states = len(super_user.users)
     user_vectors = model.U[list(super_user.users)]
-    means = (model.V[catalog] @ user_vectors.T)[:, None, :]  # [item, 1, state]
+    means = model.V[catalog] @ user_vectors.T  # [item, state]
 
     if variance_mode == "fixed":
         sigma = float(params.get("sigma", 0.25))
@@ -363,4 +363,4 @@ def build_reward_model(
     if clamped.any():
         log.warning("clamping %d sigma entries to the %.2f floor", int(clamped.sum()), SIGMA_FLOOR)
         stds = np.where(clamped, SIGMA_FLOOR, stds)
-    return RewardModel(means=means, stds=stds[:, None, :])
+    return RewardModel(means=means, stds=stds)

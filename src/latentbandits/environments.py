@@ -162,7 +162,6 @@ class Trajectory:
     """
 
     states: np.ndarray
-    contexts: np.ndarray
     arm_sets: list
     noise: np.ndarray
 
@@ -180,7 +179,7 @@ def generate_trajectory(
 
     The generator draws the start state from the prior, then per step
     the offered arm set (when ``arm_set_size`` is given) before the next
-    state, and the noise of all steps last.  Contexts are all 0.
+    state, and the noise of all steps last.
     """
     prior = np.asarray(prior, dtype=float)
     state = int(rng.choice(prior.size, p=prior))
@@ -195,5 +194,4 @@ def generate_trajectory(
             arm_sets.append(sample_arm_set(model.num_arms, arm_set_size, rng))
         state = _advance_state(state, t + 1, kernel, rng, schedule)
     noise = rng.standard_normal(horizon)
-    contexts = np.zeros(horizon, dtype=int)
-    return Trajectory(states=states, contexts=contexts, arm_sets=arm_sets, noise=noise)
+    return Trajectory(states=states, arm_sets=arm_sets, noise=noise)

@@ -2,11 +2,10 @@
 regret curves, and persists results.
 
 Runs are paired comparisons: each run pre-generates one hidden state
-trajectory, context sequence, arm-set sequence and reward noise stream,
-and every policy replays that identical path.  Per-step regret is
-accounted in true-state mean rewards (pseudo-regret), so stored
-cumulative regret is exactly non-decreasing; realized-reward regret is
-logged alongside.
+trajectory, arm-set sequence and reward noise stream, and every policy
+replays that identical path.  Per-step regret is accounted in true-state
+mean rewards (pseudo-regret), so stored cumulative regret is exactly
+non-decreasing; realized-reward regret is logged alongside.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .environments import (
     build_transition_kernel,
     generate_trajectory,
 )
-from .models import RewardModel, TransitionKernel, model_from_dict
+from .models import RewardModel, TransitionKernel, _as_prob_vector, model_from_dict
 from .policies import POLICY_NAMES, check_policy_params, make_policy
 from .presets import PRESETS
 
@@ -148,7 +147,7 @@ class ExperimentConfig:
             if spec.name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy name {spec.name!r}")
             try:
-                check_policy_params(spec.name, spec.params, resolved.arm_features)
+                check_policy_params(spec.name, spec.params, resolved.model, resolved.arm_features)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"policy {spec.name!r} params: {exc}") from exc
         return resolved
@@ -195,7 +194,10 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read model file: {exc}") from exc
-        model, _ = model_from_dict(doc)
+        try:
+            model, _ = model_from_dict(doc)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"invalid model file: {exc}") from exc
         if doc.get("features") is not None:
             arm_features = np.asarray(doc["features"], dtype=float)
     elif "means" in model_doc:
@@ -234,17 +236,23 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
             raise ConfigError(f"unknown prior {spec.prior!r}")
         prior = np.full(model.num_states, 1.0 / model.num_states)
     elif isinstance(spec.prior, dict):
+        point = spec.prior.get("point")
+        if not isinstance(point, (int, np.integer)) or not 0 <= point < model.num_states:
+            raise ConfigError(f"prior point must be a state in [0, {model.num_states}), got {point}")
         prior = np.zeros(model.num_states)
-        prior[int(spec.prior["point"])] = 1.0
+        prior[point] = 1.0
     else:
-        prior = np.asarray(spec.prior, dtype=float)
+        try:
+            prior = _as_prob_vector(spec.prior, "prior")
+        except ValueError as exc:
+            raise ConfigError(f"invalid prior: {exc}") from exc
         if prior.size != model.num_states:
             raise ConfigError("prior length does not match the number of states")
 
     if spec.schedule is not None and len(set(spec.schedule)) != len(spec.schedule):
         raise ConfigError(f"schedule times must be distinct, got {list(spec.schedule)}")
-    if spec.arm_set_size is not None and spec.arm_set_size > model.num_arms:
-        raise ConfigError("arm_set_size exceeds the number of arms")
+    if spec.arm_set_size is not None and not 1 <= spec.arm_set_size <= model.num_arms:
+        raise ConfigError(f"arm_set_size must be in [1, {model.num_arms}], got {spec.arm_set_size}")
     return ResolvedEnvironment(
         model=model,
         kernel=kernel,
@@ -374,20 +382,19 @@ def _run_policies(
         total_realized = 0.0
         for t in range(horizon):
             state = int(trajectory.states[t])
-            context = int(trajectory.contexts[t])
             offered = trajectory.arm_sets[t]
             if policy.wants_true_state:
                 policy.set_true_state(state)
-            arm = policy.step(context, offered)
+            arm = policy.step(offered)
             if arm not in offered:
                 raise ProtocolViolationError(
                     f"run {run_index}, policy {spec.name!r}, step {t + 1}: "
                     f"arm {arm} not offered"
                 )
-            mean = model.mean(arm, context, state)
-            reward = mean + model.std(arm, context, state) * float(trajectory.noise[t])
+            mean = float(model.means[arm, state])
+            reward = mean + float(model.stds[arm, state]) * float(trajectory.noise[t])
             policy.observe(reward)
-            optimal = float(model.means[offered, context, state].max())
+            optimal = float(model.means[offered, state].max())
             total += optimal - mean
             total_realized += optimal - reward
             regret[t] = total
@@ -401,7 +408,8 @@ def _run_policies(
                             "run": run_index,
                             "policy": spec.name,
                             "t": t + 1,
-                            "context": context,
+                            # constant, kept so trace files keep their format
+                            "context": 0,
                             "arm": int(arm),
                             "reward": reward,
                             "regret": total,
@@ -457,7 +465,7 @@ def _apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
             best = means[:probe].max(axis=0)
             center = best - float(value)
             half_span = 0.1
-            offsets = np.linspace(half_span, -half_span, means.shape[2])
+            offsets = np.linspace(half_span, -half_span, means.shape[1])
             means[probe] = center + offsets
         else:
             stds[probe] = float(value)

@@ -1,10 +1,10 @@
 """Core value types for latent bandit problems.
 
 A latent bandit instance is described by two known objects: a reward model
-giving the Gaussian reward distribution of every (arm, context, state)
-triple, and a row-stochastic transition kernel over the hidden states.
-Policies additionally maintain a belief state, a probability vector over
-the hidden states.  All three are immutable after construction and are
+giving the Gaussian reward distribution of every (arm, state) pair, and a
+row-stochastic transition kernel over the hidden states.  Policies
+additionally maintain a belief state, a probability vector over the
+hidden states.  All three are immutable after construction and are
 validated eagerly, so downstream numerical code can assume well-formed
 inputs.
 """
@@ -42,34 +42,36 @@ def _as_prob_vector(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RewardModel:
-    """Known Gaussian reward distributions, indexed [arm, context, state].
+    """Known Gaussian reward distributions, indexed [arm, state].
 
-    ``num_contexts == 1`` encodes the context-free synthetic setting; the
-    context axis is kept even then so policy code has a single indexing
-    convention.
+    Model files store [arm, context, state] tables with one context; such
+    a table loads with that axis dropped, and one with more contexts is
+    rejected.
     """
 
     means: np.ndarray
     stds: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        stds = np.asarray(self.stds, dtype=float)
-        if means.ndim == 2:
-            # [arm, state] shorthand for the context-free case
-            means = means[:, None, :]
-            stds = stds[:, None, :]
-        if means.ndim != 3:
-            raise ValueError(f"means must be [arm, context, state], got shape {means.shape}")
+        # copies, so the model neither aliases nor freezes the caller's arrays
+        means = np.array(self.means, dtype=float)
+        stds = np.array(self.stds, dtype=float)
         if means.shape != stds.shape:
             raise ValueError(f"means shape {means.shape} != stds shape {stds.shape}")
+        if means.ndim == 3:
+            if means.shape[1] != 1:
+                raise ValueError(f"reward models have one context, got {means.shape[1]}")
+            means = means[:, 0, :]
+            stds = stds[:, 0, :]
+        if means.ndim != 2:
+            raise ValueError(f"means must be [arm, state], got shape {means.shape}")
         if not np.all(np.isfinite(means)):
             raise ValueError("means contains non-finite entries")
         if not np.all(np.isfinite(stds)) or np.any(stds <= 0):
             raise ValueError("stds must be strictly positive and finite")
         if means.shape[0] < 2:
             raise ValueError("a reward model needs at least 2 arms")
-        if means.shape[2] < 2:
+        if means.shape[1] < 2:
             raise ValueError("a reward model needs at least 2 states")
         means.setflags(write=False)
         stds.setflags(write=False)
@@ -81,29 +83,19 @@ class RewardModel:
         return self.means.shape[0]
 
     @property
-    def num_contexts(self) -> int:
+    def num_states(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def num_states(self) -> int:
-        return self.means.shape[2]
-
-    def mean(self, arm: int, context: int, state: int) -> float:
-        return float(self.means[arm, context, state])
-
-    def std(self, arm: int, context: int, state: int) -> float:
-        return float(self.stds[arm, context, state])
-
-    def best_arm(self, context: int, state: int, arms=None) -> int:
-        """Index of the highest-mean arm for the given (context, state).
+    def best_arm(self, state: int, arms=None) -> int:
+        """Index of the highest-mean arm in ``state``.
 
         ``arms`` restricts the search to an offered subset; ties break
         toward the lowest arm index.
         """
         if arms is None:
-            return int(np.argmax(self.means[:, context, state]))
+            return int(np.argmax(self.means[:, state]))
         arms = np.asarray(arms, dtype=int)
-        return int(arms[np.argmax(self.means[arms, context, state])])
+        return int(arms[np.argmax(self.means[arms, state])])
 
 
 @dataclass(frozen=True)
@@ -197,13 +189,13 @@ def model_to_dict(model: RewardModel, kernel: TransitionKernel | None = None) ->
     """Serialize a reward model (and optional kernel) to the JSON schema.
 
     Schema: ``means`` and ``stds`` are row-major nested lists indexed
-    [arm][context][state], ``transition`` is [state][state], and
-    ``num_contexts`` is recorded explicitly.
+    [arm][context][state] with a single context, ``num_contexts`` is
+    always 1, and ``transition`` is [state][state].
     """
     doc = {
-        "num_contexts": model.num_contexts,
-        "means": model.means.tolist(),
-        "stds": model.stds.tolist(),
+        "num_contexts": 1,
+        "means": model.means[:, None, :].tolist(),
+        "stds": model.stds[:, None, :].tolist(),
     }
     if kernel is not None:
         doc["transition"] = kernel.matrix.tolist()
@@ -211,10 +203,12 @@ def model_to_dict(model: RewardModel, kernel: TransitionKernel | None = None) ->
 
 
 def model_from_dict(doc: dict) -> tuple[RewardModel, TransitionKernel | None]:
+    """Inverse of :func:`model_to_dict`; [arm][state] tables are accepted
+    too, and ``num_contexts``, when given, must be 1."""
+    if doc.get("num_contexts", 1) != 1:
+        raise ValueError(f"reward models have one context, got num_contexts {doc['num_contexts']}")
     means = np.asarray(doc["means"], dtype=float)
     stds = np.asarray(doc["stds"], dtype=float)
-    if means.ndim == 3 and means.shape[1] != doc.get("num_contexts", means.shape[1]):
-        raise ValueError("num_contexts does not match the means tensor")
     model = RewardModel(means=means, stds=stds)
     kernel = None
     if doc.get("transition") is not None:

@@ -93,11 +93,12 @@ def _quantities_for(factory, quantities: dict) -> dict:
     return {key: value for key, value in quantities.items() if key in wanted}
 
 
-def check_policy_params(name: str, params: dict, arm_features=None) -> None:
+def check_policy_params(name: str, params: dict, model: RewardModel, arm_features=None) -> None:
     """Raise TypeError unless ``params`` bind to the factory's signature,
-    and ValueError if the policy still could not be built: its factory
-    requires ``arm_features`` and there are none, or its entry in
-    ``PARAM_CHECKS`` rejects the params.
+    and ValueError if the policy still could not be built: its
+    ``info_arm`` is not an arm of ``model``, its factory requires
+    ``arm_features`` and there are none, or its entry in ``PARAM_CHECKS``
+    rejects the params.
 
     Nothing is constructed, so this costs no per-policy set-up work.
     """
@@ -105,6 +106,8 @@ def check_policy_params(name: str, params: dict, arm_features=None) -> None:
     signature = inspect.signature(factory)
     placeholders = _quantities_for(factory, dict.fromkeys(_EXPERIMENT_QUANTITIES))
     signature.bind(**placeholders, **params)
+    if "info_arm" in params and not 0 <= params["info_arm"] < model.num_arms:
+        raise ValueError(f"info_arm must be an arm in [0, {model.num_arms}), got {params['info_arm']}")
     features = signature.parameters.get("arm_features")
     if features is not None and features.default is inspect.Parameter.empty and arm_features is None:
         raise ValueError(f"{name} requires arm features and the model has none")

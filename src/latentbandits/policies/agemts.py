@@ -41,12 +41,12 @@ class AGEmTS(BeliefPolicy):
         self.rollouts_run = 0
         self.info_plays = 0
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray) -> int:
         anchor = self._belief.argmax()
-        arm = self.model.best_arm(context, anchor, offered)
+        arm = self.model.best_arm(anchor, offered)
         if entropy(self._belief) < self.entropy_threshold:
             return arm
-        info_arm, _ = best_info_arm(self.model, arms=offered, contexts=[context])
+        info_arm, _ = best_info_arm(self.model, arms=offered)
         if info_arm == arm:
             return arm
         remaining = max(1, self.horizon - self.time + 1)
@@ -58,7 +58,6 @@ class AGEmTS(BeliefPolicy):
             info_arm=info_arm,
             r_u=self.r_u,
             horizon_cap=remaining,
-            context=context,
             offered_arms=offered,
             entropy_threshold=self.entropy_threshold,
         )

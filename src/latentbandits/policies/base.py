@@ -1,6 +1,6 @@
 """Common policy interface.
 
-Every agent exposes ``step(context, offered_arms) -> arm`` followed by
+Every agent exposes ``step(offered_arms) -> arm`` followed by
 ``observe(reward)``.  A policy instance serves one run and is
 single-threaded: it owns its mutable belief or statistics and consumes
 randomness only through the generator injected at construction, so
@@ -25,32 +25,32 @@ class Policy:
     def __init__(self, rng: np.random.Generator | None = None):
         self.rng = rng if rng is not None else np.random.default_rng()
         self.time = 1
-        self._pending: tuple[int, np.ndarray, int] | None = None
+        self._pending: tuple[np.ndarray, int] | None = None
         self.last_info_play = False
 
     @property
     def belief(self) -> BeliefState | None:
         return None
 
-    def step(self, context: int, offered_arms) -> int:
+    def step(self, offered_arms) -> int:
         offered = np.asarray(offered_arms, dtype=int)
         self.last_info_play = False
-        arm = int(self._choose(context, offered))
-        self._pending = (context, offered, arm)
+        arm = int(self._choose(offered))
+        self._pending = (offered, arm)
         return arm
 
     def observe(self, reward: float) -> None:
         if self._pending is None:
             raise RuntimeError("observe() called before step()")
-        context, offered, arm = self._pending
+        offered, arm = self._pending
         self._pending = None
-        self._learn(context, offered, arm, float(reward))
+        self._learn(offered, arm, float(reward))
         self.time += 1
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray) -> int:
         raise NotImplementedError
 
-    def _learn(self, context: int, offered: np.ndarray, arm: int, reward: float) -> None:
+    def _learn(self, offered: np.ndarray, arm: int, reward: float) -> None:
         pass
 
 
@@ -80,8 +80,8 @@ class BeliefPolicy(Policy):
     def belief(self) -> BeliefState:
         return self._belief
 
-    def _learn(self, context: int, offered: np.ndarray, arm: int, reward: float) -> None:
-        log_liks = reward_log_likelihoods(self.model, arm, context, reward)
+    def _learn(self, offered: np.ndarray, arm: int, reward: float) -> None:
+        log_liks = reward_log_likelihoods(self.model, arm, reward)
         try:
             self._belief = posterior_update(self._belief, self.kernel, likelihoods_from_log(log_liks))
         except DegenerateEvidenceError:

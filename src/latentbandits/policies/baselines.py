@@ -2,8 +2,7 @@
 state experts, and confidence-set elimination.
 
 All of them treat the per-state conditional reward models as their arms
-or experts: choosing "state s" means playing the best arm of state s for
-the current context.
+or experts: choosing "state s" means playing state s's best offered arm.
 """
 
 from __future__ import annotations
@@ -47,13 +46,13 @@ class _StateModelBandit(Policy):
     def _pick_state(self) -> int:
         raise NotImplementedError
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray) -> int:
         unplayed = np.flatnonzero(self.counts == 0)
         state = int(unplayed[0]) if unplayed.size else self._pick_state()
         self._last_meta = state
-        return self.model.best_arm(context, state, offered)
+        return self.model.best_arm(state, offered)
 
-    def _learn(self, context, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward) -> None:
         meta = self._last_meta
         self.counts[meta] += 1
         self.sums[meta] += reward
@@ -167,17 +166,17 @@ class EXP4S(Policy):
         self.weights = np.full(k, 1.0 / k)
         self._advice: np.ndarray | None = None
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray) -> int:
         k = self.model.num_states
         advice = np.zeros((k, self.model.num_arms))
         for s in range(k):
-            advice[s, self.model.best_arm(context, s, offered)] = 1.0
+            advice[s, self.model.best_arm(s, offered)] = 1.0
         self._advice = advice
         probs = self.weights @ advice
         probs = probs / probs.sum()
         return int(self.rng.choice(self.model.num_arms, p=probs))
 
-    def _learn(self, context, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward) -> None:
         self.weights = exp4s_update(
             self.weights, self._advice, reward, arm, self.learning_rate, self.weight_floor
         )
@@ -202,7 +201,7 @@ class MUCB(Policy):
         self.sums = np.zeros(model.num_arms)
         self.surviving = np.ones(model.num_states, dtype=bool)
 
-    def consistent_states(self, context: int) -> np.ndarray:
+    def consistent_states(self) -> np.ndarray:
         played = np.flatnonzero(self.counts > 0)
         alive = np.ones(self.model.num_states, dtype=bool)
         if played.size == 0:
@@ -210,24 +209,24 @@ class MUCB(Policy):
         means = self.sums[played] / self.counts[played]
         log_t = math.log(max(self.time, 2))
         for s in range(self.model.num_states):
-            predicted = self.model.means[played, context, s]
-            radius = self.model.stds[played, context, s] * np.sqrt(log_t / self.counts[played])
+            predicted = self.model.means[played, s]
+            radius = self.model.stds[played, s] * np.sqrt(log_t / self.counts[played])
             alive[s] = bool(np.all(np.abs(means - predicted) <= radius))
         if not alive.any():
             alive[:] = True
         return alive
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray) -> int:
         # elimination is sticky; an empty intersection resets to all states
-        alive = self.surviving & self.consistent_states(context)
+        alive = self.surviving & self.consistent_states()
         if not alive.any():
             alive = np.ones(self.model.num_states, dtype=bool)
         self.surviving = alive
-        optimistic = self.model.means[np.ix_(offered, [context], np.flatnonzero(self.surviving))]
-        best = optimistic.max(axis=2).ravel()
+        optimistic = self.model.means[np.ix_(offered, np.flatnonzero(self.surviving))]
+        best = optimistic.max(axis=1)
         return int(offered[np.argmax(best)])
 
-    def _learn(self, context, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward) -> None:
         self.counts[arm] += 1
         self.sums[arm] += reward
 
@@ -265,10 +264,10 @@ class _LinearBandit(Policy):
     def _scores(self, offered: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray) -> int:
         return int(offered[np.argmax(self._scores(offered))])
 
-    def _learn(self, context, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward) -> None:
         x = self.features[arm]
         self.a_matrix += np.outer(x, x)
         self.b_vector += reward * x
@@ -321,12 +320,12 @@ class OraclePolicy(Policy):
     def set_true_state(self, state: int) -> None:
         self.true_state = int(state)
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
-        return self.model.best_arm(context, self.true_state, offered)
+    def _choose(self, offered: np.ndarray) -> int:
+        return self.model.best_arm(self.true_state, offered)
 
 
 class UniformRandom(Policy):
     name = "uniform_random"
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray) -> int:
         return int(self.rng.choice(offered))

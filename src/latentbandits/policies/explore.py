@@ -57,25 +57,25 @@ class ExploreCommit(BeliefPolicy):
         self._probe_rewards: list[float] = []
         self._committed_state: int | None = None
 
-    def _commit(self, context: int) -> int:
+    def _commit(self) -> int:
         if not self._probe_rewards:
             return self.prior.argmax()
         mean_reward = float(np.mean(self._probe_rewards))
-        distances = np.abs(mean_reward - self.model.means[self.info_arm, context, :])
+        distances = np.abs(mean_reward - self.model.means[self.info_arm])
         return int(np.argmin(distances))
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray) -> int:
         if self.time <= self.n_e:
             self.last_info_play = True
             return self.info_arm
         if self._committed_state is None:
-            self._committed_state = self._commit(context)
-        return self.model.best_arm(context, self._committed_state, offered)
+            self._committed_state = self._commit()
+        return self.model.best_arm(self._committed_state, offered)
 
-    def _learn(self, context, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward) -> None:
         if arm == self.info_arm and self._committed_state is None:
             self._probe_rewards.append(reward)
-        super()._learn(context, offered, arm, reward)
+        super()._learn(offered, arm, reward)
 
 
 # Gauss-Hermite rule for expectations over the reward noise; 64 nodes keep
@@ -85,7 +85,7 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
 _GH_WEIGHTS = _GH_WEIGHTS / _GH_WEIGHTS.sum()
 
 
-def _quadrature_likelihoods(model: RewardModel, arm, true_state, context: int):
+def _quadrature_likelihoods(model: RewardModel, arm, true_state):
     """Likelihoods of the true and the other state at the quadrature rewards.
 
     Rewards are drawn (by quadrature) from ``arm``'s distribution in the
@@ -93,10 +93,10 @@ def _quadrature_likelihoods(model: RewardModel, arm, true_state, context: int):
     once and reuses them at every step.  ``arm`` and ``true_state`` may be
     integer arrays that broadcast together; the node axis comes last.
     """
-    mean_t = model.means[arm, context, true_state][..., None]
-    std_t = model.stds[arm, context, true_state][..., None]
-    mean_o = model.means[arm, context, 1 - true_state][..., None]
-    std_o = model.stds[arm, context, 1 - true_state][..., None]
+    mean_t = model.means[arm, true_state][..., None]
+    std_t = model.stds[arm, true_state][..., None]
+    mean_o = model.means[arm, 1 - true_state][..., None]
+    std_o = model.stds[arm, 1 - true_state][..., None]
     rewards = mean_t + std_t * _GH_NODES
     z_t = (rewards - mean_t) / std_t
     z_o = (rewards - mean_o) / std_o
@@ -131,7 +131,6 @@ def belief_forecast_two_state(
     steps: int,
     true_state: int = 0,
     arm: int | None = None,
-    context: int = 0,
 ) -> np.ndarray:
     """Deterministic forecast of the belief filter's average trajectory.
 
@@ -151,12 +150,10 @@ def belief_forecast_two_state(
         raise ValueError("true_state must be 0 or 1")
 
     if arm is not None:
-        lik_arm = _quadrature_likelihoods(model, arm, true_state, context)
+        lik_arm = _quadrature_likelihoods(model, arm, true_state)
     else:
-        lik_true = _quadrature_likelihoods(model, model.best_arm(context, true_state), true_state, context)
-        lik_other = _quadrature_likelihoods(
-            model, model.best_arm(context, 1 - true_state), true_state, context
-        )
+        lik_true = _quadrature_likelihoods(model, model.best_arm(true_state), true_state)
+        lik_other = _quadrature_likelihoods(model, model.best_arm(1 - true_state), true_state)
 
     trajectory = np.empty(steps + 1)
     trajectory[0] = p0
@@ -199,9 +196,7 @@ def _ps_regret(start, first_step: int, horizon: int, ps_gap, likelihoods) -> np.
 _PRUNE_MARGIN = 1e-9
 
 
-def explore_then_ps_tau(
-    model: RewardModel, info_arm: int, horizon: int, context: int = 0
-) -> int:
+def explore_then_ps_tau(model: RewardModel, info_arm: int, horizon: int) -> int:
     """Probe budget minimizing forecast explore cost plus filtering regret.
 
     The objective for a budget tau in [0, horizon] averages over both
@@ -225,12 +220,11 @@ def explore_then_ps_tau(
         raise ValueError("horizon must be at least 1")
 
     states = np.arange(2)
-    best = np.array([model.best_arm(context, 0), model.best_arm(context, 1)])
-    means = model.means[:, context, :]
-    explore_cost = means[best, states] - means[info_arm, states]
-    ps_gap = means[best, states] - means[best[::-1], states]
+    best = np.array([model.best_arm(0), model.best_arm(1)])
+    explore_cost = model.means[best, states] - model.means[info_arm, states]
+    ps_gap = model.means[best, states] - model.means[best[::-1], states]
     arms = np.stack([best, best[::-1]], axis=1)[:, None, :]
-    likelihoods = _quadrature_likelihoods(model, arms, states[:, None, None], context)
+    likelihoods = _quadrature_likelihoods(model, arms, states[:, None, None])
 
     zero_budget = _ps_regret(np.full((2, 1), 0.5), 0, horizon, ps_gap, likelihoods)[:, 0]
     totals = [0.5 * zero_budget[0] + 0.5 * zero_budget[1]]
@@ -242,7 +236,7 @@ def explore_then_ps_tau(
     if last > 0:
         # belief after tau probe plays, for every surviving tau at once
         probe_paths = [
-            belief_forecast_two_state(0.5, model, last, true_state=s, arm=info_arm, context=context)
+            belief_forecast_two_state(0.5, model, last, true_state=s, arm=info_arm)
             for s in (0, 1)
         ]
         ps_regret = _ps_regret(np.array(probe_paths)[:, 1:], 1, horizon, ps_gap, likelihoods)
@@ -268,8 +262,8 @@ class ExploreThenPS(MTS):
         self.info_arm = int(info_arm)
         self.tau = int(tau)
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray) -> int:
         if self.time <= self.tau:
             self.last_info_play = True
             return self.info_arm
-        return super()._choose(context, offered)
+        return super()._choose(offered)

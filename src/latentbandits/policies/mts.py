@@ -20,5 +20,5 @@ class MTS(BeliefPolicy):
         u = self.rng.random()
         return int(np.searchsorted(np.cumsum(self._belief.probs), u, side="right").clip(0, self._belief.num_states - 1))
 
-    def _choose(self, context: int, offered: np.ndarray) -> int:
-        return self.model.best_arm(context, self._sample_state(), offered)
+    def _choose(self, offered: np.ndarray) -> int:
+        return self.model.best_arm(self._sample_state(), offered)

@@ -52,15 +52,12 @@ def _density(value, means, stds):
     return np.exp(-0.5 * z * z) / (stds * _SQRT_2PI)
 
 
-def _greedy_arms(model: RewardModel, context: int, offered) -> np.ndarray:
-    return np.array(
-        [model.best_arm(context, s, offered) for s in range(model.num_states)], dtype=int
-    )
+def _greedy_arms(model: RewardModel, offered) -> np.ndarray:
+    return np.array([model.best_arm(s, offered) for s in range(model.num_states)], dtype=int)
 
 
 def rollout_likelihood_matrix(
     model: RewardModel,
-    context: int,
     hypothetical_state: int,
     policy_belief: BeliefState,
     offered_arms=None,
@@ -74,14 +71,14 @@ def rollout_likelihood_matrix(
     hypothetical state is the truth; states indistinguishable through the
     greedy arms yield a flat row.
     """
-    greedy = _greedy_arms(model, context, offered_arms)
+    greedy = _greedy_arms(model, offered_arms)
     row = np.zeros(model.num_states)
     for s, weight in enumerate(policy_belief.probs):
         if weight == 0.0:
             continue
         arm = greedy[s]
-        probe = model.means[arm, context, hypothetical_state]
-        row += weight * _density(probe, model.means[arm, context, :], model.stds[arm, context, :])
+        probe = model.means[arm, hypothetical_state]
+        row += weight * _density(probe, model.means[arm], model.stds[arm])
     total = row.sum()
     if total <= 0.0:
         raise DegenerateEvidenceError("greedy roll-out evidence underflowed everywhere")
@@ -90,7 +87,6 @@ def rollout_likelihood_matrix(
 
 def rollout_info_likelihood(
     model: RewardModel,
-    context: int,
     info_arm: int,
     hypothetical_state: int,
     policy_belief: BeliefState,
@@ -101,8 +97,8 @@ def rollout_info_likelihood(
     arm's hypothetical-state mean under its distribution in every state.
     A probe identical across states returns the belief unchanged.
     """
-    probe = model.means[info_arm, context, hypothetical_state]
-    densities = _density(probe, model.means[info_arm, context, :], model.stds[info_arm, context, :])
+    probe = model.means[info_arm, hypothetical_state]
+    densities = _density(probe, model.means[info_arm], model.stds[info_arm])
     row = policy_belief.probs * densities
     total = row.sum()
     if total <= 0.0:
@@ -128,7 +124,6 @@ def reward_estimator(
     info_arm: int,
     r_u: float,
     horizon_cap: int,
-    context: int = 0,
     offered_arms=None,
     entropy_threshold: float = 1.0,
 ) -> RolloutResult:
@@ -150,7 +145,7 @@ def reward_estimator(
     t_exp = int(round(expected_dwell_time(kernel, belief, horizon_cap)))
     t_exp = max(1, min(t_exp, int(horizon_cap)))
     anchor = belief.argmax()
-    greedy = _greedy_arms(model, context, offered_arms)
+    greedy = _greedy_arms(model, offered_arms)
 
     total_ig = 0.0
     total_ps = 0.0
@@ -159,12 +154,12 @@ def reward_estimator(
             continue
         # pseudo-evidence rows are frozen at the decision-time belief
         try:
-            info_row = rollout_info_likelihood(model, context, info_arm, s_hyp, belief)
+            info_row = rollout_info_likelihood(model, info_arm, s_hyp, belief)
         except DegenerateEvidenceError:
             info_row = None
-        greedy_row = rollout_likelihood_matrix(model, context, s_hyp, belief, offered_arms)
+        greedy_row = rollout_likelihood_matrix(model, s_hyp, belief, offered_arms)
         # mean reward of each state's greedy arm if s_hyp is the truth
-        payoff = model.means[greedy, context, s_hyp]
+        payoff = model.means[greedy, s_hyp]
 
         p_ig = _updated(belief, kernel, info_row)
         p_ps = belief

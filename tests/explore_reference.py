@@ -1,6 +1,6 @@
 """Reference oracle for the explore-then-PS budget search.
 
-A verbatim copy of the full-scan ``explore_then_ps_tau``, the
+A copy, indexed [arm, state], of the full-scan ``explore_then_ps_tau``, the
 per-call ``_expected_posterior`` and the ``belief_forecast_two_state``
 loop as they stood before the bound-pruned search replaced them.  The
 library's search must return the same budget, and its forecast the same
@@ -21,7 +21,7 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
 _GH_WEIGHTS = _GH_WEIGHTS / _GH_WEIGHTS.sum()
 
 
-def _expected_posterior(p, model: RewardModel, arm: int, true_state: int, context: int):
+def _expected_posterior(p, model: RewardModel, arm: int, true_state: int):
     """E over reward noise of the one-step posterior P(true state).
 
     ``p`` may be a scalar or an array of current beliefs.  Rewards are
@@ -31,13 +31,13 @@ def _expected_posterior(p, model: RewardModel, arm: int, true_state: int, contex
     """
     other = 1 - true_state
     rewards = (
-        model.means[arm, context, true_state]
-        + model.stds[arm, context, true_state] * _GH_NODES
+        model.means[arm, true_state]
+        + model.stds[arm, true_state] * _GH_NODES
     )
-    z_t = (rewards - model.means[arm, context, true_state]) / model.stds[arm, context, true_state]
-    z_o = (rewards - model.means[arm, context, other]) / model.stds[arm, context, other]
-    lik_t = np.exp(-0.5 * z_t * z_t) / model.stds[arm, context, true_state]
-    lik_o = np.exp(-0.5 * z_o * z_o) / model.stds[arm, context, other]
+    z_t = (rewards - model.means[arm, true_state]) / model.stds[arm, true_state]
+    z_o = (rewards - model.means[arm, other]) / model.stds[arm, other]
+    lik_t = np.exp(-0.5 * z_t * z_t) / model.stds[arm, true_state]
+    lik_o = np.exp(-0.5 * z_o * z_o) / model.stds[arm, other]
     p = np.asarray(p, dtype=float)
     num = p[..., None] * lik_t
     den = num + (1.0 - p[..., None]) * lik_o
@@ -52,7 +52,6 @@ def belief_forecast_two_state(
     steps: int,
     true_state: int = 0,
     arm: int | None = None,
-    context: int = 0,
 ) -> np.ndarray:
     """Deterministic forecast of the belief filter's average trajectory.
 
@@ -71,26 +70,26 @@ def belief_forecast_two_state(
     if true_state not in (0, 1):
         raise ValueError("true_state must be 0 or 1")
 
-    best_true = model.best_arm(context, true_state)
-    best_other = model.best_arm(context, 1 - true_state)
+    best_true = model.best_arm(true_state)
+    best_other = model.best_arm(1 - true_state)
 
     trajectory = np.empty(steps + 1)
     trajectory[0] = p0
     p = float(p0)
     for t in range(steps):
         if arm is not None:
-            p = float(_expected_posterior(p, model, arm, true_state, context))
+            p = float(_expected_posterior(p, model, arm, true_state))
         else:
             p = float(
-                p * _expected_posterior(p, model, best_true, true_state, context)
-                + (1.0 - p) * _expected_posterior(p, model, best_other, true_state, context)
+                p * _expected_posterior(p, model, best_true, true_state)
+                + (1.0 - p) * _expected_posterior(p, model, best_other, true_state)
             )
         trajectory[t + 1] = p
     return trajectory
 
 
 def explore_then_ps_tau(
-    model: RewardModel, info_arm: int, horizon: int, context: int = 0
+    model: RewardModel, info_arm: int, horizon: int
 ) -> int:
     """Probe budget minimizing forecast explore cost plus filtering regret.
 
@@ -110,20 +109,20 @@ def explore_then_ps_tau(
     totals = np.zeros(horizon + 1)
     for true_state in (0, 1):
         other = 1 - true_state
-        best_true = model.best_arm(context, true_state)
-        best_other = model.best_arm(context, other)
+        best_true = model.best_arm(true_state)
+        best_other = model.best_arm(other)
         explore_cost = (
-            model.means[best_true, context, true_state]
-            - model.means[info_arm, context, true_state]
+            model.means[best_true, true_state]
+            - model.means[info_arm, true_state]
         )
         ps_gap = (
-            model.means[best_true, context, true_state]
-            - model.means[best_other, context, true_state]
+            model.means[best_true, true_state]
+            - model.means[best_other, true_state]
         )
 
         # belief after tau probe plays, for every tau at once
         probe_path = belief_forecast_two_state(
-            0.5, model, horizon, true_state=true_state, arm=info_arm, context=context
+            0.5, model, horizon, true_state=true_state, arm=info_arm
         )
 
         # run all posterior-sampling continuations in parallel: entry tau
@@ -136,7 +135,7 @@ def explore_then_ps_tau(
             ps_regret[active] += (1.0 - p[active]) * ps_gap
             pa = p[active]
             p[active] = pa * _expected_posterior(
-                pa, model, best_true, true_state, context
-            ) + (1.0 - pa) * _expected_posterior(pa, model, best_other, true_state, context)
+                pa, model, best_true, true_state
+            ) + (1.0 - pa) * _expected_posterior(pa, model, best_other, true_state)
         totals += 0.5 * (taus * explore_cost + ps_regret)
     return int(np.argmin(totals))

@@ -87,15 +87,14 @@ def _mean_kl_oracle(model, arm):
     for other in range(model.num_arms):
         if other == arm:
             continue
-        for x in range(model.num_contexts):
-            for s in range(model.num_states):
-                terms.append(
-                    gaussian_kl(
-                        model.means[other, x, s], model.stds[other, x, s],
-                        model.means[arm, x, s], model.stds[arm, x, s],
-                    )
+        for s in range(model.num_states):
+            terms.append(
+                gaussian_kl(
+                    model.means[other, s], model.stds[other, s],
+                    model.means[arm, s], model.stds[arm, s],
                 )
-    return math.fsum(terms) / (model.num_arms * model.num_contexts * model.num_states)
+            )
+    return math.fsum(terms) / (model.num_arms * model.num_states)
 
 
 def _mean_gap_oracle(model, arm):
@@ -103,10 +102,9 @@ def _mean_gap_oracle(model, arm):
     for other in range(model.num_arms):
         if other == arm:
             continue
-        for x in range(model.num_contexts):
-            for s in range(model.num_states):
-                terms.append(model.means[arm, x, s] - model.means[other, x, s])
-    return math.fsum(terms) / (model.num_arms * model.num_contexts * model.num_states)
+        for s in range(model.num_states):
+            terms.append(model.means[arm, s] - model.means[other, s])
+    return math.fsum(terms) / (model.num_arms * model.num_states)
 
 
 @criterion(1, "closed-form statistics agree with integration and brute force")
@@ -230,10 +228,10 @@ def test_criterion_5_explore_then_ps():
                          rng=np.random.default_rng(77))
     env_rng = np.random.default_rng(78)
     for _ in range(1000):
-        arm_a = mts.step(0, np.arange(3))
-        arm_b = etps.step(0, np.arange(3))
+        arm_a = mts.step(np.arange(3))
+        arm_b = etps.step(np.arange(3))
         assert arm_a == arm_b
-        reward = float(env_rng.normal(costly.mean(arm_a, 0, 0), costly.std(arm_a, 0, 0)))
+        reward = float(env_rng.normal(costly.means[arm_a, 0], costly.stds[arm_a, 0]))
         mts.observe(reward)
         etps.observe(reward)
 
@@ -261,8 +259,8 @@ def test_criterion_6_forecaster():
     model = lb.two_state_model()
     steps, n_runs = 1000, 10_000
     rng = np.random.default_rng(17)
-    means = model.means[:, 0, :]
-    stds = model.stds[:, 0, :]
+    means = model.means
+    stds = model.stds
     best = [int(np.argmax(means[:, s])) for s in range(2)]
     p = np.full(n_runs, 0.5)
     mc = [0.5]

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ from latentbandits import (
     entropy,
     expected_dwell_time,
     gaussian_kl,
-    gaussian_likelihood,
     mean_pairwise_gap,
     mean_pairwise_kl,
     posterior_update,
     propagate,
     single_step_regret_bound,
 )
+from latentbandits.belief import likelihoods_from_log, reward_log_likelihoods
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -54,53 +55,48 @@ def kl_numeric(m1, s1, m2, s2):
     return value
 
 
-def mean_kl_oracle(model, arm, arms=None, contexts=None):
-    """Arm-outer loop order, exact summation, over the offered arms and
-    contexts (all of them by default)."""
+def mean_kl_oracle(model, arm, arms=None):
+    """Arm-outer loop order, exact summation, over the offered arms (all
+    of them by default)."""
     arms = range(model.num_arms) if arms is None else list(arms)
-    contexts = range(model.num_contexts) if contexts is None else list(contexts)
     terms = []
     for other in arms:
         if other == arm:
             continue
-        for x in contexts:
-            for s in range(model.num_states):
-                terms.append(
-                    gaussian_kl(
-                        model.means[other, x, s],
-                        model.stds[other, x, s],
-                        model.means[arm, x, s],
-                        model.stds[arm, x, s],
-                    )
+        for s in range(model.num_states):
+            terms.append(
+                gaussian_kl(
+                    model.means[other, s],
+                    model.stds[other, s],
+                    model.means[arm, s],
+                    model.stds[arm, s],
                 )
-    return math.fsum(terms) / (len(arms) * len(contexts) * model.num_states)
+            )
+    return math.fsum(terms) / (len(arms) * model.num_states)
 
 
-def mean_gap_oracle(model, arm, arms=None, contexts=None):
+def mean_gap_oracle(model, arm, arms=None):
     arms = range(model.num_arms) if arms is None else list(arms)
-    contexts = range(model.num_contexts) if contexts is None else list(contexts)
     terms = []
     for other in arms:
         if other == arm:
             continue
-        for x in contexts:
-            for s in range(model.num_states):
-                terms.append(model.means[arm, x, s] - model.means[other, x, s])
-    return math.fsum(terms) / (len(arms) * len(contexts) * model.num_states)
+        for s in range(model.num_states):
+            terms.append(model.means[arm, s] - model.means[other, s])
+    return math.fsum(terms) / (len(arms) * model.num_states)
 
 
 def regret_bound_oracle(model):
     worst = 0.0
-    for x in range(model.num_contexts):
-        for s in range(model.num_states):
-            column = [model.means[a, x, s] for a in range(model.num_arms)]
-            worst = max(worst, max(column) - min(column))
+    for s in range(model.num_states):
+        column = [model.means[a, s] for a in range(model.num_arms)]
+        worst = max(worst, max(column) - min(column))
     return worst
 
 
-def random_model(rng, num_arms=4, num_states=3, num_contexts=2):
-    means = rng.normal(0, 2, size=(num_arms, num_contexts, num_states))
-    stds = rng.uniform(0.05, 2.0, size=(num_arms, num_contexts, num_states))
+def random_model(rng, num_arms=4, num_states=3):
+    means = rng.normal(0, 2, size=(num_arms, num_states))
+    stds = rng.uniform(0.05, 2.0, size=(num_arms, num_states))
     return RewardModel(means=means, stds=stds)
 
 
@@ -177,22 +173,45 @@ class TestPosteriorUpdate:
 
 
 class TestGaussianLikelihood:
+    """Reward densities through ``reward_log_likelihoods``."""
+
+    @staticmethod
+    def density(reward, mean, std):
+        # state 0 of arm 0 carries the distribution under test
+        model = RewardModel(means=[[mean, mean + 1.0], [0.0, 0.0]], stds=[[std, std], [1.0, 1.0]])
+        return math.exp(reward_log_likelihoods(model, 0, reward)[0])
+
     def test_standard_normal_at_zero(self):
-        assert gaussian_likelihood(0.0, 0.0, 1.0) == pytest.approx(0.3989422804, abs=1e-10)
+        assert self.density(0.0, 0.0, 1.0) == pytest.approx(0.3989422804, abs=1e-10)
 
     def test_density_peak(self):
         for mu, sigma in [(0.0, 1.0), (2.5, 0.3), (-1.0, 4.0)]:
             expected = 1.0 / (sigma * math.sqrt(2 * math.pi))
-            assert gaussian_likelihood(mu, mu, sigma) == pytest.approx(expected)
+            assert self.density(mu, mu, sigma) == pytest.approx(expected)
 
     def test_three_sigma_value(self):
-        assert gaussian_likelihood(3.0, 0.0, 1.0) == pytest.approx(0.0044318484, abs=1e-10)
+        assert self.density(3.0, 0.0, 1.0) == pytest.approx(0.0044318484, abs=1e-10)
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            gaussian_likelihood(math.nan, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            gaussian_likelihood(0.0, math.inf, 1.0)
+    def test_tight_arm_far_from_reward(self, identity2):
+        # 50 and 49 standard deviations out: both densities underflow to
+        # zero, yet their ratio exp(-49.5) is an ordinary float
+        model = RewardModel(means=[[1.5, 1.51], [2.0, 2.0]], stds=[[0.01, 0.01], [0.5, 0.5]])
+        reward, belief = 2.0, BeliefState([0.3, 0.7])
+        log_liks = reward_log_likelihoods(model, 0, reward)
+        assert not np.exp(log_liks).any()
+
+        def exact_density(mean, std):
+            z = (Decimal(reward) - Decimal(mean)) / Decimal(std)
+            return (-z * z / 2).exp() / (Decimal(std) * (2 * Decimal(math.pi)).sqrt())
+
+        weights = [
+            Decimal(p) * exact_density(m, s)
+            for p, m, s in zip(belief.probs, model.means[0], model.stds[0])
+        ]
+        expected = [float(w / sum(weights)) for w in weights]
+        posterior = posterior_update(belief, identity2, likelihoods_from_log(log_liks))
+        assert expected[0] > 0.0
+        np.testing.assert_allclose(posterior.probs, expected, rtol=1e-9)
 
 
 class TestEntropy:
@@ -282,17 +301,16 @@ class TestPairwiseStats:
                 assert mean_pairwise_kl(model, arm) == pytest.approx(
                     mean_kl_oracle(model, arm), abs=1e-12
                 )
-        # AGEmTS's call shape: an offered slate of a larger catalogue, one context
+        # AGEmTS's call shape: an offered slate of a larger catalogue
         for _ in range(20):
             model = random_model(rng, num_arms=30, num_states=5)
             offered = np.sort(rng.choice(30, size=10, replace=False))
-            context = [int(rng.integers(2))]
             for arm in offered:
-                assert mean_pairwise_kl(model, arm, offered, context) == pytest.approx(
-                    mean_kl_oracle(model, arm, offered, context), abs=1e-12
+                assert mean_pairwise_kl(model, arm, offered) == pytest.approx(
+                    mean_kl_oracle(model, arm, offered), abs=1e-12
                 )
-                assert mean_pairwise_gap(model, arm, offered, context) == pytest.approx(
-                    mean_gap_oracle(model, arm, offered, context), abs=1e-12
+                assert mean_pairwise_gap(model, arm, offered) == pytest.approx(
+                    mean_gap_oracle(model, arm, offered), abs=1e-12
                 )
 
     def test_probe_arm_gap_is_negative(self, five_state_raw):
@@ -322,13 +340,13 @@ class TestBestInfoArm:
             assert best_info_arm(model)[0] == int(np.argmax(ratios))
         # offered slates of a larger catalogue, as AGEmTS scores them
         for _ in range(20):
-            model = random_model(rng, num_arms=30, num_states=5, num_contexts=1)
+            model = random_model(rng, num_arms=30, num_states=5)
             offered = np.sort(rng.choice(30, size=10, replace=False))
             ratios = [
-                mean_kl_oracle(model, arm, offered, [0]) / mean_gap_oracle(model, arm, offered, [0]) ** 2
+                mean_kl_oracle(model, arm, offered) / mean_gap_oracle(model, arm, offered) ** 2
                 for arm in offered
             ]
-            assert best_info_arm(model, offered, [0])[0] == offered[int(np.argmax(ratios))]
+            assert best_info_arm(model, offered)[0] == offered[int(np.argmax(ratios))]
 
     def test_identical_arms_tie_break_low(self):
         model = RewardModel(means=np.full((3, 1, 2), 1.0), stds=np.full((3, 1, 2), 0.5))

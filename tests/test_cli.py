@@ -45,12 +45,39 @@ class TestValidate:
         lambda doc: doc["policies"].append({"name": "explore_commit", "params": {"info_arm": 2}}),
         lambda doc: doc["policies"].append({"name": "cd_linucb", "params": {}}),
         lambda doc: doc["policies"].append({"name": "cd_lints", "params": {}}),
+        lambda doc: doc["policies"].append({"name": "explore_commit", "params": {"info_arm": 7, "n_e": 5}}),
+        lambda doc: doc["policies"].append({"name": "explore_commit", "params": {"info_arm": -1, "n_e": 5}}),
+        lambda doc: doc["policies"].append({"name": "explore_then_ps", "params": {"info_arm": 7}}),
+        lambda doc: doc["policies"].append({"name": "explore_then_ps", "params": {"info_arm": -1}}),
+        lambda doc: doc["environment"].update(prior={"point": 7}),
+        lambda doc: doc["environment"].update(prior={"point": -1}),
+        lambda doc: doc["environment"].update(prior=[0.9, 0.3]),
+        lambda doc: doc["environment"].update(arm_set_size=0),
+        lambda doc: doc["environment"].update(
+            model={"means": np.full((3, 2, 2), 2.0).tolist(), "stds": np.ones((3, 2, 2)).tolist()}
+        ),
     ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
-            "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features"])
+            "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features",
+            "explore_commit_info_arm_7", "explore_commit_info_arm_-1", "explore_then_ps_info_arm_7",
+            "explore_then_ps_info_arm_-1", "point_prior_7", "point_prior_-1", "prior_not_summing_to_1",
+            "empty_arm_set", "two_context_inline_model"])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, edit):
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
         doc["policies"] = [p for p in doc["policies"] if p["name"] != "agemts"]
         edit(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+
+    def test_two_context_model_file_is_config_error(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "num_contexts": 2,
+            "means": np.full((3, 2, 2), 2.0).tolist(),
+            "stds": np.ones((3, 2, 2)).tolist(),
+        }))
+        doc = get_recipe("two_state_stationary", horizon=10, num_runs=2).to_dict()
+        doc["environment"]["model"] = {"file": str(model_path)}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2

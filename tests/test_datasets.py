@@ -243,7 +243,7 @@ class TestBuildRewardModel:
         for a, item in enumerate(catalog):
             for s, user in enumerate(self.super_user.users):
                 expected = float(np.dot(self.factors.U[user], self.factors.V[item]))
-                assert model.means[a, 0, s] == pytest.approx(expected, abs=1e-12)
+                assert model.means[a, s] == pytest.approx(expected, abs=1e-12)
 
     def test_three_nn_degenerate_neighborhood_clamped(self, rng):
         V = np.zeros((6, 3))
@@ -252,7 +252,7 @@ class TestBuildRewardModel:
         factors = FactorModel(U=rng.normal(size=(4, 3)), V=V, d=3)
         chosen = SuperUser(users=(0, 1))
         model = build_reward_model(factors, chosen, np.arange(6), variance_mode="three_nn")
-        assert model.stds[0, 0, 0] == pytest.approx(0.01)
+        assert model.stds[0, 0] == pytest.approx(0.01)
 
     def test_sampled_normal_reproducible_and_centered(self):
         rng = np.random.default_rng(10)
@@ -265,7 +265,7 @@ class TestBuildRewardModel:
         b = build_reward_model(factors, chosen, np.arange(10_000),
                                variance_mode="sampled_normal", seed=6)
         np.testing.assert_array_equal(a.stds, b.stds)
-        sigmas = a.stds[:, 0, 0]
+        sigmas = a.stds[:, 0]
         # truncation at 0 barely moves the mean of N(2, 0.8)
         assert abs(sigmas.mean() - 2.0) <= 3 * 0.8 / np.sqrt(10_000) + 0.01
 

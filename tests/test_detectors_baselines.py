@@ -136,7 +136,7 @@ class TestExp4sUpdate:
 class TestMUCB:
     def test_no_data_plays_global_optimist(self, two_state):
         policy = MUCB(two_state, rng=np.random.default_rng(0))
-        assert policy.step(0, ARMS3) == 0  # 2.1 tops both states, arm 0 first
+        assert policy.step(ARMS3) == 0  # 2.1 tops both states, arm 0 first
         assert policy.surviving.all()
 
     def test_single_survivor_plays_its_best_arm(self, two_state):
@@ -146,14 +146,14 @@ class TestMUCB:
         policy.counts[2] = 50
         policy.sums[2] = 50 * 1.5
         policy.time = 51
-        assert policy.step(0, ARMS3) == 1
+        assert policy.step(ARMS3) == 1
 
     def test_empty_consistent_set_resets(self, two_state):
         policy = MUCB(two_state, rng=np.random.default_rng(0))
         policy.counts[0] = 100
         policy.sums[0] = 100 * -50.0  # impossible under either state
         policy.time = 101
-        assert policy.consistent_states(0).all()
+        assert policy.consistent_states().all()
 
     def test_eliminates_wrong_state_in_stationary_runs(self, two_state):
         # simulation check over seeds: by n = 2000 the wrong state should be
@@ -165,9 +165,9 @@ class TestMUCB:
             true_state = seed % 2
             policy = MUCB(two_state, rng=np.random.default_rng(seed + 1000))
             for _ in range(2000):
-                arm = policy.step(0, ARMS3)
+                arm = policy.step(ARMS3)
                 reward = float(rng.normal(
-                    two_state.mean(arm, 0, true_state), two_state.std(arm, 0, true_state)))
+                    two_state.means[arm, true_state], two_state.stds[arm, true_state]))
                 policy.observe(reward)
             if policy.surviving[true_state] and not policy.surviving[1 - true_state]:
                 wins += 1
@@ -177,20 +177,20 @@ class TestMUCB:
 class TestRestartBandits:
     def drive(self, policy, means, stds, rng, steps):
         for _ in range(steps):
-            arm = policy.step(0, ARMS3)
+            arm = policy.step(ARMS3)
             policy.observe(float(rng.normal(means[arm], stds[arm])))
 
     def test_cducb_prefers_better_state_model(self, two_state):
         policy = CDUCB(two_state, rng=np.random.default_rng(0), threshold=50.0)
         rng = np.random.default_rng(1)
         # true state 0: state-0 model plays arm 0 (2.1), state-1 model arm 1 (2.05)
-        self.drive(policy, two_state.means[:, 0, 0], two_state.stds[:, 0, 0], rng, 2000)
+        self.drive(policy, two_state.means[:, 0], two_state.stds[:, 0], rng, 2000)
         assert policy.counts[0] > policy.counts[1]
 
     def test_cdts_runs_and_keeps_stats(self, two_state):
         policy = CDTS(two_state, rng=np.random.default_rng(0), threshold=50.0)
         rng = np.random.default_rng(1)
-        self.drive(policy, two_state.means[:, 0, 1], two_state.stds[:, 0, 1], rng, 500)
+        self.drive(policy, two_state.means[:, 1], two_state.stds[:, 1], rng, 500)
         assert policy.counts.sum() == 500
 
     def test_detector_reset_on_large_shift(self, two_state):
@@ -216,11 +216,11 @@ class TestLinearBandits:
         env_rng = np.random.default_rng(2)
         offered = np.arange(6)
         for _ in range(400):
-            arm = policy.step(0, offered)
+            arm = policy.step(offered)
             reward = float(features[arm] @ w_true + env_rng.normal(0, 0.05))
             policy.observe(reward)
         best = int(np.argmax(features @ w_true))
-        assert policy.step(0, offered) == best
+        assert policy.step(offered) == best
 
     def test_lints_stays_in_offered_set(self):
         rng = np.random.default_rng(0)
@@ -229,7 +229,7 @@ class TestLinearBandits:
         policy = CDLinTS(model, features, rng=np.random.default_rng(3), threshold=100.0)
         for _ in range(50):
             offered = np.sort(rng.choice(5, size=3, replace=False))
-            arm = policy.step(0, offered)
+            arm = policy.step(offered)
             assert arm in offered
             policy.observe(0.5)
 
@@ -237,17 +237,17 @@ class TestLinearBandits:
 def test_oracle_plays_true_state_best_arm(two_state):
     policy = OraclePolicy(two_state, rng=np.random.default_rng(0))
     policy.set_true_state(1)
-    assert policy.step(0, ARMS3) == 1
+    assert policy.step(ARMS3) == 1
     policy.observe(2.0)
     policy.set_true_state(0)
-    assert policy.step(0, ARMS3) == 0
+    assert policy.step(ARMS3) == 0
 
 
 def test_uniform_random_covers_offered(rng):
     policy = UniformRandom(rng=np.random.default_rng(0))
     seen = set()
     for _ in range(200):
-        arm = policy.step(0, np.array([1, 3, 4]))
+        arm = policy.step(np.array([1, 3, 4]))
         seen.add(arm)
         policy.observe(0.0)
     assert seen == {1, 3, 4}

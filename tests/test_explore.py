@@ -48,7 +48,7 @@ class TestSampleSize:
 class TestExploreCommit:
     def run_probe_phase(self, policy, rewards):
         for reward in rewards:
-            arm = policy.step(0, ARMS3)
+            arm = policy.step(ARMS3)
             assert arm == 2
             assert policy.last_info_play
             policy.observe(reward)
@@ -60,7 +60,7 @@ class TestExploreCommit:
         )
         # probe means are 1.7 (state 0) and 1.5 (state 1)
         self.run_probe_phase(policy, [1.69])
-        assert policy.step(0, ARMS3) == 0  # state 0's best arm
+        assert policy.step(ARMS3) == 0  # state 0's best arm
 
     def test_midway_average_commits_to_lower_state(self, two_state_loose, identity2):
         policy = ExploreCommit(
@@ -68,14 +68,14 @@ class TestExploreCommit:
             rng=np.random.default_rng(0),
         )
         self.run_probe_phase(policy, [1.7, 1.5])  # mean exactly 1.6
-        assert policy.step(0, ARMS3) == 0
+        assert policy.step(ARMS3) == 0
 
     def test_zero_budget_commits_from_prior(self, two_state_loose, identity2):
         policy = ExploreCommit(
             two_state_loose, identity2, [0.2, 0.8], info_arm=2, n_e=0,
             rng=np.random.default_rng(0),
         )
-        assert policy.step(0, ARMS3) == 1  # prior argmax is state 1
+        assert policy.step(ARMS3) == 1  # prior argmax is state 1
 
     def test_committed_forever(self, two_state_loose, identity2, rng):
         policy = ExploreCommit(
@@ -84,7 +84,7 @@ class TestExploreCommit:
         )
         self.run_probe_phase(policy, [1.51])
         for _ in range(30):
-            assert policy.step(0, ARMS3) == 1
+            assert policy.step(ARMS3) == 1
             policy.observe(float(rng.normal(2.1, 0.5)))
 
 
@@ -115,8 +115,8 @@ class TestBeliefForecast:
     def test_tracks_monte_carlo_average(self, two_state):
         steps, n_runs = 400, 4000
         rng = np.random.default_rng(17)
-        means = two_state.means[:, 0, :]
-        stds = two_state.stds[:, 0, :]
+        means = two_state.means
+        stds = two_state.stds
         best = [int(np.argmax(means[:, s])) for s in range(2)]
         p = np.full(n_runs, 0.5)
         mc = [0.5]
@@ -152,8 +152,8 @@ class TestExploreThenPSTau:
         tau = explore_then_ps_tau(two_state_loose, 2, 1000)
         n_e = explore_commit_sample_size(
             0.2,
-            two_state_loose.std(2, 0, 0),
-            two_state_loose.std(2, 0, 1),
+            two_state_loose.stds[2, 0],
+            two_state_loose.stds[2, 1],
             1.96,
             0.84,
         )
@@ -170,10 +170,10 @@ class TestExploreThenPSPolicy:
         )
         env_rng = np.random.default_rng(22)
         for _ in range(200):
-            arm_a = mts.step(0, ARMS3)
-            arm_b = etps.step(0, ARMS3)
+            arm_a = mts.step(ARMS3)
+            arm_b = etps.step(ARMS3)
             assert arm_a == arm_b
-            reward = float(env_rng.normal(two_state.mean(arm_a, 0, 0), two_state.std(arm_a, 0, 0)))
+            reward = float(env_rng.normal(two_state.means[arm_a, 0], two_state.stds[arm_a, 0]))
             mts.observe(reward)
             etps.observe(reward)
 
@@ -183,10 +183,10 @@ class TestExploreThenPSPolicy:
             rng=np.random.default_rng(2),
         )
         for _ in range(3):
-            assert policy.step(0, ARMS3) == 2
+            assert policy.step(ARMS3) == 2
             policy.observe(float(rng.normal(1.7, 0.01)))
         assert policy.belief.probs[0] > 0.999
-        assert policy.step(0, ARMS3) == 0
+        assert policy.step(ARMS3) == 0
 
 
 @st.composite
@@ -198,18 +198,18 @@ def two_state_models(draw):
     num_arms = draw(st.integers(min_value=2, max_value=4))
     means = np.array(
         draw(st.lists(st.floats(min_value=-1.0, max_value=3.0), min_size=2 * num_arms, max_size=2 * num_arms))
-    ).reshape(num_arms, 1, 2)
+    ).reshape(num_arms, 2)
     stds = np.array(
         draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2 * num_arms, max_size=2 * num_arms))
-    ).reshape(num_arms, 1, 2)
+    ).reshape(num_arms, 2)
     info_arm = draw(st.integers(min_value=0, max_value=num_arms - 1))
     corner = draw(st.sampled_from(["none", "probe_best", "zero_gap"]))
     if corner == "probe_best":
         state = draw(st.integers(min_value=0, max_value=1))
-        means[info_arm, 0, state] = means[:, 0, state].max() + 0.1
+        means[info_arm, state] = means[:, state].max() + 0.1
     elif corner == "zero_gap":
         arm = draw(st.integers(min_value=0, max_value=num_arms - 1))
-        means[arm, 0, :] = means.max() + 0.2
+        means[arm, :] = means.max() + 0.2
     return RewardModel(means=means, stds=stds), info_arm
 
 
@@ -245,7 +245,7 @@ class TestBudgetSearchMatchesFullScan:
     def test_zero_denominator_keeps_the_belief(self):
         # from a zero belief in the true state, every node where the other
         # state's likelihood underflows has a zero denominator
-        _, lik_other = _quadrature_likelihoods(TIGHT, 2, 1, 0)
+        _, lik_other = _quadrature_likelihoods(TIGHT, 2, 1)
         assert (lik_other == 0).all()
         path = belief_forecast_two_state(0.0, TIGHT, 5, true_state=1, arm=2)
         np.testing.assert_array_equal(path, np.zeros(6))

@@ -156,7 +156,7 @@ class TestRunExperiment:
         )
         results = run_experiment(config)
         per_step = results.runs[0].cum_regret["uniform_random"][-1] / 10_000
-        gaps = 2.1 - five_state_raw.means[:, 0, 1]
+        gaps = 2.1 - five_state_raw.means[:, 1]
         se = gaps.std() / np.sqrt(10_000)
         assert abs(per_step - gaps.mean()) <= 3 * se
 
@@ -201,7 +201,7 @@ class TestRunExperiment:
         class Rogue(Policy):
             name = "rogue"
 
-            def _choose(self, context, offered):
+            def _choose(self, offered):
                 return int(offered.max()) + 7
 
         real = harness_module.make_policy

@@ -16,8 +16,16 @@ from latentbandits import (
 class TestRewardModel:
     def test_two_dim_shorthand_gets_context_axis(self):
         model = RewardModel(means=[[1.0, 2.0], [2.0, 1.0]], stds=[[1.0, 1.0], [1.0, 1.0]])
-        assert model.means.shape == (2, 1, 2)
-        assert model.num_contexts == 1
+        assert model.means.shape == (2, 2)
+        assert model.num_states == 2
+
+    def test_one_context_table_loads_as_arm_by_state(self):
+        model = RewardModel(means=[[[1.0, 2.0]], [[2.0, 1.0]]], stds=np.ones((2, 1, 2)))
+        np.testing.assert_array_equal(model.means, [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_rejects_more_than_one_context(self):
+        with pytest.raises(ValueError, match="one context"):
+            RewardModel(means=np.ones((2, 2, 2)), stds=np.ones((2, 2, 2)))
 
     def test_rejects_nonpositive_std(self):
         with pytest.raises(ValueError, match="positive"):
@@ -34,14 +42,14 @@ class TestRewardModel:
             RewardModel(means=means, stds=stds)
 
     def test_best_arm_restricts_to_offered(self, five_state):
-        full = five_state.best_arm(0, 1)
-        restricted = five_state.best_arm(0, 1, arms=[2, 4])
+        full = five_state.best_arm(1)
+        restricted = five_state.best_arm(1, arms=[2, 4])
         assert full == 0
         assert restricted == 2
 
     def test_immutable(self, two_state):
         with pytest.raises(ValueError):
-            two_state.means[0, 0, 0] = 99.0
+            two_state.means[0, 0] = 99.0
 
 
 class TestTransitionKernel:
@@ -93,3 +101,4 @@ def test_model_json_round_trip(tmp_path, two_state, switch_kernel):
     doc = json.loads(path.read_text())
     assert set(doc) == {"means", "stds", "transition", "num_contexts"}
     assert doc["num_contexts"] == 1
+    assert np.asarray(doc["means"]).shape == (3, 1, 2)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from latentbandits import BeliefState, RewardModel, TransitionKernel
-from latentbandits.belief import entropy, gaussian_likelihood
+from latentbandits.belief import entropy
 from latentbandits.policies import (
     AGEmTS,
     MTS,
@@ -28,14 +29,14 @@ class TestMTS:
     def test_degenerate_belief_plays_that_state(self, two_state, identity2, rng):
         policy = MTS(two_state, identity2, [1.0, 0.0], rng=rng)
         for _ in range(25):
-            assert policy.step(0, ALL_ARMS3) == 0
+            assert policy.step(ALL_ARMS3) == 0
             policy._pending = None  # skip observe; belief untouched
 
     def test_uniform_belief_samples_arms_evenly(self, two_state, identity2):
         policy = MTS(two_state, identity2, [0.5, 0.5], rng=np.random.default_rng(0))
         counts = np.zeros(3, dtype=int)
         for _ in range(100_000):
-            counts[policy.step(0, ALL_ARMS3)] += 1
+            counts[policy.step(ALL_ARMS3)] += 1
             policy._pending = None
         freq = counts / counts.sum()
         assert freq[0] == pytest.approx(0.5, abs=0.01)
@@ -49,7 +50,7 @@ class TestMTS:
         )
         policy = MTS(model, identity2, [0.7, 0.3], rng=rng)
         for _ in range(20):
-            policy.step(0, np.arange(2))
+            policy.step(np.arange(2))
             policy.observe(float(rng.normal(1.0, 0.3)))
             np.testing.assert_allclose(policy.belief.probs, [0.7, 0.3], atol=1e-12)
 
@@ -57,15 +58,15 @@ class TestMTS:
         policy = MTS(two_state, identity2, [0.5, 0.5], rng=np.random.default_rng(3))
         env_rng = np.random.default_rng(4)
         for _ in range(400):
-            arm = policy.step(0, ALL_ARMS3)
-            policy.observe(float(env_rng.normal(two_state.mean(arm, 0, 0), two_state.std(arm, 0, 0))))
+            arm = policy.step(ALL_ARMS3)
+            policy.observe(float(env_rng.normal(two_state.means[arm, 0], two_state.stds[arm, 0])))
         assert policy.belief.probs[0] > 0.9
 
     def test_time_advances_by_one_per_step(self, two_state, identity2, rng):
         policy = MTS(two_state, identity2, [0.5, 0.5], rng=rng)
         for expected in range(1, 10):
             assert policy.time == expected
-            policy.step(0, ALL_ARMS3)
+            policy.step(ALL_ARMS3)
             policy.observe(2.0)
 
 
@@ -74,27 +75,27 @@ class TestRolloutLikelihoodMatrix:
         model = RewardModel(
             means=[[1.5, 1.5], [0.8, 0.8]], stds=[[0.4, 0.4], [0.4, 0.4]]
         )
-        row = rollout_likelihood_matrix(model, 0, 1, BeliefState([0.3, 0.7]))
+        row = rollout_likelihood_matrix(model, 1, BeliefState([0.3, 0.7]))
         np.testing.assert_allclose(row, [0.5, 0.5], atol=1e-12)
 
     def test_disjoint_means_concentrate_on_hypothetical_state(self):
         model = RewardModel(
             means=[[10.0, -10.0], [9.0, -9.0]], stds=np.full((2, 2), 0.1)
         )
-        row = rollout_likelihood_matrix(model, 0, 1, BeliefState([0.5, 0.5]))
+        row = rollout_likelihood_matrix(model, 1, BeliefState([0.5, 0.5]))
         assert row[1] > 1 - 1e-12
 
     def test_matches_naive_reimplementation(self, five_state):
         belief = BeliefState(np.full(5, 0.2))
         for s_hyp in range(5):
-            row = rollout_likelihood_matrix(five_state, 0, s_hyp, belief)
+            row = rollout_likelihood_matrix(five_state, s_hyp, belief)
             expected = np.zeros(5)
             for s in range(5):
-                arm = int(np.argmax(five_state.means[:, 0, s]))
-                probe = five_state.means[arm, 0, s_hyp]
+                arm = int(np.argmax(five_state.means[:, s]))
+                probe = five_state.means[arm, s_hyp]
                 for s_i in range(5):
-                    expected[s_i] += belief.probs[s] * gaussian_likelihood(
-                        probe, five_state.means[arm, 0, s_i], five_state.stds[arm, 0, s_i]
+                    expected[s_i] += belief.probs[s] * norm.pdf(
+                        probe, five_state.means[arm, s_i], five_state.stds[arm, s_i]
                     )
             expected /= expected.sum()
             np.testing.assert_allclose(row, expected, atol=1e-12)
@@ -104,17 +105,17 @@ class TestRolloutInfoLikelihood:
     def test_flat_probe_returns_belief(self):
         model = flat_probe_model()
         belief = BeliefState([0.35, 0.65])
-        row = rollout_info_likelihood(model, 0, 2, 0, belief)
+        row = rollout_info_likelihood(model, 2, 0, belief)
         np.testing.assert_allclose(row, belief.probs, atol=1e-12)
 
     def test_tight_probe_concentrates(self, two_state):
-        row = rollout_info_likelihood(two_state, 0, 2, 0, BeliefState([0.5, 0.5]))
+        row = rollout_info_likelihood(two_state, 2, 0, BeliefState([0.5, 0.5]))
         assert row[0] >= 1 - 1e-6
 
     def test_symmetric_model_swaps_with_states(self, two_state):
         belief = BeliefState([0.5, 0.5])
-        row0 = rollout_info_likelihood(two_state, 0, 2, 0, belief)
-        row1 = rollout_info_likelihood(two_state, 0, 2, 1, belief)
+        row0 = rollout_info_likelihood(two_state, 2, 0, belief)
+        row1 = rollout_info_likelihood(two_state, 2, 1, belief)
         np.testing.assert_allclose(row0, row1[::-1], atol=1e-12)
 
 
@@ -155,9 +156,9 @@ class TestRewardEstimator:
         )
         assert result.horizon_used == 1
         # recompute by the definition: one probe update, then one greedy step
-        info_row = rollout_info_likelihood(model, 0, 2, 1, belief)
-        greedy_row = rollout_likelihood_matrix(model, 0, 1, belief)
-        payoff = np.array([model.mean(0, 0, 1), model.mean(1, 0, 1)])
+        info_row = rollout_info_likelihood(model, 2, 1, belief)
+        greedy_row = rollout_likelihood_matrix(model, 1, belief)
+        payoff = np.array([model.means[0, 1], model.means[1, 1]])
         p_ig = belief.probs * info_row
         p_ig = p_ig / p_ig.sum()
         p_ig_next = p_ig * greedy_row
@@ -191,8 +192,8 @@ def _mc_two_policy_rewards(model, horizon, n_runs, seed=99, true_state=1):
     """Vectorized simulation: probe-once-then-greedy vs greedy filtering,
     both against the fixed true state; returns mean cumulative rewards."""
     rng = np.random.default_rng(seed)
-    means = model.means[:, 0, :]
-    stds = model.stds[:, 0, :]
+    means = model.means
+    stds = model.stds
     best = np.array([int(np.argmax(means[:, s])) for s in range(2)])
     other = 1 - true_state
 
@@ -223,14 +224,14 @@ class TestAGEmTS:
 
     def test_low_entropy_skips_rollout(self, two_state, identity2):
         policy = self.make(two_state, identity2, [0.9, 0.1])
-        arm = policy.step(0, ALL_ARMS3)
+        arm = policy.step(ALL_ARMS3)
         assert arm == 0
         assert policy.rollouts_run == 0
         assert not policy.last_info_play
 
     def test_uniform_prior_probes_first(self, two_state, identity2):
         policy = self.make(two_state, identity2, [0.5, 0.5])
-        assert policy.step(0, ALL_ARMS3) == 2
+        assert policy.step(ALL_ARMS3) == 2
         assert policy.last_info_play
         assert policy.rollouts_run == 1
 
@@ -241,7 +242,7 @@ class TestAGEmTS:
             stds=[[0.01, 0.01], [0.5, 0.5], [0.5, 0.5]],
         )
         policy = self.make(model, identity2, [0.5, 0.5])
-        arm = policy.step(0, ALL_ARMS3)
+        arm = policy.step(ALL_ARMS3)
         assert arm == 0
         assert policy.rollouts_run == 0
 
@@ -251,11 +252,11 @@ class TestAGEmTS:
         state = 0
         for _ in range(500):
             h = entropy(policy.belief)
-            arm = policy.step(0, ALL_ARMS3)
+            arm = policy.step(ALL_ARMS3)
             if h < 1.0:
                 assert arm != 2
             policy.observe(float(env_rng.normal(
-                two_state.mean(arm, 0, state), two_state.std(arm, 0, state))))
+                two_state.means[arm, state], two_state.stds[arm, state])))
             if env_rng.random() < 0.005:
                 state = 1 - state
 
@@ -265,19 +266,19 @@ class TestAGEmTS:
         reference = self.make(model, identity2, [0.5, 0.5], horizon=300, seed=7)
         env_rng = np.random.default_rng(13)
         for _ in range(300):
-            arm = policy.step(0, ALL_ARMS3)
+            arm = policy.step(ALL_ARMS3)
             # reference greedy choice: best arm of the argmax state
-            expected = model.best_arm(0, reference.belief.argmax(), ALL_ARMS3)
+            expected = model.best_arm(reference.belief.argmax(), ALL_ARMS3)
             assert arm == expected
-            reward = float(env_rng.normal(model.mean(arm, 0, 0), model.std(arm, 0, 0)))
+            reward = float(env_rng.normal(model.means[arm, 0], model.stds[arm, 0]))
             policy.observe(reward)
-            reference.step(0, ALL_ARMS3)
+            reference.step(ALL_ARMS3)
             reference.observe(reward)
 
     def test_entropy_threshold_knob(self, two_state, identity2):
         eager = self.make(two_state, identity2, [0.77, 0.23], entropy_threshold=0.5)
         assert entropy(eager.belief) < 1.0
-        eager.step(0, ALL_ARMS3)
+        eager.step(ALL_ARMS3)
         assert eager.rollouts_run == 1
 
     def test_arm_always_in_offered_set(self, five_state, rng):
@@ -285,7 +286,7 @@ class TestAGEmTS:
         policy = self.make(five_state, kernel, np.full(5, 0.2), horizon=50, seed=2)
         for _ in range(50):
             offered = np.sort(rng.choice(5, size=3, replace=False))
-            arm = policy.step(0, offered)
+            arm = policy.step(offered)
             assert arm in offered
             policy.observe(float(rng.normal(2.0, 0.5)))
 
@@ -301,7 +302,7 @@ class TestPolicyRegistry:
         )
         if policy.wants_true_state:
             policy.set_true_state(0)
-        arm = policy.step(0, ALL_ARMS3)
+        arm = policy.step(ALL_ARMS3)
         assert arm in ALL_ARMS3
         policy.observe(1.9)
 
