@@ -3,7 +3,10 @@
 Everything here is a pure function of immutable inputs.  The filter
 follows the likelihood-then-propagate order: the reward likelihood is
 attached to the pre-transition state, after which the kernel propagates
-the reweighted mass one step forward.
+the reweighted mass one step forward.  Policies and roll-outs call the
+raw-array cores ``filter_step`` and ``entropy_bits`` once per step;
+``posterior_update`` and ``entropy`` validate around them, so both
+compute the same bits.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 import numpy as np
 
 from .models import (
+    STOCHASTIC_ATOL,
     BeliefState,
     DegenerateEvidenceError,
     InfoArmStats,
@@ -45,6 +49,30 @@ def likelihoods_from_log(log_liks: np.ndarray) -> np.ndarray:
     return np.exp(log_liks - log_liks.max())
 
 
+def filter_step(probs: np.ndarray, matrix: np.ndarray, likelihoods: np.ndarray) -> tuple[np.ndarray, bool]:
+    """:func:`posterior_update` on raw arrays: the new probabilities and
+    False, or, when the evidence is degenerate (zero or non-finite total
+    mass), the propagated probabilities and True.  A negative likelihood
+    or a result off the simplex raises ValueError: the checks of
+    :class:`BeliefState`, where a NaN fails the minimum and an inf the sum.
+    """
+    if (likelihoods < 0).any():
+        raise ValueError("likelihoods must be non-negative")
+    propagated = (probs * likelihoods) @ matrix
+    total = propagated.sum()
+    degenerate = not 0.0 < total < math.inf
+    new = probs @ matrix if degenerate else propagated / total
+    if not (new.min() >= 0.0 and abs(new.sum() - 1.0) <= STOCHASTIC_ATOL):
+        raise ValueError(f"belief left the probability simplex: {new!r}")
+    return new, degenerate
+
+
+def entropy_bits(probs: np.ndarray) -> float:
+    """:func:`entropy` of a raw probability vector."""
+    probs = probs[probs > 0]
+    return float(-(probs * np.log2(probs)).sum())
+
+
 def posterior_update(belief: BeliefState, kernel: TransitionKernel, likelihoods) -> BeliefState:
     """One Bayes-rule filter step.
 
@@ -57,14 +85,10 @@ def posterior_update(belief: BeliefState, kernel: TransitionKernel, likelihoods)
     liks = np.asarray(likelihoods, dtype=float)
     if liks.shape != belief.probs.shape:
         raise ValueError("likelihoods must have one entry per state")
-    if np.any(liks < 0):
-        raise ValueError("likelihoods must be non-negative")
-    weighted = belief.probs * liks
-    propagated = weighted @ kernel.matrix
-    total = propagated.sum()
-    if total <= 0.0 or not np.isfinite(total):
+    probs, degenerate = filter_step(belief.probs, kernel.matrix, liks)
+    if degenerate:
         raise DegenerateEvidenceError("posterior update produced zero mass in every state")
-    return BeliefState(propagated / total)
+    return BeliefState(probs)
 
 
 def propagate(belief: BeliefState, kernel: TransitionKernel) -> BeliefState:
@@ -74,8 +98,7 @@ def propagate(belief: BeliefState, kernel: TransitionKernel) -> BeliefState:
 
 def entropy(belief: BeliefState) -> float:
     """Shannon entropy of the belief in bits, with 0*log2(0) == 0."""
-    probs = belief.probs[belief.probs > 0]
-    return float(-(probs * np.log2(probs)).sum())
+    return entropy_bits(belief.probs)
 
 
 def gaussian_kl(mean1: float, std1: float, mean2: float, std2: float) -> float:

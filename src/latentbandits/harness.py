@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .environments import (
     generate_trajectory,
 )
 from .models import RewardModel, TransitionKernel, _as_prob_vector, model_from_dict
-from .policies import POLICY_NAMES, check_policy_params, make_policy
+from .policies import POLICY_NAMES, check_policy_params, experiment_params, make_policy
 from .presets import PRESETS
 
 OUT_DIR_ENV_VAR = "LBL_OUT_DIR"
@@ -251,8 +254,10 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
 
     if spec.schedule is not None and len(set(spec.schedule)) != len(spec.schedule):
         raise ConfigError(f"schedule times must be distinct, got {list(spec.schedule)}")
-    if spec.arm_set_size is not None and not 1 <= spec.arm_set_size <= model.num_arms:
-        raise ConfigError(f"arm_set_size must be in [1, {model.num_arms}], got {spec.arm_set_size}")
+    size = spec.arm_set_size
+    if size is not None and (isinstance(size, bool) or not isinstance(size, numbers.Integral)
+                             or not 1 <= size <= model.num_arms):
+        raise ConfigError(f"arm_set_size must be an integer in [1, {model.num_arms}], got {size!r}")
     return ResolvedEnvironment(
         model=model,
         kernel=kernel,
@@ -267,7 +272,8 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
 @dataclass
 class RunResult:
     """Per-run traces: one cumulative regret vector per policy, probe-play
-    indicators, final beliefs, and wall-clock metadata."""
+    indicators, final beliefs, each policy's ``counters`` and wall-clock
+    metadata."""
 
     run_index: int
     states: np.ndarray
@@ -276,6 +282,7 @@ class RunResult:
     info_flags: dict
     final_beliefs: dict
     wall_clock_seconds: float
+    policy_counters: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -300,7 +307,20 @@ def _run_kernel(env: ResolvedEnvironment, config: ExperimentConfig, run_index: i
 
 
 def _trace_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    """``json.dumps(record, sort_keys=True, separators=(",", ":"))`` by hand, for
+    the fixed trace keys: ints, the ``policy`` string, floats and a
+    ``belief`` list of floats or None."""
+    realized, regret, reward, belief = record["realized_regret"], record["regret"], record["reward"], record["belief"]
+    if not math.isfinite(realized + regret + reward + (0.0 if belief is None else sum(belief))):
+        # a nan or inf, which JSON spells NaN or Infinity (or a sum overflowing)
+        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    belief = "null" if belief is None else f"[{','.join(map(float.__repr__, belief))}]"
+    return (
+        f'{{"arm":{record["arm"]},"belief":{belief},"context":{record["context"]},"info":{record["info"]},'
+        f'"policy":{encode_basestring_ascii(record["policy"])},"realized_regret":{float.__repr__(realized)},'
+        f'"regret":{float.__repr__(regret)},"reward":{float.__repr__(reward)},"run":{record["run"]},'
+        f'"state":{record["state"]},"t":{record["t"]}}}'
+    )
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> ExperimentResults:
@@ -314,6 +334,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     policy and step.
     """
     env = config.validate()
+    # per-experiment params (a forecast tau) are computed once for all runs
+    params = [experiment_params(spec.name, spec.params, env.model, config.horizon) for spec in config.policies]
     out_dir = out_dir or config.out_dir
     trace_dir = None
     if out_dir:
@@ -335,7 +357,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
             arm_set_size=env.arm_set_size,
         )
         lines = [] if trace_dir else None
-        run = _run_policies(config, env, kernel, trajectory, r, lines)
+        run = _run_policies(config, env, params, kernel, trajectory, r, lines)
         run.wall_clock_seconds = time.perf_counter() - start
         results.runs.append(run)
         if trace_dir:
@@ -351,6 +373,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
 def _run_policies(
     config: ExperimentConfig,
     env: ResolvedEnvironment,
+    params: list,
     kernel: TransitionKernel,
     trajectory: Trajectory,
     run_index: int,
@@ -362,6 +385,15 @@ def _run_policies(
     cum_realized: dict = {}
     info_flags: dict = {}
     final_beliefs: dict = {}
+    counters: dict = {}
+    # shared by every policy's steps, as Python scalars: the trajectory,
+    # each step's offered arms and their best mean, and the reward tables
+    states, noise, arm_sets = trajectory.states.tolist(), trajectory.noise.tolist(), trajectory.arm_sets
+    optimal = [float(model.means[arms, state].max()) for arms, state in zip(arm_sets, states)]
+    offered = np.zeros((horizon, model.num_arms), dtype=bool)
+    for t, arms in enumerate(arm_sets):
+        offered[t, arms] = True
+    means, stds = model.means.tolist(), model.stds.tolist()
 
     for i, spec in enumerate(config.policies):
         rng = np.random.default_rng([config.base_seed + run_index, i + 1])
@@ -372,7 +404,7 @@ def _run_policies(
             env.prior,
             config.horizon,
             rng,
-            params=spec.params,
+            params=params[i],
             arm_features=env.arm_features,
         )
         regret = np.zeros(horizon)
@@ -381,27 +413,25 @@ def _run_policies(
         total = 0.0
         total_realized = 0.0
         for t in range(horizon):
-            state = int(trajectory.states[t])
-            offered = trajectory.arm_sets[t]
+            state = states[t]
             if policy.wants_true_state:
                 policy.set_true_state(state)
-            arm = policy.step(offered)
-            if arm not in offered:
+            arm = policy.step(arm_sets[t])
+            if not (0 <= arm < model.num_arms and offered[t, arm]):
                 raise ProtocolViolationError(
                     f"run {run_index}, policy {spec.name!r}, step {t + 1}: "
                     f"arm {arm} not offered"
                 )
-            mean = float(model.means[arm, state])
-            reward = mean + float(model.stds[arm, state]) * float(trajectory.noise[t])
+            mean = means[arm][state]
+            reward = mean + stds[arm][state] * noise[t]
             policy.observe(reward)
-            optimal = float(model.means[offered, state].max())
-            total += optimal - mean
-            total_realized += optimal - reward
+            total += optimal[t] - mean
+            total_realized += optimal[t] - reward
             regret[t] = total
             realized[t] = total_realized
-            flags[t] = int(policy.last_info_play)
+            flags[t] = info = int(policy.last_info_play)
             if lines is not None:
-                belief = policy.belief
+                probs = policy.belief_probs
                 lines.append(
                     _trace_line(
                         {
@@ -410,12 +440,12 @@ def _run_policies(
                             "t": t + 1,
                             # constant, kept so trace files keep their format
                             "context": 0,
-                            "arm": int(arm),
+                            "arm": arm,
                             "reward": reward,
                             "regret": total,
                             "realized_regret": total_realized,
-                            "info": int(policy.last_info_play),
-                            "belief": belief.probs.tolist() if belief is not None else None,
+                            "info": info,
+                            "belief": probs.tolist() if probs is not None else None,
                             "state": state,
                         }
                     )
@@ -426,6 +456,7 @@ def _run_policies(
         info_flags[name] = flags
         belief = policy.belief
         final_beliefs[name] = belief.probs.tolist() if belief is not None else None
+        counters[name] = {key: getattr(policy, key) for key in policy.counters}
     return RunResult(
         run_index=run_index,
         states=trajectory.states,
@@ -434,6 +465,7 @@ def _run_policies(
         info_flags=info_flags,
         final_beliefs=final_beliefs,
         wall_clock_seconds=0.0,
+        policy_counters=counters,
     )
 
 
@@ -576,6 +608,7 @@ def _write_run_meta(results: ExperimentResults, out_dir: str) -> None:
     meta = {
         "config": results.config.to_dict(),
         "wall_clock_seconds": [run.wall_clock_seconds for run in results.runs],
+        "policy_counters": [run.policy_counters for run in results.runs],
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=2, sort_keys=True)

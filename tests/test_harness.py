@@ -194,6 +194,42 @@ class TestRunExperiment:
             b = (tmp_path / "b" / "traces" / f"run_{r:04d}.jsonl").read_bytes()
             assert a == b
 
+    def test_tau_is_forecast_once_per_experiment(self, monkeypatch):
+        from latentbandits import policies
+
+        calls = []
+        forecast = policies.explore_then_ps_tau
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return forecast(*args, **kwargs)
+
+        monkeypatch.setattr(policies, "explore_then_ps_tau", counted)
+        config = tiny_config(policies=(PolicySpec("explore_then_ps", {"info_arm": 2}),), horizon=40, num_runs=5,
+                             model={"preset": "two_state_loose_probe"})
+        results = run_experiment(config)
+        assert len(calls) == 1
+        tau = forecast(*calls[0])
+        assert 0 < tau < 40
+        for run in results.runs:
+            assert run.info_flags["explore_then_ps"].tolist() == [1] * tau + [0] * (40 - tau)
+
+    def test_run_meta_counts_policy_counters(self, tmp_path):
+        # tight arms, a point belief on state 0 and a switch to state 1
+        # after step 5 that the identity kernel rules out: every later
+        # reward's evidence underflows in the only state the belief allows
+        config = tiny_config(policies=("mts", "agemts", "cducb"), horizon=20, num_runs=2,
+                             model={"means": [[0.0, 1.0], [1.0, 0.0]], "stds": [[0.01, 0.01], [0.01, 0.01]]},
+                             prior={"point": 0}, schedule=(5,))
+        run_experiment(config, out_dir=str(tmp_path))
+        counters = json.loads((tmp_path / "run_meta.json").read_text())["policy_counters"]
+        assert len(counters) == 2
+        for run in counters:
+            assert run["mts"]["degenerate_fallbacks"] == 15
+            assert set(run["agemts"]) == {"degenerate_fallbacks", "rollouts_run", "info_plays", "rollout_fallbacks"}
+            assert run["agemts"]["degenerate_fallbacks"] > 0
+            assert run["cducb"] == {}
+
     def test_protocol_violation_aborts_with_diagnostics(self, monkeypatch):
         from latentbandits import harness as harness_module
         from latentbandits.policies.base import Policy
