@@ -16,10 +16,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import datasets
+from .config import TypedConfig, check_type
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -30,7 +32,7 @@ from .harness import (
     save_config,
     sweep,
 )
-from .models import model_to_dict
+from .models import save_model_json
 from .recipes import RECIPES, get_recipe
 
 
@@ -41,16 +43,8 @@ def _resolve_config(ref: str, args) -> ExperimentConfig:
         config = get_recipe(ref)
     else:
         raise ConfigError(f"{ref!r} is neither a config file nor a known recipe")
-    doc = config.to_dict()
-    if args.seed is not None:
-        doc["base_seed"] = args.seed
-    if args.runs is not None:
-        doc["num_runs"] = args.runs
-    if args.horizon is not None:
-        doc["horizon"] = args.horizon
-    if args.out_dir is not None:
-        doc["out_dir"] = args.out_dir
-    return ExperimentConfig.from_dict(doc)
+    flags = {"base_seed": args.seed, "num_runs": args.runs, "horizon": args.horizon, "out_dir": args.out_dir}
+    return replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _out_dir_for(config: ExperimentConfig) -> str:
@@ -88,81 +82,85 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class DatasetConfig(TypedConfig):
+    """``build-model``'s dataset config: each key with its type and default."""
+
+    ratings_file: str
+    min_user_ratings: int = 200
+    min_item_ratings: int = 200
+    d: int = 10
+    lambda_u: float = 0.001
+    lambda_v: float = 0.001
+    learning_rate: float = 2e-4
+    validation_fraction: float = 0.1
+    epochs: int = 100
+    num_states: int = 5
+    pairing: tuple = ([1, 3], [2, 4])
+    variance_mode: str = "fixed"
+    variance_params: dict = field(default_factory=dict)
+    seed: int = 0
+    out_dir: str | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        lows = {"min_user_ratings": 1, "min_item_ratings": 1, "d": 1, "epochs": 1, "num_states": 2, "seed": 0}
+        for key, low in lows.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
+        if self.variance_mode not in datasets.VARIANCE_MODES:
+            raise ConfigError(f"variance_mode must be in {datasets.VARIANCE_MODES}, got {self.variance_mode!r}")
+        for pair in self.pairing:
+            states = [check_type("a paired state", state, int) for state in check_type("a pairing", pair, list)]
+            if len(states) != 2 or not all(0 <= state < self.num_states for state in states):
+                raise ConfigError(f"a pairing must be two states in [0, {self.num_states}), got {pair}")
+
+
 def _cmd_build_model(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read dataset config: {exc}") from exc
-    try:
-        ratings_file = doc["ratings_file"]
-        num_states = int(doc.get("num_states", 5))
-    except KeyError as exc:
-        raise ConfigError(f"dataset config is missing {exc}") from exc
-    out_dir = args.out_dir or doc.get("out_dir") or os.path.join(default_out_dir(), "dataset_model")
+    config = DatasetConfig.from_dict(doc)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    out_dir = args.out_dir or config.out_dir or os.path.join(default_out_dir(), "dataset_model")
     os.makedirs(out_dir, exist_ok=True)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
 
-    table = datasets.ingest_ratings(
-        ratings_file,
-        min_user_ratings=int(doc.get("min_user_ratings", 200)),
-        min_item_ratings=int(doc.get("min_item_ratings", 200)),
-    )
+    table = datasets.ingest_ratings(config.ratings_file, config.min_user_ratings, config.min_item_ratings)
     print(f"ingested {len(table)} ratings: {table.num_users} users x {table.num_items} items")
-    factors = datasets.pmf_train(
-        table,
-        d=int(doc.get("d", 10)),
-        lambda_u=float(doc.get("lambda_u", 0.001)),
-        lambda_v=float(doc.get("lambda_v", 0.001)),
-        learning_rate=float(doc.get("learning_rate", 2e-4)),
-        validation_fraction=float(doc.get("validation_fraction", 0.1)),
-        epochs=int(doc.get("epochs", 100)),
-        seed=seed,
-    )
+    pmf_keys = ("d", "lambda_u", "lambda_v", "learning_rate", "validation_fraction", "epochs")
+    hyperparameters = {key: getattr(config, key) for key in pmf_keys}
+    factors = datasets.pmf_train(table, **hyperparameters, seed=config.seed)
     print(f"trained factors, validation RMSE {factors.validation_rmse:.4f}")
-    clusters = datasets.kmeans_users(factors, k=num_states, seed=seed)
-    pairing = [tuple(p) for p in doc.get("pairing", [[1, 3], [2, 4]])]
-    super_user = datasets.sample_super_user(factors, clusters, pairing, seed=seed)
+    clusters = datasets.kmeans_users(factors, k=config.num_states, seed=config.seed)
+    super_user = datasets.sample_super_user(factors, clusters, config.pairing, seed=config.seed)
     catalog = np.arange(table.num_items)
-    model = datasets.build_reward_model(
-        factors,
-        super_user,
-        catalog,
-        variance_mode=doc.get("variance_mode", "fixed"),
-        params=doc.get("variance_params", {}),
-        seed=seed,
-    )
+    model = datasets.build_reward_model(factors, super_user, catalog, variance_mode=config.variance_mode,
+                                        params=config.variance_params, seed=config.seed)
     model_path = os.path.join(out_dir, "reward_model.json")
-    model_doc = model_to_dict(model)
-    model_doc["features"] = factors.V[catalog].tolist()
-    with open(model_path, "w", encoding="utf-8") as handle:
-        json.dump(model_doc, handle, sort_keys=True)
-        handle.write("\n")
+    save_model_json(model_path, model, features=factors.V[catalog])
     provenance = {
-        "ratings_file": ratings_file,
-        "seed": seed,
+        "ratings_file": config.ratings_file,
+        "seed": config.seed,
         "num_users": table.num_users,
         "num_items": table.num_items,
         "num_ratings": len(table),
         "validation_rmse": factors.validation_rmse,
-        "pairing": [list(p) for p in pairing],
+        "pairing": config.pairing,
         "super_user": list(super_user.users),
-        "variance_mode": doc.get("variance_mode", "fixed"),
-        "hyperparameters": {
-            "d": int(doc.get("d", 10)),
-            "lambda_u": float(doc.get("lambda_u", 0.001)),
-            "lambda_v": float(doc.get("lambda_v", 0.001)),
-            "learning_rate": float(doc.get("learning_rate", 2e-4)),
-            "validation_fraction": float(doc.get("validation_fraction", 0.1)),
-            "epochs": int(doc.get("epochs", 100)),
-        },
+        "variance_mode": config.variance_mode,
+        "hyperparameters": hyperparameters,
     }
     with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as handle:
         json.dump(provenance, handle, indent=2, sort_keys=True)
         handle.write("\n")
     for graph in ("full", "skip", "branch"):
-        config = get_recipe(f"movielens_{graph}", model_file=model_path)
-        save_config(config, os.path.join(out_dir, f"movielens_{graph}.json"))
+        run_config = get_recipe(f"movielens_{graph}", model_file=model_path)
+        save_config(run_config, os.path.join(out_dir, f"movielens_{graph}.json"))
     print(f"wrote {model_path} plus provenance and run configs to {out_dir}")
     return 0
 

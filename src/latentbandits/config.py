@@ -1,0 +1,49 @@
+"""The one type check behind every config surface: experiment configs,
+policy params and ``build-model``'s dataset config."""
+
+from __future__ import annotations
+
+import numbers
+import types
+import typing
+from dataclasses import MISSING, fields
+
+
+class ConfigError(ValueError):
+    """Invalid configuration."""
+
+
+def check_type(name: str, value, annotation):
+    """``value`` if it has the type ``annotation``, else ConfigError: ``int``
+    takes an integral number, ``float`` any real number (as a float),
+    ``Optional[X]`` or ``X | None`` also None; a bool is never a number."""
+    is_union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
+    for option in typing.get_args(annotation) if is_union else (annotation,):
+        number = {int: numbers.Integral, float: numbers.Real}.get(option)
+        if number and isinstance(value, number) and not isinstance(value, bool):
+            return option(value)
+        if not number and isinstance(value, typing.get_origin(option) or option):
+            return value
+    raise ConfigError(f"{name} must be {getattr(annotation, '__name__', annotation)}, got {value!r}")
+
+
+class TypedConfig:
+    """Base of a frozen config dataclass: each field is checked against its
+    annotation when the instance is built."""
+
+    def __post_init__(self):
+        for name, annotation in typing.get_type_hints(type(self)).items():
+            object.__setattr__(self, name, check_type(name, getattr(self, name), annotation))
+
+    @classmethod
+    def from_dict(cls, doc, **convert):
+        """An instance from the JSON object ``doc``, with its arrays as
+        tuples and ``convert[key]`` applied to entry ``key``; ConfigError
+        on an unknown or a missing key."""
+        names = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+        unknown, missing = sorted(set(check_type(cls.__name__, doc, dict)) - names), sorted(required - set(doc))
+        if unknown or missing:
+            raise ConfigError(f"{cls.__name__}: unknown keys {unknown}, missing keys {missing}")
+        doc = {key: tuple(value) if isinstance(value, list) else value for key, value in doc.items()}
+        return cls(**{key: convert[key](value) if key in convert else value for key, value in doc.items()})

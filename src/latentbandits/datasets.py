@@ -19,6 +19,8 @@ from .models import RewardModel
 log = logging.getLogger(__name__)
 
 SIGMA_FLOOR = 0.01
+# the ways build_reward_model sets its stds
+VARIANCE_MODES = ("fixed", "three_nn", "sampled_normal")
 
 
 @dataclass(frozen=True)

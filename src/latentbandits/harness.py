@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -21,6 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .config import ConfigError, TypedConfig, check_type
 from .environments import (
     ProtocolViolationError,
     TransitionGraphSpec,
@@ -35,25 +35,17 @@ from .presets import PRESETS
 OUT_DIR_ENV_VAR = "LBL_OUT_DIR"
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(TypedConfig):
     name: str
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PolicySpec":
-        return cls(name=doc["name"], params=dict(doc.get("params", {})))
-
 
 @dataclass(frozen=True)
-class EnvironmentSpec:
+class EnvironmentSpec(TypedConfig):
     """Where the model and kernel come from, plus run-time environment knobs.
 
     ``model`` is one of ``{"preset": name}``, ``{"file": path}`` or
@@ -78,23 +70,9 @@ class EnvironmentSpec:
             "arm_set_size": self.arm_set_size,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EnvironmentSpec":
-        prior = doc.get("prior", "uniform")
-        if isinstance(prior, list):
-            prior = tuple(prior)
-        schedule = doc.get("schedule")
-        return cls(
-            model=doc["model"],
-            kernel=doc["kernel"],
-            prior=prior,
-            schedule=tuple(schedule) if schedule is not None else None,
-            arm_set_size=doc.get("arm_set_size"),
-        )
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(TypedConfig):
     environment: EnvironmentSpec
     policies: tuple
     horizon: int
@@ -118,34 +96,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        try:
-            return cls(
-                environment=EnvironmentSpec.from_dict(doc["environment"]),
-                policies=tuple(PolicySpec.from_dict(p) for p in doc["policies"]),
-                horizon=int(doc["horizon"]),
-                num_runs=int(doc["num_runs"]),
-                base_seed=int(doc.get("base_seed", 0)),
-                sweep_axes=doc.get("sweep_axes"),
-                out_dir=doc.get("out_dir"),
-                name=doc.get("name", "experiment"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc}") from exc
+        return super().from_dict(
+            doc,
+            environment=EnvironmentSpec.from_dict,
+            policies=lambda docs: tuple(map(PolicySpec.from_dict, check_type("policies", docs, tuple))),
+        )
 
     def validate(self) -> "ResolvedEnvironment":
         """Check the config without running it; returns the resolved
-        environment.  Policy params are bound to their factory's
-        signature, but no policy is built."""
+        environment.  Policy params are bound to their factory's signature
+        but no policy is built, and each sweep-axis value is tried alone."""
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if self.num_runs < 1:
             raise ConfigError("num_runs must be at least 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
         if not self.policies:
             raise ConfigError("at least one policy is required")
         names = [spec.name for spec in self.policies]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate policy names in {names}: results are keyed by name")
         resolved = resolve_environment(self.environment)  # raises ConfigError on bad specs
+        for axis, values in (self.sweep_axes or {}).items():
+            if not check_type(f"sweep axis {axis!r}", values, list | tuple):
+                raise ConfigError(f"sweep axis {axis!r} has no values")
+            for value in values:
+                resolve_environment(_apply_axis(self, axis, value).environment)
         for spec in self.policies:
             if spec.name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy name {spec.name!r}")
@@ -239,8 +216,8 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
             raise ConfigError(f"unknown prior {spec.prior!r}")
         prior = np.full(model.num_states, 1.0 / model.num_states)
     elif isinstance(spec.prior, dict):
-        point = spec.prior.get("point")
-        if not isinstance(point, (int, np.integer)) or not 0 <= point < model.num_states:
+        point = check_type("prior point", spec.prior.get("point"), int)
+        if not 0 <= point < model.num_states:
             raise ConfigError(f"prior point must be a state in [0, {model.num_states}), got {point}")
         prior = np.zeros(model.num_states)
         prior[point] = 1.0
@@ -255,9 +232,8 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
     if spec.schedule is not None and len(set(spec.schedule)) != len(spec.schedule):
         raise ConfigError(f"schedule times must be distinct, got {list(spec.schedule)}")
     size = spec.arm_set_size
-    if size is not None and (isinstance(size, bool) or not isinstance(size, numbers.Integral)
-                             or not 1 <= size <= model.num_arms):
-        raise ConfigError(f"arm_set_size must be an integer in [1, {model.num_arms}], got {size!r}")
+    if size is not None and not 1 <= size <= model.num_arms:
+        raise ConfigError(f"arm_set_size must be in [1, {model.num_arms}], got {size}")
     return ResolvedEnvironment(
         model=model,
         kernel=kernel,
@@ -486,7 +462,7 @@ def bayes_regret(results: ExperimentResults, confidence_z: float = 1.96) -> dict
 def _apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     env = config.environment
     if axis == "arm_set_size":
-        new_env = replace(env, arm_set_size=int(value))
+        new_env = replace(env, arm_set_size=value)
     elif axis in ("probe_gap", "probe_sigma"):
         resolved = resolve_environment(env)
         means = resolved.model.means.copy()
@@ -495,12 +471,12 @@ def _apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         if axis == "probe_gap":
             # keep the probe's 0.2 cross-state separation, move its level
             best = means[:probe].max(axis=0)
-            center = best - float(value)
+            center = best - check_type(axis, value, float)
             half_span = 0.1
             offsets = np.linspace(half_span, -half_span, means.shape[1])
             means[probe] = center + offsets
         else:
-            stds[probe] = float(value)
+            stds[probe] = check_type(axis, value, float)
         new_env = replace(env, model={"means": means.tolist(), "stds": stds.tolist()})
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -516,6 +492,7 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None) -> list:
     """
     if not config.sweep_axes:
         raise ConfigError("sweep requires non-empty sweep_axes")
+    config.validate()
     axes = list(config.sweep_axes.items())
     grid = [()]
     for _, values in axes:

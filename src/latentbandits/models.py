@@ -185,12 +185,12 @@ class InfoArmStats:
             object.__setattr__(self, name, arr)
 
 
-def model_to_dict(model: RewardModel, kernel: TransitionKernel | None = None) -> dict:
-    """Serialize a reward model (and optional kernel) to the JSON schema.
+def model_to_dict(model: RewardModel, kernel: TransitionKernel | None = None, features=None) -> dict:
+    """Serialize a reward model (and optional kernel and arm features) to the JSON schema.
 
     Schema: ``means`` and ``stds`` are row-major nested lists indexed
     [arm][context][state] with a single context, ``num_contexts`` is
-    always 1, and ``transition`` is [state][state].
+    always 1, ``transition`` is [state][state], ``features`` [arm][dim].
     """
     doc = {
         "num_contexts": 1,
@@ -199,6 +199,8 @@ def model_to_dict(model: RewardModel, kernel: TransitionKernel | None = None) ->
     }
     if kernel is not None:
         doc["transition"] = kernel.matrix.tolist()
+    if features is not None:
+        doc["features"] = np.asarray(features, dtype=float).tolist()
     return doc
 
 
@@ -216,9 +218,9 @@ def model_from_dict(doc: dict) -> tuple[RewardModel, TransitionKernel | None]:
     return model, kernel
 
 
-def save_model_json(path, model: RewardModel, kernel: TransitionKernel | None = None) -> None:
+def save_model_json(path, model: RewardModel, kernel: TransitionKernel | None = None, features=None) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model, kernel), handle, sort_keys=True)
+        json.dump(model_to_dict(model, kernel, features), handle, sort_keys=True)
         handle.write("\n")
 
 

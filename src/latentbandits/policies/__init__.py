@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import inspect
-import numbers
+import typing
 
 import numpy as np
 
+from ..config import check_type
 from ..models import RewardModel, TransitionKernel
 from .agemts import AGEmTS
 from .base import BeliefPolicy, Policy
@@ -38,17 +39,10 @@ from .rollout import (
 )
 
 
-def _number(name: str, value):
-    """``value`` if it is a real number (a bool is not), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
-
-
-def _count(name: str, value) -> int:
-    """``value`` if it is a non-negative integer (a bool is not), else ValueError."""
-    if not isinstance(_number(name, value), numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+def _non_negative(name: str, value):
+    """``value`` unless it is negative, else ValueError."""
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 
 
@@ -56,15 +50,15 @@ def _explore_commit_budget(n_e=None, delta=None, std1=None, std2=None, z_alpha=1
     """Explore-commit's budget: ``n_e`` if given, else the z-test sample
     size from ``delta``, ``std1`` and ``std2``."""
     if n_e is not None:
-        return _count("n_e", n_e)
+        return _non_negative("n_e", n_e)
     if delta is None or std1 is None or std2 is None:
         raise ValueError("explore_commit needs n_e, or all of delta, std1 and std2")
     return explore_commit_sample_size(delta, std1, std2, z_alpha, z_beta)
 
 
 def _explore_commit(
-    model, kernel, prior, rng, info_arm, n_e=None, delta=None, std1=None, std2=None,
-    z_alpha=1.96, z_beta=0.84,
+    model, kernel, prior, rng, info_arm: int, n_e: int | None = None, delta: float | None = None,
+    std1: float | None = None, std2: float | None = None, z_alpha: float = 1.96, z_beta: float = 0.84,
 ):
     """Explore-commit with its budget given as ``n_e`` or sized by the
     z-test from ``delta``, ``std1`` and ``std2``."""
@@ -89,15 +83,14 @@ POLICIES = {
     "uniform_random": UniformRandom,
 }
 POLICY_NAMES = tuple(POLICIES)
-# registry name -> cheap check of the param values that binding them to
-# the factory's signature cannot make; it takes the params its signature names
+# registry name -> cheap range check of the param values, whose types the
+# factory's annotations fix; it takes the params its signature names
 PARAM_CHECKS = {
-    "agemts": lambda entropy_threshold=1.0: _number("entropy_threshold", entropy_threshold),
     "explore_commit": _explore_commit_budget,
-    "explore_then_ps": lambda tau=None: tau is None or _count("tau", tau),
-    # a detector's own checks want a positive even integer window
-    "cducb": lambda window_size=50: ChangeDetectorState(window_size, threshold=0.0),
-    "cdts": lambda window_size=50: ChangeDetectorState(window_size, threshold=0.0),
+    "explore_then_ps": lambda tau=None: tau is None or _non_negative("tau", tau),
+    # a detector's own check wants a positive even window
+    **dict.fromkeys(("cducb", "cdts", "cd_linucb", "cd_lints"),
+                    lambda window_size=50: ChangeDetectorState(window_size, threshold=0.0)),
 }
 # registry name -> {param: what computes it when the config leaves it
 # out}.  It takes the experiment quantities and params its signature
@@ -120,20 +113,24 @@ def _quantities_for(factory, quantities: dict) -> dict:
 
 def check_policy_params(name: str, params: dict, model: RewardModel, arm_features=None) -> None:
     """Raise TypeError unless ``params`` bind to the factory's signature,
-    and ValueError if the policy still could not be built: its
-    ``info_arm`` is not an arm of ``model``, its factory requires
-    ``arm_features`` and there are none, or its entry in ``PARAM_CHECKS``
-    rejects the params.
+    and ValueError if the policy still could not be built: a value does
+    not have the type its parameter is annotated with, its ``info_arm``
+    is not an arm of ``model``, its factory requires ``arm_features`` and
+    there are none, or its entry in ``PARAM_CHECKS`` rejects the params.
 
     Nothing is constructed, so this costs no per-policy set-up work.
     """
     factory = POLICIES[name]
     signature = inspect.signature(factory)
     placeholders = _quantities_for(factory, dict.fromkeys(_EXPERIMENT_QUANTITIES))
-    # a param that PARAM_DEFAULTS fills in may be left out of the config
-    defaults = {key: None for key in PARAM_DEFAULTS.get(name, ()) if key not in params}
-    signature.bind(**defaults, **placeholders, **params)
-    if "info_arm" in params and _count("info_arm", params["info_arm"]) >= model.num_arms:
+    # a param that PARAM_DEFAULTS fills in may be left out of the config, or null
+    computed = PARAM_DEFAULTS.get(name, {})
+    signature.bind(**{key: None for key in computed if key not in params}, **placeholders, **params)
+    # the modules postpone their annotations, so they are resolved here
+    hints = typing.get_type_hints(factory.__init__ if isinstance(factory, type) else factory)
+    for key, value in params.items():
+        check_type(key, value, hints[key] | None if key in computed else hints[key])
+    if not 0 <= params.get("info_arm", 0) < model.num_arms:
         raise ValueError(f"info_arm must be an arm in [0, {model.num_arms}), got {params['info_arm']}")
     features = signature.parameters.get("arm_features")
     if features is not None and features.default is inspect.Parameter.empty and arm_features is None:

@@ -279,8 +279,8 @@ class _LinearBandit(Policy):
 class CDLinUCB(_LinearBandit):
     name = "cd_linucb"
 
-    def __init__(self, model, arm_features, rng=None, ridge=1.0, window_size=50, threshold=5.0,
-                 alpha: float = 1.0):
+    def __init__(self, model, arm_features, rng=None, ridge: float = 1.0, window_size: int = 50,
+                 threshold: float = 5.0, alpha: float = 1.0):
         super().__init__(model, arm_features, rng, ridge, window_size, threshold)
         self.alpha = alpha
 
@@ -294,8 +294,8 @@ class CDLinUCB(_LinearBandit):
 class CDLinTS(_LinearBandit):
     name = "cd_lints"
 
-    def __init__(self, model, arm_features, rng=None, ridge=1.0, window_size=50, threshold=5.0,
-                 scale: float = 1.0):
+    def __init__(self, model, arm_features, rng=None, ridge: float = 1.0, window_size: int = 50,
+                 threshold: float = 5.0, scale: float = 1.0):
         super().__init__(model, arm_features, rng, ridge, window_size, threshold)
         self.scale = scale
 

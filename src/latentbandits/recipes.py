@@ -7,6 +7,8 @@ recipes need a model file produced by the ``build-model`` command.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .harness import ConfigError, EnvironmentSpec, ExperimentConfig, PolicySpec
 from .policies import explore_commit_sample_size
 
@@ -35,20 +37,13 @@ def _config(name, environment, default_policies, default_horizon, default_runs, 
 
 
 def _override(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    if not overrides:
-        return config
     allowed = {"horizon", "num_runs", "base_seed", "out_dir", "policies", "sweep_axes"}
     unknown = set(overrides) - allowed
     if unknown:
         raise ConfigError(f"unknown recipe overrides: {sorted(unknown)}")
-    doc = config.to_dict()
     if "policies" in overrides:
-        doc["policies"] = [
-            p.to_dict() if isinstance(p, PolicySpec) else {"name": p, "params": {}}
-            for p in overrides.pop("policies")
-        ]
-    doc.update(overrides)
-    return ExperimentConfig.from_dict(doc)
+        overrides["policies"] = tuple(PolicySpec(p) if isinstance(p, str) else p for p in overrides["policies"])
+    return replace(config, **overrides)
 
 
 def two_state_stationary(**overrides) -> ExperimentConfig:

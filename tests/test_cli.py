@@ -1,11 +1,16 @@
+import inspect
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
 
+from latentbandits import harness
 from latentbandits.cli import main
+from latentbandits.config import ConfigError, check_type
 from latentbandits.harness import load_config
+from latentbandits.policies import _EXPERIMENT_QUANTITIES, POLICIES
 from latentbandits.recipes import RECIPES, get_recipe
 
 
@@ -18,11 +23,29 @@ def small_config_file(tmp_path, horizon=30, runs=2):
     return path
 
 
+def set_axes(**axes):
+    """A config edit that sets the config's sweep axes."""
+    def edit(doc):
+        doc["sweep_axes"] = axes
+    return edit
+
+
 def set_params(name, **params):
     """A config edit that sets params of the config's policy ``name``."""
     def edit(doc):
         next(p for p in doc["policies"] if p["name"] == name).setdefault("params", {}).update(params)
     return edit
+
+
+# params with which each policy validates; the others need none
+VALID_PARAMS = {"explore_commit": {"info_arm": 2, "n_e": 5}, "explore_then_ps": {"info_arm": 2, "tau": 3}}
+
+
+def _config_hints(name):
+    """The annotations of a policy factory's config params."""
+    factory = POLICIES[name]
+    hints = typing.get_type_hints(factory.__init__ if isinstance(factory, type) else factory)
+    return {key: value for key, value in hints.items() if key not in _EXPERIMENT_QUANTITIES + ("return",)}
 
 
 class TestValidate:
@@ -70,13 +93,41 @@ class TestValidate:
         lambda doc: doc["policies"].append({"name": "explore_commit", "params": {"info_arm": 2, "n_e": -3}}),
         lambda doc: doc["policies"].append({"name": "explore_then_ps", "params": {"info_arm": 2, "tau": -2}}),
         lambda doc: doc["environment"].update(arm_set_size=2.5),
+        set_params("cducb", threshold="x"),
+        set_params("cducb", threshold=True),
+        set_params("exp4s", learning_rate="x"),
+        set_params("exp4s", weight_floor="x"),
+        lambda doc: doc.update(horizon=2.7),
+        lambda doc: doc.update(horizon=True),
+        lambda doc: doc.update(horizon="x"),
+        lambda doc: doc.update(horizon=1000.0),
+        lambda doc: doc.update(num_runs=2.9),
+        lambda doc: doc.update(base_seed="7"),
+        lambda doc: doc.update(base_seed=-5),
+        lambda doc: doc.update(bogus=1),
+        lambda doc: doc["environment"].update(bogus=1),
+        lambda doc: doc["policies"][0].update(params=[1]),
+        lambda doc: doc["environment"].update(prior={"point": True}),
+        set_axes(bogus=[1]),
+        set_axes(arm_set_size=[2.5]),
+        set_axes(arm_set_size=[2, 9]),
+        set_axes(probe_sigma=["x"]),
+        set_axes(probe_sigma=[0.05, -1]),
+        set_axes(probe_gap=[True]),
+        set_axes(probe_sigma=0.05),
+        set_axes(probe_sigma=[]),
     ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
             "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features",
             "explore_commit_info_arm_7", "explore_commit_info_arm_-1", "explore_then_ps_info_arm_7",
             "explore_then_ps_info_arm_-1", "point_prior_7", "point_prior_-1", "prior_not_summing_to_1",
             "empty_arm_set", "two_context_inline_model", "cducb_odd_window", "cdts_odd_window",
             "agemts_threshold_not_a_number", "explore_commit_info_arm_1.5", "explore_commit_negative_n_e",
-            "explore_then_ps_negative_tau", "fractional_arm_set_size"])
+            "explore_then_ps_negative_tau", "fractional_arm_set_size", "cducb_threshold_x",
+            "cducb_threshold_true", "exp4s_learning_rate_x", "exp4s_weight_floor_x", "horizon_2.7",
+            "horizon_true", "horizon_x", "horizon_1000.0", "num_runs_2.9", "base_seed_string", "negative_base_seed",
+            "unknown_top_level_key", "unknown_environment_key", "params_not_a_map", "point_prior_true",
+            "unknown_sweep_axis", "fractional_arm_set_size_axis", "arm_set_size_axis_9", "probe_sigma_axis_x",
+            "probe_sigma_axis_-1", "probe_gap_axis_true", "axis_not_a_list", "axis_without_values"])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, edit):
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
         doc["policies"] = [p for p in doc["policies"] if p["name"] != "agemts"]
@@ -84,6 +135,51 @@ class TestValidate:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_every_config_param_is_annotated(self, name):
+        hints = _config_hints(name)
+        params = inspect.signature(POLICIES[name]).parameters
+        assert {key for key in params if key not in _EXPERIMENT_QUANTITIES} <= set(hints)
+
+    @pytest.mark.parametrize("name,param,value", [
+        (name, param, value)
+        for name in sorted(POLICIES)
+        for param, annotation in _config_hints(name).items()
+        if {int, float} & {annotation, *typing.get_args(annotation)}
+        for value in ("x", True)
+    ])
+    def test_mistyped_numeric_param_is_config_error(self, tmp_path, two_state, name, param, value):
+        # the base params validate, so the mistyped value alone is rejected
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"means": two_state.means.tolist(), "stds": two_state.stds.tolist(),
+                                          "features": np.eye(3).tolist()}))
+        doc = get_recipe("two_state_stationary", horizon=10, num_runs=2).to_dict()
+        doc["environment"]["model"] = {"file": str(model_path)}
+        doc["policies"] = [{"name": name, "params": dict(VALID_PARAMS.get(name, {}))}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        doc["policies"][0]["params"][param] = value
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+
+    def test_forecast_param_accepts_null(self, tmp_path):
+        doc = get_recipe("two_state_explore_strategies", horizon=10, num_runs=2).to_dict()
+        set_params("explore_then_ps", tau=None)(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+
+    # Python 3.10's get_type_hints turns a None-defaulted param's ``int | None``
+    # into ``Optional[int]``: both spellings must take the same values
+    @pytest.mark.parametrize("annotation", [int | None, typing.Optional[int]])
+    def test_both_union_spellings_are_checked(self, annotation):
+        assert check_type("n_e", 3, annotation) == 3
+        assert check_type("n_e", None, annotation) is None
+        for value in ("x", True, 2.5):
+            with pytest.raises(ConfigError):
+                check_type("n_e", value, annotation)
 
     def test_two_context_model_file_is_config_error(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -136,6 +232,18 @@ class TestRun:
 
 
 class TestSweepCommand:
+    def test_bad_axis_value_fails_before_any_grid_point(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        doc = get_recipe("regions_stationary", horizon=15, num_runs=2).to_dict()
+        doc["sweep_axes"] = {"probe_sigma": [0.05, -1]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_writes_table(self, tmp_path):
         config = get_recipe("regions_stationary", horizon=15, num_runs=2)
         doc = config.to_dict()
@@ -184,6 +292,46 @@ class TestBuildModel:
         for graph in ("full", "skip", "branch"):
             run_config = load_config(out / f"movielens_{graph}.json")
             run_config.validate()
+
+    @pytest.mark.parametrize("entry", [
+        {"d": "x"},
+        {"d": 4.7},
+        {"d": 0},
+        {"epochs": -1},
+        {"epoch": 3},
+        {"learning_rate": "0.02"},
+        {"variance_mode": "bogus"},
+        {"num_states": 0},
+        {"num_states": 1},
+        {"num_states": True},
+        {"min_user_ratings": 0},
+        {"validation_fraction": 1.5},
+        {"pairing": [[1, 7]]},
+        {"pairing": [[1, 3, 4]]},
+        {"pairing": [[1, 2.0]]},
+        {"pairing": [1, 3]},
+        {"seed": "3"},
+        {"seed": -1},
+        {"ratings_file": None},
+    ])
+    def test_bad_dataset_config_fails_before_ingest(self, tmp_path, rng, capsys, entry):
+        config = {"ratings_file": str(self.make_ratings(tmp_path, rng)), "min_user_ratings": 5,
+                  "min_item_ratings": 5, "d": 4, "learning_rate": 0.02, "epochs": 2, **entry}
+        config_path = tmp_path / "dataset.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "model_out"
+        assert main(["build-model", str(config_path), "--out-dir", str(out)]) == 2
+        assert "ingested" not in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_float_given_as_int_is_written_as_float(self, tmp_path, rng):
+        config = {"ratings_file": str(self.make_ratings(tmp_path, rng)), "min_user_ratings": 5,
+                  "min_item_ratings": 5, "d": 4, "learning_rate": 0.02, "epochs": 2, "lambda_u": 0}
+        config_path = tmp_path / "dataset.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "model_out"
+        assert main(["build-model", str(config_path), "--out-dir", str(out)]) == 0
+        assert '"lambda_u": 0.0,' in (out / "provenance.json").read_text()
 
     def test_missing_ratings_file_is_config_error(self, tmp_path):
         config_path = tmp_path / "dataset.json"

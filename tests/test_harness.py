@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,7 +304,10 @@ class TestSweep:
     def test_grid_bookkeeping(self, tmp_path):
         doc = tiny_config(policies=("mts",), horizon=20, num_runs=2).to_dict()
         doc["sweep_axes"] = {"probe_gap": [0.4, 3.0], "probe_sigma": [0.05, 0.5]}
-        rows = sweep(ExperimentConfig.from_dict(doc), out_dir=str(tmp_path))
+        config = ExperimentConfig.from_dict(doc)
+        # a Python caller may give an axis as a tuple
+        config = replace(config, sweep_axes={**config.sweep_axes, "probe_gap": (0.4, 3.0)})
+        rows = sweep(config, out_dir=str(tmp_path))
         assert len(rows) == 4
         assert {(r["probe_gap"], r["probe_sigma"]) for r in rows} == {
             (0.4, 0.05), (0.4, 0.5), (3.0, 0.05), (3.0, 0.5)

@@ -102,3 +102,14 @@ def test_model_json_round_trip(tmp_path, two_state, switch_kernel):
     assert set(doc) == {"means", "stds", "transition", "num_contexts"}
     assert doc["num_contexts"] == 1
     assert np.asarray(doc["means"]).shape == (3, 1, 2)
+
+
+def test_model_json_writes_features(tmp_path, two_state):
+    path = tmp_path / "model.json"
+    features = np.arange(6.0).reshape(3, 2)
+    save_model_json(path, two_state, features=features)
+    doc = json.loads(path.read_text())
+    assert doc["features"] == features.tolist()
+    model, kernel = load_model_json(path)
+    np.testing.assert_array_equal(model.means, two_state.means)
+    assert kernel is None
