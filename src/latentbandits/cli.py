@@ -112,6 +112,14 @@ class DatasetConfig(TypedConfig):
             raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
         if self.variance_mode not in datasets.VARIANCE_MODES:
             raise ConfigError(f"variance_mode must be in {datasets.VARIANCE_MODES}, got {self.variance_mode!r}")
+        wanted = datasets.VARIANCE_PARAMS[self.variance_mode]
+        if set(self.variance_params) - set(wanted):
+            raise ConfigError(f"variance mode {self.variance_mode!r} takes params {sorted(wanted)}, "
+                              f"got {sorted(self.variance_params)}")
+        object.__setattr__(self, "variance_params", {
+            key: check_type(f"variance param {key!r}", value, wanted[key])
+            for key, value in self.variance_params.items()
+        })
         for pair in self.pairing:
             states = [check_type("a paired state", state, int) for state in check_type("a pairing", pair, list)]
             if len(states) != 2 or not all(0 <= state < self.num_states for state in states):

@@ -19,8 +19,9 @@ from .models import RewardModel
 log = logging.getLogger(__name__)
 
 SIGMA_FLOOR = 0.01
-# the ways build_reward_model sets its stds
-VARIANCE_MODES = ("fixed", "three_nn", "sampled_normal")
+# the ways build_reward_model sets its stds -> the params each one reads, with their types
+VARIANCE_PARAMS = {"fixed": {"sigma": float}, "three_nn": {}, "sampled_normal": {}}
+VARIANCE_MODES = tuple(VARIANCE_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,7 @@ def build_reward_model(
     means = model.V[catalog] @ user_vectors.T  # [item, state]
 
     if variance_mode == "fixed":
-        sigma = float(params.get("sigma", 0.25))
+        sigma = params.get("sigma", 0.25)
         stds = np.full((catalog.size, num_states), sigma)
     elif variance_mode == "three_nn":
         stds = _three_nn_stds(model, super_user, catalog)

@@ -10,11 +10,12 @@ start state that transitions away immediately.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import RewardModel, TransitionKernel
+from .models import RewardModel, TransitionKernel, _as_prob_vector
 
 GRAPH_KINDS = ("fully_connected", "skip_chain", "two_branch", "custom")
 
@@ -127,29 +128,37 @@ def sample_arm_set(catalog_size: int, set_size: int, rng: np.random.Generator) -
     return np.sort(rng.choice(catalog_size, size=set_size, replace=False))
 
 
-def _advance_state(
-    state: int, time: int, kernel: TransitionKernel, rng: np.random.Generator, schedule
-) -> int:
-    """The hidden state after step ``time`` (counted from 1).
+def _cdf(p: np.ndarray) -> list:
+    """The CDF of ``p`` as numpy's ``Generator.choice`` normalises it:
+    the cumulative sum, divided by its last entry."""
+    cdf = p.cumsum()
+    return (cdf / cdf[-1]).tolist()
 
-    A fixed schedule overrides kernel sampling: between scheduled times
-    the state is frozen, and at a scheduled time it jumps to a different
-    state drawn from the kernel's off-diagonal mass (two-state chains
-    therefore flip deterministically).
+
+def _transition_cdfs(kernel: TransitionKernel, schedule) -> list:
+    """Per-state CDF rows of the next-state draw.
+
+    A fixed schedule draws, at a scheduled time, a state other than the
+    current one from the kernel's off-diagonal mass (two-state chains
+    therefore flip deterministically); an absorbing row falls back to
+    any other state uniformly.
     """
-    if schedule is None:
-        return int(rng.choice(kernel.num_states, p=kernel.matrix[state]))
-    if time not in schedule:
-        return state
-    row = kernel.matrix[state].copy()
-    row[state] = 0.0
-    total = row.sum()
-    if total <= 0:
-        # absorbing row: fall back to any other state uniformly
-        row = np.ones_like(row)
-        row[state] = 0.0
-        total = row.sum()
-    return int(rng.choice(row.size, p=row / total))
+    cdfs = []
+    for state, row in enumerate(kernel.matrix):
+        if schedule is not None:
+            row = row.copy()
+            row[state] = 0.0
+            if row.sum() <= 0:
+                row = np.ones_like(row)
+                row[state] = 0.0
+            row = row / row.sum()
+        cdfs.append(_cdf(row))
+    return cdfs
+
+
+def _draw(cdf: list, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(cdf), p=p)`` returns for the CDF of ``p``."""
+    return bisect.bisect_right(cdf, rng.random())
 
 
 @dataclass(frozen=True)
@@ -179,19 +188,27 @@ def generate_trajectory(
 
     The generator draws the start state from the prior, then per step
     the offered arm set (when ``arm_set_size`` is given) before the next
-    state, and the noise of all steps last.
+    state, and the noise of all steps last.  Each state draw is one
+    uniform bisected into a CDF row built once per call, the draw
+    ``rng.choice(p=row)`` makes; without a schedule the chain moves at
+    every step, with one only at its times (counted from 1).  Without
+    ``arm_set_size`` every step shares one read-only ``arange``.
     """
-    prior = np.asarray(prior, dtype=float)
-    state = int(rng.choice(prior.size, p=prior))
-    schedule = frozenset(int(t) for t in schedule) if schedule else None
-    states = np.empty(horizon, dtype=int)
-    arm_sets = []
+    schedule = frozenset(schedule) if schedule else None
+    cdfs = _transition_cdfs(kernel, schedule)
+    state = _draw(_cdf(_as_prob_vector(prior, "prior")), rng)
+    states = []
+    if arm_set_size is None:
+        every_arm = np.arange(model.num_arms)
+        every_arm.setflags(write=False)
+        arm_sets = [every_arm] * horizon
+    else:
+        arm_sets = []
     for t in range(horizon):
-        states[t] = state
-        if arm_set_size is None:
-            arm_sets.append(np.arange(model.num_arms))
-        else:
+        states.append(state)
+        if arm_set_size is not None:
             arm_sets.append(sample_arm_set(model.num_arms, arm_set_size, rng))
-        state = _advance_state(state, t + 1, kernel, rng, schedule)
+        if schedule is None or t + 1 in schedule:
+            state = _draw(cdfs[state], rng)
     noise = rng.standard_normal(horizon)
-    return Trajectory(states=states, arm_sets=arm_sets, noise=noise)
+    return Trajectory(states=np.array(states, dtype=int), arm_sets=arm_sets, noise=noise)

@@ -229,6 +229,9 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
         if prior.size != model.num_states:
             raise ConfigError("prior length does not match the number of states")
 
+    for step in spec.schedule or ():
+        if check_type("a schedule time", step, int) < 1:
+            raise ConfigError(f"schedule times are steps counted from 1, got {step}")
     if spec.schedule is not None and len(set(spec.schedule)) != len(spec.schedule):
         raise ConfigError(f"schedule times must be distinct, got {list(spec.schedule)}")
     size = spec.arm_set_size
@@ -363,13 +366,17 @@ def _run_policies(
     final_beliefs: dict = {}
     counters: dict = {}
     # shared by every policy's steps, as Python scalars: the trajectory,
-    # each step's offered arms and their best mean, and the reward tables
+    # each step's offered arms and best offered arm per state, and the
+    # reward tables; without slates every step shares one row
     states, noise, arm_sets = trajectory.states.tolist(), trajectory.noise.tolist(), trajectory.arm_sets
-    optimal = [float(model.means[arms, state].max()) for arms, state in zip(arm_sets, states)]
-    offered = np.zeros((horizon, model.num_arms), dtype=bool)
-    for t, arms in enumerate(arm_sets):
-        offered[t, arms] = True
+    slates = np.stack(arm_sets) if env.arm_set_size is not None else arm_sets[0][None, :]
+    offered = np.zeros((len(slates), model.num_arms), dtype=bool)
+    np.put_along_axis(offered, slates, True, axis=1)
+    best_arms, offered = model.best_arms(slates).tolist(), offered.tolist()
+    if env.arm_set_size is None:
+        best_arms, offered = best_arms * horizon, offered * horizon
     means, stds = model.means.tolist(), model.stds.tolist()
+    optimal = [means[row[state]][state] for row, state in zip(best_arms, states)]
 
     for i, spec in enumerate(config.policies):
         rng = np.random.default_rng([config.base_seed + run_index, i + 1])
@@ -392,8 +399,9 @@ def _run_policies(
             state = states[t]
             if policy.wants_true_state:
                 policy.set_true_state(state)
-            arm = policy.step(arm_sets[t])
-            if not (0 <= arm < model.num_arms and offered[t, arm]):
+            # the row goes positionally: wrappers of step may forward no keywords
+            arm = policy.step(arm_sets[t], best_arms[t])
+            if not (0 <= arm < model.num_arms and offered[t][arm]):
                 raise ProtocolViolationError(
                     f"run {run_index}, policy {spec.name!r}, step {t + 1}: "
                     f"arm {arm} not offered"
@@ -554,7 +562,8 @@ def emit_outputs(results: ExperimentResults, out_dir: str) -> dict:
         writer = csv.writer(handle)
         writer.writerow(["step", "policy", "mean_regret", "ci_low", "ci_high"])
         for name in results.policy_names:
-            mean, lo, hi = bands[name]
+            # Python floats, so each cell is a plain float repr
+            mean, lo, hi = (band.tolist() for band in bands[name])
             for t in range(results.config.horizon):
                 writer.writerow([t + 1, name, repr(mean[t]), repr(lo[t]), repr(hi[t])])
 
@@ -562,7 +571,7 @@ def emit_outputs(results: ExperimentResults, out_dir: str) -> dict:
     with open(curves_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["step"] + results.policy_names)
-        means = {name: bands[name][0] for name in results.policy_names}
+        means = {name: bands[name][0].tolist() for name in results.policy_names}
         for t in range(results.config.horizon):
             writer.writerow([t + 1] + [repr(means[name][t]) for name in results.policy_names])
     return {"aggregate": aggregate_path, "curves": curves_path}

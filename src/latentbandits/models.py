@@ -86,16 +86,23 @@ class RewardModel:
     def num_states(self) -> int:
         return self.means.shape[1]
 
-    def best_arm(self, state: int, arms=None) -> int:
-        """Index of the highest-mean arm in ``state``.
+    def best_arms(self, arms=None) -> np.ndarray:
+        """Every state's highest-mean arm, in one argmax: entry s is state
+        s's best arm.
 
-        ``arms`` restricts the search to an offered subset; ties break
-        toward the lowest arm index.
+        ``arms`` restricts the search to an offered subset, and ties
+        break toward the arm listed first (the lowest index when the
+        subset is sorted).  A stack of subsets, shaped [..., k], gives a
+        stack of rows, shaped [..., num_states].
         """
         if arms is None:
-            return int(np.argmax(self.means[:, state]))
+            return self.means.argmax(axis=0)
         arms = np.asarray(arms, dtype=int)
-        return int(arms[np.argmax(self.means[arms, state])])
+        return np.take_along_axis(arms, self.means[arms].argmax(axis=-2), axis=-1)
+
+    def best_arm(self, state: int, arms=None) -> int:
+        """Index of the highest-mean arm in ``state``; see ``best_arms``."""
+        return int(self.best_arms(arms)[state])
 
 
 @dataclass(frozen=True)

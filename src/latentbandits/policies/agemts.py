@@ -44,9 +44,9 @@ class AGEmTS(BeliefPolicy):
         # roll-out filter steps that fell back to propagation
         self.rollout_fallbacks = 0
 
-    def _choose(self, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
         probs = self.belief_probs
-        arm = self.model.best_arm(int(probs.argmax()), offered)
+        arm = best_arms[int(probs.argmax())]
         if entropy_bits(probs) < self.entropy_threshold:
             return arm
         info_arm, _ = best_info_arm(self.model, arms=offered)
@@ -61,7 +61,7 @@ class AGEmTS(BeliefPolicy):
             info_arm=info_arm,
             r_u=self.r_u,
             horizon_cap=remaining,
-            offered_arms=offered,
+            best_arms=best_arms,
             entropy_threshold=self.entropy_threshold,
         )
         self.rollouts_run += 1

@@ -1,11 +1,13 @@
 """Common policy interface.
 
-Every agent exposes ``step(offered_arms) -> arm`` followed by
-``observe(reward)``.  A policy instance serves one run and is
-single-threaded: it owns its mutable belief or statistics and consumes
-randomness only through the generator injected at construction, so
-identical seeds yield identical traces.  Checking that the chosen arm
-was offered is the harness's job.
+Every agent exposes ``step(offered_arms, best_arms=None) -> arm``
+followed by ``observe(reward)``.  ``best_arms[s]`` is state s's best
+offered arm: the harness passes the step's row of a table it builds
+once per run, and ``step`` computes it for a caller that leaves it out.
+A policy instance serves one run and is single-threaded: it owns its
+mutable belief or statistics and consumes randomness only through the
+generator injected at construction, so identical seeds yield identical
+traces.  Checking that the chosen arm was offered is the harness's job.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ class Policy:
     belief_probs: np.ndarray | None = None
     # names of the integer attributes that run_meta.json records per run
     counters: tuple = ()
+    # the reward model, for policies that act on one
+    model: RewardModel | None = None
 
     def __init__(self, rng: np.random.Generator | None = None):
         self.rng = rng if rng is not None else np.random.default_rng()
@@ -38,10 +42,12 @@ class Policy:
         """The belief as a validated value, or None for policies without one."""
         return None if self.belief_probs is None else BeliefState(self.belief_probs)
 
-    def step(self, offered_arms) -> int:
+    def step(self, offered_arms, best_arms=None) -> int:
         offered = np.asarray(offered_arms, dtype=int)
+        if best_arms is None and self.model is not None:
+            best_arms = self.model.best_arms(offered)
         self.last_info_play = False
-        arm = int(self._choose(offered))
+        arm = int(self._choose(offered, best_arms))
         self._pending = (offered, arm)
         return arm
 
@@ -53,7 +59,8 @@ class Policy:
         self._learn(offered, arm, float(reward))
         self.time += 1
 
-    def _choose(self, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
+        """The arm to play; ``best_arms[s]`` is state s's best offered arm."""
         raise NotImplementedError
 
     def _learn(self, offered: np.ndarray, arm: int, reward: float) -> None:

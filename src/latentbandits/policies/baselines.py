@@ -46,11 +46,11 @@ class _StateModelBandit(Policy):
     def _pick_state(self) -> int:
         raise NotImplementedError
 
-    def _choose(self, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
         unplayed = np.flatnonzero(self.counts == 0)
         state = int(unplayed[0]) if unplayed.size else self._pick_state()
         self._last_meta = state
-        return self.model.best_arm(state, offered)
+        return best_arms[state]
 
     def _learn(self, offered, arm, reward) -> None:
         meta = self._last_meta
@@ -164,13 +164,12 @@ class EXP4S(Policy):
         floor = weight_floor if weight_floor is not None else 1.0 / math.sqrt(k * horizon)
         self.weight_floor = min(floor, 1.0 / k)
         self.weights = np.full(k, 1.0 / k)
+        self._experts = np.arange(k)
         self._advice: np.ndarray | None = None
 
-    def _choose(self, offered: np.ndarray) -> int:
-        k = self.model.num_states
-        advice = np.zeros((k, self.model.num_arms))
-        for s in range(k):
-            advice[s, self.model.best_arm(s, offered)] = 1.0
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
+        advice = np.zeros((self.model.num_states, self.model.num_arms))
+        advice[self._experts, best_arms] = 1.0
         self._advice = advice
         probs = self.weights @ advice
         probs = probs / probs.sum()
@@ -203,27 +202,23 @@ class MUCB(Policy):
 
     def consistent_states(self) -> np.ndarray:
         played = np.flatnonzero(self.counts > 0)
-        alive = np.ones(self.model.num_states, dtype=bool)
         if played.size == 0:
-            return alive
+            return np.ones(self.model.num_states, dtype=bool)
         means = self.sums[played] / self.counts[played]
         log_t = math.log(max(self.time, 2))
-        for s in range(self.model.num_states):
-            predicted = self.model.means[played, s]
-            radius = self.model.stds[played, s] * np.sqrt(log_t / self.counts[played])
-            alive[s] = bool(np.all(np.abs(means - predicted) <= radius))
+        radius = self.model.stds[played] * np.sqrt(log_t / self.counts[played])[:, None]
+        alive = (np.abs(means[:, None] - self.model.means[played]) <= radius).all(axis=0)
         if not alive.any():
             alive[:] = True
         return alive
 
-    def _choose(self, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
         # elimination is sticky; an empty intersection resets to all states
         alive = self.surviving & self.consistent_states()
         if not alive.any():
             alive = np.ones(self.model.num_states, dtype=bool)
         self.surviving = alive
-        optimistic = self.model.means[np.ix_(offered, np.flatnonzero(self.surviving))]
-        best = optimistic.max(axis=1)
+        best = self.model.means[offered][:, alive].max(axis=1)
         return int(offered[np.argmax(best)])
 
     def _learn(self, offered, arm, reward) -> None:
@@ -264,7 +259,7 @@ class _LinearBandit(Policy):
     def _scores(self, offered: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _choose(self, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
         return int(offered[np.argmax(self._scores(offered))])
 
     def _learn(self, offered, arm, reward) -> None:
@@ -320,12 +315,12 @@ class OraclePolicy(Policy):
     def set_true_state(self, state: int) -> None:
         self.true_state = int(state)
 
-    def _choose(self, offered: np.ndarray) -> int:
-        return self.model.best_arm(self.true_state, offered)
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
+        return best_arms[self.true_state]
 
 
 class UniformRandom(Policy):
     name = "uniform_random"
 
-    def _choose(self, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
         return int(self.rng.choice(offered))

@@ -64,13 +64,13 @@ class ExploreCommit(BeliefPolicy):
         distances = np.abs(mean_reward - self.model.means[self.info_arm])
         return int(np.argmin(distances))
 
-    def _choose(self, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
         if self.time <= self.n_e:
             self.last_info_play = True
             return self.info_arm
         if self._committed_state is None:
             self._committed_state = self._commit()
-        return self.model.best_arm(self._committed_state, offered)
+        return best_arms[self._committed_state]
 
     def _learn(self, offered, arm, reward) -> None:
         if arm == self.info_arm and self._committed_state is None:
@@ -152,8 +152,9 @@ def belief_forecast_two_state(
     if arm is not None:
         lik_arm = _quadrature_likelihoods(model, arm, true_state)
     else:
-        lik_true = _quadrature_likelihoods(model, model.best_arm(true_state), true_state)
-        lik_other = _quadrature_likelihoods(model, model.best_arm(1 - true_state), true_state)
+        best = model.best_arms()
+        lik_true = _quadrature_likelihoods(model, best[true_state], true_state)
+        lik_other = _quadrature_likelihoods(model, best[1 - true_state], true_state)
 
     trajectory = np.empty(steps + 1)
     trajectory[0] = p0
@@ -220,7 +221,7 @@ def explore_then_ps_tau(model: RewardModel, info_arm: int, horizon: int) -> int:
         raise ValueError("horizon must be at least 1")
 
     states = np.arange(2)
-    best = np.array([model.best_arm(0), model.best_arm(1)])
+    best = model.best_arms()
     explore_cost = model.means[best, states] - model.means[info_arm, states]
     ps_gap = model.means[best, states] - model.means[best[::-1], states]
     arms = np.stack([best, best[::-1]], axis=1)[:, None, :]
@@ -262,8 +263,8 @@ class ExploreThenPS(MTS):
         self.info_arm = int(info_arm)
         self.tau = int(tau)
 
-    def _choose(self, offered: np.ndarray) -> int:
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
         if self.time <= self.tau:
             self.last_info_play = True
             return self.info_arm
-        return super()._choose(offered)
+        return super()._choose(offered, best_arms)

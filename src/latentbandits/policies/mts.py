@@ -21,5 +21,5 @@ class MTS(BeliefPolicy):
         probs = self.belief_probs
         return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), probs.size - 1)
 
-    def _choose(self, offered: np.ndarray) -> int:
-        return self.model.best_arm(self._sample_state(), offered)
+    def _choose(self, offered: np.ndarray, best_arms) -> int:
+        return best_arms[self._sample_state()]

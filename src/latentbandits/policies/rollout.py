@@ -50,15 +50,11 @@ def _density(value, means, stds):
     return np.exp(-0.5 * z * z) / (stds * _SQRT_2PI)
 
 
-def _greedy_arms(model: RewardModel, offered) -> np.ndarray:
-    return np.array([model.best_arm(s, offered) for s in range(model.num_states)], dtype=int)
-
-
 def rollout_likelihood_matrix(
     model: RewardModel,
     hypothetical_state: int,
     policy_belief: BeliefState,
-    offered_arms=None,
+    best_arms=None,
 ) -> np.ndarray:
     """Pseudo-likelihood row for greedy play under a hypothetical state.
 
@@ -67,14 +63,16 @@ def rollout_likelihood_matrix(
     of each state's greedy arm weighted by the belief.  The result is the
     expected per-state evidence one greedy play generates when the
     hypothetical state is the truth; states indistinguishable through the
-    greedy arms yield a flat row.
+    greedy arms yield a flat row.  ``best_arms[s]`` is state s's greedy
+    arm, by default its best arm of all.
     """
-    greedy = _greedy_arms(model, offered_arms)
+    if best_arms is None:
+        best_arms = model.best_arms()
     row = np.zeros(model.num_states)
     for s, weight in enumerate(policy_belief.probs):
         if weight == 0.0:
             continue
-        arm = greedy[s]
+        arm = best_arms[s]
         probe = model.means[arm, hypothetical_state]
         row += weight * _density(probe, model.means[arm], model.stds[arm])
     total = row.sum()
@@ -112,7 +110,7 @@ def reward_estimator(
     info_arm: int,
     r_u: float,
     horizon_cap: int,
-    offered_arms=None,
+    best_arms=None,
     entropy_threshold: float = 1.0,
 ) -> RolloutResult:
     """Compare probe-then-greedy against pure greedy filtering.
@@ -126,6 +124,8 @@ def reward_estimator(
     ``num_states - 1`` hypotheses.  A hypothesis the belief rules out
     entirely (zero mass, e.g. an unreachable start state) contributes
     zero to both strategies rather than polluting the comparison.
+    ``best_arms[s]`` is state s's greedy arm among the offered arms, by
+    default its best arm of all.
     """
     if info_arm == greedy_arm:
         raise ValueError("the probe arm must differ from the greedy arm")
@@ -133,7 +133,7 @@ def reward_estimator(
     t_exp = int(round(expected_dwell_time(kernel, belief, horizon_cap)))
     t_exp = max(1, min(t_exp, int(horizon_cap)))
     anchor = belief.argmax()
-    greedy = _greedy_arms(model, offered_arms)
+    greedy = model.best_arms() if best_arms is None else np.asarray(best_arms)
 
     matrix = kernel.matrix
     total_ig = 0.0
@@ -148,7 +148,7 @@ def reward_estimator(
         except DegenerateEvidenceError:
             # no evidence: every filter step with it falls back to propagation
             info_row = np.zeros(num_states)
-        greedy_row = rollout_likelihood_matrix(model, s_hyp, belief, offered_arms)
+        greedy_row = rollout_likelihood_matrix(model, s_hyp, belief, greedy)
         # mean reward of each state's greedy arm if s_hyp is the truth
         payoff = model.means[greedy, s_hyp]
 

@@ -13,11 +13,8 @@ import numpy as np
 
 from latentbandits.belief import expected_dwell_time
 from latentbandits.models import BeliefState, DegenerateEvidenceError
-from latentbandits.policies.rollout import (
-    _greedy_arms,
-    rollout_info_likelihood,
-    rollout_likelihood_matrix,
-)
+from latentbandits.policies.rollout import rollout_info_likelihood, rollout_likelihood_matrix
+from step_reference import best_arm
 
 
 def posterior_update(belief, kernel, likelihoods):
@@ -63,7 +60,7 @@ def reward_estimator(belief, model, kernel, greedy_arm, info_arm, r_u, horizon_c
     t_exp = int(round(expected_dwell_time(kernel, belief, horizon_cap)))
     t_exp = max(1, min(t_exp, int(horizon_cap)))
     anchor = belief.argmax()
-    greedy = _greedy_arms(model, offered_arms)
+    greedy = np.array([best_arm(model, s, offered_arms) for s in range(model.num_states)], dtype=int)
     total_ig = 0.0
     total_ps = 0.0
     for s_hyp in range(model.num_states):
@@ -73,7 +70,7 @@ def reward_estimator(belief, model, kernel, greedy_arm, info_arm, r_u, horizon_c
             info_row = rollout_info_likelihood(model, info_arm, s_hyp, belief)
         except DegenerateEvidenceError:
             info_row = None
-        greedy_row = rollout_likelihood_matrix(model, s_hyp, belief, offered_arms)
+        greedy_row = rollout_likelihood_matrix(model, s_hyp, belief, greedy)
         payoff = model.means[greedy, s_hyp]
         p_ig = _updated(belief, kernel, info_row)
         p_ps = belief

@@ -1,0 +1,80 @@
+"""Reference oracle for the per-run step tables.
+
+Copies of the scalar code that the tables replaced: the trajectory walk
+that drew every state with ``rng.choice(p=row)``, the per-state best-arm
+argmax, and mUCB's per-state consistency loop.  The CDF walk, the
+best-arm tables and the broadcast mUCB must reproduce them bit for bit;
+this module is imported by tests only and is not a test file.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from latentbandits.environments import Trajectory, sample_arm_set
+
+
+def best_arm(model, state, arms=None):
+    """Index of the highest-mean arm in ``state``, ties to the arm listed first."""
+    if arms is None:
+        return int(np.argmax(model.means[:, state]))
+    arms = np.asarray(arms, dtype=int)
+    return int(arms[np.argmax(model.means[arms, state])])
+
+
+def _advance_state(state, time, kernel, rng, schedule):
+    if schedule is None:
+        return int(rng.choice(kernel.num_states, p=kernel.matrix[state]))
+    if time not in schedule:
+        return state
+    row = kernel.matrix[state].copy()
+    row[state] = 0.0
+    total = row.sum()
+    if total <= 0:
+        row = np.ones_like(row)
+        row[state] = 0.0
+        total = row.sum()
+    return int(rng.choice(row.size, p=row / total))
+
+
+def generate_trajectory(model, kernel, prior, horizon, rng, schedule=None, arm_set_size=None):
+    prior = np.asarray(prior, dtype=float)
+    state = int(rng.choice(prior.size, p=prior))
+    schedule = frozenset(int(t) for t in schedule) if schedule else None
+    states = np.empty(horizon, dtype=int)
+    arm_sets = []
+    for t in range(horizon):
+        states[t] = state
+        if arm_set_size is None:
+            arm_sets.append(np.arange(model.num_arms))
+        else:
+            arm_sets.append(sample_arm_set(model.num_arms, arm_set_size, rng))
+        state = _advance_state(state, t + 1, kernel, rng, schedule)
+    noise = rng.standard_normal(horizon)
+    return Trajectory(states=states, arm_sets=arm_sets, noise=noise)
+
+
+def consistent_states(policy):
+    """mUCB's surviving-state test, one state at a time."""
+    model = policy.model
+    played = np.flatnonzero(policy.counts > 0)
+    alive = np.ones(model.num_states, dtype=bool)
+    if played.size == 0:
+        return alive
+    means = policy.sums[played] / policy.counts[played]
+    log_t = math.log(max(policy.time, 2))
+    for s in range(model.num_states):
+        predicted = model.means[played, s]
+        radius = model.stds[played, s] * np.sqrt(log_t / policy.counts[played])
+        alive[s] = bool(np.all(np.abs(means - predicted) <= radius))
+    if not alive.any():
+        alive[:] = True
+    return alive
+
+
+def mucb_arm(model, offered, surviving):
+    """mUCB's optimistic arm over the surviving states."""
+    optimistic = model.means[np.ix_(offered, np.flatnonzero(surviving))]
+    return int(offered[np.argmax(optimistic.max(axis=1))])

@@ -116,6 +116,10 @@ class TestValidate:
         set_axes(probe_gap=[True]),
         set_axes(probe_sigma=0.05),
         set_axes(probe_sigma=[]),
+        lambda doc: doc["environment"].update(schedule=[1.5, 3]),
+        lambda doc: doc["environment"].update(schedule=["x"]),
+        lambda doc: doc["environment"].update(schedule=[True]),
+        lambda doc: doc["environment"].update(schedule=[0]),
     ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
             "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features",
             "explore_commit_info_arm_7", "explore_commit_info_arm_-1", "explore_then_ps_info_arm_7",
@@ -127,7 +131,8 @@ class TestValidate:
             "horizon_true", "horizon_x", "horizon_1000.0", "num_runs_2.9", "base_seed_string", "negative_base_seed",
             "unknown_top_level_key", "unknown_environment_key", "params_not_a_map", "point_prior_true",
             "unknown_sweep_axis", "fractional_arm_set_size_axis", "arm_set_size_axis_9", "probe_sigma_axis_x",
-            "probe_sigma_axis_-1", "probe_gap_axis_true", "axis_not_a_list", "axis_without_values"])
+            "probe_sigma_axis_-1", "probe_gap_axis_true", "axis_not_a_list", "axis_without_values",
+            "fractional_schedule_time", "schedule_time_x", "schedule_time_true", "schedule_time_0"])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, edit):
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
         doc["policies"] = [p for p in doc["policies"] if p["name"] != "agemts"]
@@ -313,6 +318,11 @@ class TestBuildModel:
         {"seed": "3"},
         {"seed": -1},
         {"ratings_file": None},
+        {"variance_params": {"sigma": "x"}},
+        {"variance_params": {"sigma": "0.3"}},
+        {"variance_params": {"sigma": True}},
+        {"variance_params": {"sigma": 0.3, "scale": 2}},
+        {"variance_mode": "three_nn", "variance_params": {"sigma": 0.3}},
     ])
     def test_bad_dataset_config_fails_before_ingest(self, tmp_path, rng, capsys, entry):
         config = {"ratings_file": str(self.make_ratings(tmp_path, rng)), "min_user_ratings": 5,

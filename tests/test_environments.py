@@ -113,7 +113,7 @@ class TestEnvStep:
         from latentbandits import harness
 
         class AlwaysArmTwo(Policy):
-            def _choose(self, offered):
+            def _choose(self, offered, best_arms):
                 return 2
 
         monkeypatch.setattr(harness, "make_policy", lambda *args, **kwargs: AlwaysArmTwo())

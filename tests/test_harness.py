@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 from dataclasses import replace
@@ -238,7 +239,7 @@ class TestRunExperiment:
         class Rogue(Policy):
             name = "rogue"
 
-            def _choose(self, offered):
+            def _choose(self, offered, best_arms):
                 return int(offered.max()) + 7
 
         real = harness_module.make_policy
@@ -342,6 +343,24 @@ class TestEmitOutputs:
         rows = open(paths["aggregate"]).read().splitlines()
         assert rows[0] == "step,policy,mean_regret,ci_low,ci_high"
         assert len(rows) == 1 + 30 * 2
+
+    @pytest.mark.parametrize("num_runs", [1, 3])
+    def test_cells_are_plain_floats(self, tmp_path, num_runs):
+        # every value cell parses with float() and is the regret matrix's mean
+        results = run_experiment(tiny_config(policies=("mts", "oracle"), horizon=20, num_runs=num_runs))
+        paths = emit_outputs(results, str(tmp_path))
+        means = {name: results.regret_matrix(name).mean(axis=0).tolist() for name in results.policy_names}
+        with open(paths["aggregate"], newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == 20 * 2
+        for step, name, mean, low, high in rows:
+            assert float(mean) == means[name][int(step) - 1]
+            assert float(low) <= float(mean) <= float(high)
+        with open(paths["curves"], newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert len(rows) == 20
+        for step, *cells in rows:
+            assert [float(cell) for cell in cells] == [means[name][int(step) - 1] for name in header[1:]]
 
     def test_byte_stable_regeneration(self, tmp_path):
         config = tiny_config(policies=("mts",), horizon=25, num_runs=2, seed=5)

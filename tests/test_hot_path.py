@@ -172,13 +172,16 @@ class TestRewardEstimator:
         info = int((greedy + 1 + rng.integers(model.num_arms - 1)) % model.num_arms)
         args = (belief, model, kernel, greedy, info, single_step_regret_bound(model), 15)
         threshold = float(rng.uniform(0.0, 1.5))
+        # the greedy arms of an offered subset, handed over as a row
+        offered = np.sort(rng.choice(model.num_arms, size=int(rng.integers(1, model.num_arms + 1)), replace=False))
+        row = model.best_arms(offered).tolist()
         try:
-            expected = reference.reward_estimator(*args, entropy_threshold=threshold)
+            expected = reference.reward_estimator(*args, offered, entropy_threshold=threshold)
         except DegenerateEvidenceError:
             with pytest.raises(DegenerateEvidenceError):
-                reward_estimator(*args, entropy_threshold=threshold)
+                reward_estimator(*args, row, entropy_threshold=threshold)
             return
-        result = reward_estimator(*args, entropy_threshold=threshold)
+        result = reward_estimator(*args, row, entropy_threshold=threshold)
         assert (result.reward_ig, result.reward_ps, result.horizon_used) == expected
 
     def test_degenerate_roll_out_steps_are_counted(self):

@@ -1,0 +1,152 @@
+"""The per-run step tables against the scalar code they replaced.
+
+``step_reference`` keeps the trajectory walk that drew each state with
+``rng.choice``, the per-state best-arm argmax and mUCB's per-state
+consistency loop; the CDF walk, the best-arm tables, the rows handed to
+``Policy.step`` and the broadcast mUCB must match them bit for bit.
+"""
+
+import numpy as np
+import pytest
+import step_reference as reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latentbandits import RewardModel, TransitionKernel
+from latentbandits.environments import generate_trajectory
+from latentbandits.policies import MUCB, POLICIES, make_policy
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def tied_model(rng, num_arms, num_states):
+    """Means on a coarse grid, so many arms tie for a state's best."""
+    means = rng.integers(0, 3, size=(num_arms, num_states)).astype(float)
+    return RewardModel(means=means, stds=rng.uniform(0.2, 1.0, size=(num_arms, num_states)))
+
+
+def random_kernel(rng, n):
+    """Identity, dense or nearly sparse rows, with a planted absorbing
+    row, so a schedule's off-diagonal draw meets every case."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return TransitionKernel.identity(n)
+    matrix = rng.dirichlet(np.full(n, 1.0 if kind == 1 else 0.1), size=n)
+    absorbing = rng.integers(n)
+    matrix[absorbing] = np.eye(n)[absorbing]
+    return TransitionKernel(matrix)
+
+
+def random_offered(rng, num_arms):
+    return np.sort(rng.choice(num_arms, size=int(rng.integers(1, num_arms + 1)), replace=False))
+
+
+class TestTrajectory:
+    @given(seeds, st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=200))
+    @settings(max_examples=200, deadline=None)
+    def test_cdf_walk_equals_the_choice_walk(self, seed, n, horizon):
+        rng = np.random.default_rng(seed)
+        model = tied_model(rng, int(rng.integers(2, 12)), n)
+        kernel = random_kernel(rng, n)
+        prior = rng.dirichlet(np.full(n, 0.5)) if rng.random() < 0.7 else np.eye(n)[rng.integers(n)]
+        schedule = [None, [], sorted(rng.choice(np.arange(1, horizon + 1), size=min(horizon, 5), replace=False))][
+            rng.integers(3)
+        ]
+        size = None if rng.random() < 0.5 else int(rng.integers(1, model.num_arms + 1))
+        walk_seed = int(rng.integers(2**32))
+        got = generate_trajectory(model, kernel, prior, horizon, np.random.default_rng(walk_seed), schedule, size)
+        want = reference.generate_trajectory(model, kernel, prior, horizon, np.random.default_rng(walk_seed),
+                                             schedule, size)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.noise.tobytes() == want.noise.tobytes()
+        assert len(got.arm_sets) == len(want.arm_sets) == horizon
+        for arms, expected in zip(got.arm_sets, want.arm_sets):
+            assert arms.tolist() == expected.tolist()
+
+    def test_shared_arm_set_is_read_only(self, two_state, identity2, rng):
+        trajectory = generate_trajectory(two_state, identity2, [0.5, 0.5], 5, rng)
+        assert all(arms is trajectory.arm_sets[0] for arms in trajectory.arm_sets)
+        with pytest.raises(ValueError):
+            trajectory.arm_sets[0][0] = 2
+
+    def test_prior_off_the_simplex_raises(self, two_state, identity2, rng):
+        with pytest.raises(ValueError, match="prior"):
+            generate_trajectory(two_state, identity2, [0.9, 0.3], 5, rng)
+
+
+class TestBestArms:
+    @given(seeds, st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_and_tables_equal_the_scalar_argmax(self, seed, n, num_arms):
+        rng = np.random.default_rng(seed)
+        model = tied_model(rng, num_arms, n)
+        assert model.best_arms().tolist() == [reference.best_arm(model, s) for s in range(n)]
+        offered = random_offered(rng, num_arms)
+        assert model.best_arms(offered).tolist() == [reference.best_arm(model, s, offered) for s in range(n)]
+        assert [model.best_arm(s, offered) for s in range(n)] == model.best_arms(offered).tolist()
+        size = int(rng.integers(1, num_arms + 1))
+        slates = np.stack([np.sort(rng.choice(num_arms, size=size, replace=False)) for _ in range(7)])
+        table = model.best_arms(slates)
+        assert table.shape == (7, n)
+        assert table.tolist() == [[reference.best_arm(model, s, arms) for s in range(n)] for arms in slates]
+
+    def test_ties_go_to_the_first_listed_arm(self):
+        model = RewardModel(means=[[1.0, 0.0], [1.0, 2.0], [0.0, 2.0]], stds=np.ones((3, 2)))
+        assert model.best_arms().tolist() == [0, 1]
+        assert model.best_arms([1, 2]).tolist() == [1, 1]
+        assert model.best_arms([[0, 2], [1, 2]]).tolist() == [[0, 2], [1, 1]]
+
+
+# what each policy needs beyond the experiment quantities
+PARAMS = {"explore_commit": {"info_arm": 0, "n_e": 3}, "explore_then_ps": {"info_arm": 0, "tau": 3}}
+
+
+class TestPolicyStep:
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    @given(seed=seeds, n=st.integers(min_value=2, max_value=4))
+    @settings(max_examples=15, deadline=None)
+    def test_same_arm_with_and_without_the_row(self, name, seed, n):
+        rng = np.random.default_rng(seed)
+        model = tied_model(rng, int(rng.integers(2, 7)), n)
+        kernel = random_kernel(rng, n)
+        prior = rng.dirichlet(np.ones(n))
+        features = rng.normal(size=(model.num_arms, 2))
+        policies = [
+            make_policy(name, model, kernel, prior, 30, np.random.default_rng(seed), params=PARAMS.get(name),
+                        arm_features=features)
+            for _ in range(2)
+        ]
+        for _ in range(30):
+            # arm 0, the explore policies' probe, is always offered
+            offered = np.union1d(0, random_offered(rng, model.num_arms))
+            state = int(rng.integers(n))
+            if policies[0].wants_true_state:
+                for policy in policies:
+                    policy.set_true_state(state)
+            arm = policies[0].step(offered)
+            assert policies[1].step(offered, model.best_arms(offered).tolist()) == arm
+            assert arm in offered
+            reward = float(model.means[arm, state] + model.stds[arm, state] * rng.normal())
+            for policy in policies:
+                policy.observe(reward)
+
+
+class TestMUCB:
+    @given(seeds, st.integers(min_value=2, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_broadcast_elimination_equals_the_per_state_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(2, 8)), n)
+        model = RewardModel(means=rng.normal(0.0, 1.0, size=shape), stds=rng.uniform(0.1, 1.0, size=shape))
+        policy = MUCB(model, rng=np.random.default_rng(seed))
+        truth = int(rng.integers(n))
+        for _ in range(60):
+            offered = random_offered(rng, model.num_arms)
+            expected_alive = policy.surviving & reference.consistent_states(policy)
+            if not expected_alive.any():
+                expected_alive[:] = True
+            assert policy.consistent_states().tolist() == reference.consistent_states(policy).tolist()
+            arm = policy.step(offered)
+            assert policy.surviving.tolist() == expected_alive.tolist()
+            assert arm == reference.mucb_arm(model, offered, expected_alive)
+            policy.observe(float(model.means[arm, truth] + model.stds[arm, truth] * rng.normal()))
