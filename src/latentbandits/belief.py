@@ -3,8 +3,9 @@
 Everything here is a pure function of immutable inputs.  The filter
 follows the likelihood-then-propagate order: the reward likelihood is
 attached to the pre-transition state, after which the kernel propagates
-the reweighted mass one step forward.  Policies and roll-outs call the
-raw-array cores ``filter_step`` and ``entropy_bits`` once per step;
+the reweighted mass one step forward.  Policies call the raw-array
+cores ``filter_step`` and ``entropy_bits`` once per step (the roll-out
+filters a stack of beliefs with the same per-row arithmetic);
 ``posterior_update`` and ``entropy`` validate around them, so both
 compute the same bits.
 """

@@ -32,7 +32,14 @@ class TypedConfig:
     annotation when the instance is built."""
 
     def __post_init__(self):
-        for name, annotation in typing.get_type_hints(type(self)).items():
+        cls = type(self)
+        # resolving postponed annotations evaluates their strings: once per
+        # class, kept on the class itself so it goes when the class goes
+        hints = cls.__dict__.get("_type_hints")
+        if hints is None:
+            hints = typing.get_type_hints(cls)
+            cls._type_hints = hints
+        for name, annotation in hints.items():
             object.__setattr__(self, name, check_type(name, getattr(self, name), annotation))
 
     @classmethod

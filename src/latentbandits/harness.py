@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .belief import best_info_arm
 from .config import ConfigError, TypedConfig, check_type
 from .environments import (
     ProtocolViolationError,
@@ -33,6 +34,8 @@ from .policies import POLICY_NAMES, check_policy_params, experiment_params, make
 from .presets import PRESETS
 
 OUT_DIR_ENV_VAR = "LBL_OUT_DIR"
+# sweep axes that move the probe arm, which is the model's last arm
+PROBE_AXES = ("probe_gap", "probe_sigma")
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,13 @@ class ExperimentConfig(TypedConfig):
         for axis, values in (self.sweep_axes or {}).items():
             if not check_type(f"sweep axis {axis!r}", values, list | tuple):
                 raise ConfigError(f"sweep axis {axis!r} has no values")
+            if axis in PROBE_AXES:
+                probe, _ = best_info_arm(resolved.model)
+                if probe != resolved.model.num_arms - 1:
+                    raise ConfigError(
+                        f"sweep axis {axis!r} moves the last arm, arm {resolved.model.num_arms - 1}, "
+                        f"but the model's best info arm is arm {probe}"
+                    )
             for value in values:
                 resolve_environment(_apply_axis(self, axis, value).environment)
         for spec in self.policies:
@@ -252,7 +262,8 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
 class RunResult:
     """Per-run traces: one cumulative regret vector per policy, probe-play
     indicators, final beliefs, each policy's ``counters`` and wall-clock
-    metadata."""
+    metadata: the run's seconds, and each policy's (its construction and
+    its steps, trace lines included)."""
 
     run_index: int
     states: np.ndarray
@@ -262,6 +273,7 @@ class RunResult:
     final_beliefs: dict
     wall_clock_seconds: float
     policy_counters: dict = field(default_factory=dict)
+    policy_seconds: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -365,6 +377,7 @@ def _run_policies(
     info_flags: dict = {}
     final_beliefs: dict = {}
     counters: dict = {}
+    seconds: dict = {}
     # shared by every policy's steps, as Python scalars: the trajectory,
     # each step's offered arms and best offered arm per state, and the
     # reward tables; without slates every step shares one row
@@ -379,6 +392,7 @@ def _run_policies(
     optimal = [means[row[state]][state] for row, state in zip(best_arms, states)]
 
     for i, spec in enumerate(config.policies):
+        start = time.perf_counter()
         rng = np.random.default_rng([config.base_seed + run_index, i + 1])
         policy = make_policy(
             spec.name,
@@ -441,6 +455,7 @@ def _run_policies(
         belief = policy.belief
         final_beliefs[name] = belief.probs.tolist() if belief is not None else None
         counters[name] = {key: getattr(policy, key) for key in policy.counters}
+        seconds[name] = time.perf_counter() - start
     return RunResult(
         run_index=run_index,
         states=trajectory.states,
@@ -450,6 +465,7 @@ def _run_policies(
         final_beliefs=final_beliefs,
         wall_clock_seconds=0.0,
         policy_counters=counters,
+        policy_seconds=seconds,
     )
 
 
@@ -471,11 +487,12 @@ def _apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     env = config.environment
     if axis == "arm_set_size":
         new_env = replace(env, arm_set_size=value)
-    elif axis in ("probe_gap", "probe_sigma"):
+    elif axis in PROBE_AXES:
         resolved = resolve_environment(env)
         means = resolved.model.means.copy()
         stds = resolved.model.stds.copy()
-        probe = means.shape[0] - 1  # probe arm is the last arm by convention
+        # validate has checked that the last arm is the model's best info arm
+        probe = means.shape[0] - 1
         if axis == "probe_gap":
             # keep the probe's 0.2 cross-state separation, move its level
             best = means[:probe].max(axis=0)
@@ -595,6 +612,7 @@ def _write_run_meta(results: ExperimentResults, out_dir: str) -> None:
         "config": results.config.to_dict(),
         "wall_clock_seconds": [run.wall_clock_seconds for run in results.runs],
         "policy_counters": [run.policy_counters for run in results.runs],
+        "policy_seconds": [run.policy_seconds for run in results.runs],
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=2, sort_keys=True)

@@ -115,10 +115,13 @@ def exp4s_update(
 
 
 def _floor_project(weights: np.ndarray, floor: float) -> np.ndarray:
-    """Project onto the simplex subset {w : w_i >= floor}."""
+    """Project onto the simplex subset {w : w_i >= floor}; weights
+    already on it are returned as they are."""
     k = weights.size
     if floor * k > 1.0 + 1e-12:
         raise ValueError("weight_floor is infeasible for this many experts")
+    if weights.min() >= floor:
+        return weights
     pinned = np.zeros(k, dtype=bool)
     weights = weights.copy()
     for _ in range(k):
@@ -135,6 +138,10 @@ def _floor_project(weights: np.ndarray, floor: float) -> np.ndarray:
         else:
             weights[free] = remaining / max(free.sum(), 1)
     return weights
+
+
+# the tolerance of Generator.choice on the sum of p
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 class EXP4S(Policy):
@@ -165,15 +172,22 @@ class EXP4S(Policy):
         self.weight_floor = min(floor, 1.0 / k)
         self.weights = np.full(k, 1.0 / k)
         self._experts = np.arange(k)
-        self._advice: np.ndarray | None = None
+        # the advice matrix [expert, arm] of the current step, rewritten in place
+        self._advice = np.zeros((k, model.num_arms))
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:
-        advice = np.zeros((self.model.num_states, self.model.num_arms))
+        advice = self._advice
+        advice.fill(0.0)
         advice[self._experts, best_arms] = 1.0
-        self._advice = advice
         probs = self.weights @ advice
         probs = probs / probs.sum()
-        return int(self.rng.choice(self.model.num_arms, p=probs))
+        # rng.choice(num_arms, p=probs) as numpy draws it: its check on p,
+        # then one uniform against the normalised CDF
+        cdf = probs.cumsum()
+        if not (probs.min() >= 0.0 and abs(cdf[-1] - 1.0) <= _CHOICE_ATOL):
+            raise ValueError(f"arm probabilities must be a distribution, got {probs!r}")
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(self.rng.random(), side="right"))
 
     def _learn(self, offered, arm, reward) -> None:
         self.weights = exp4s_update(

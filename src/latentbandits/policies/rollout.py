@@ -12,13 +12,15 @@ keeps the estimator free of sampling noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # posterior_update stays a name of this module for the benchmark's probes
-from ..belief import entropy_bits, expected_dwell_time, filter_step, posterior_update  # noqa: F401
+from ..belief import entropy_bits, expected_dwell_time, posterior_update  # noqa: F401
 from ..models import (
+    STOCHASTIC_ATOL,
     BeliefState,
     DegenerateEvidenceError,
     RewardModel,
@@ -52,54 +54,112 @@ def _density(value, means, stds):
 
 def rollout_likelihood_matrix(
     model: RewardModel,
-    hypothetical_state: int,
-    policy_belief: BeliefState,
+    hypotheses: np.ndarray,
+    probs: np.ndarray,
     best_arms=None,
 ) -> np.ndarray:
-    """Pseudo-likelihood row for greedy play under a hypothetical state.
+    """Pseudo-likelihood rows for greedy play, one per hypothetical state.
 
-    Builds L[a, s] as the density of arm a's hypothetical-state mean
-    reward under arm a's distribution in state s, then averages the rows
-    of each state's greedy arm weighted by the belief.  The result is the
-    expected per-state evidence one greedy play generates when the
-    hypothetical state is the truth; states indistinguishable through the
-    greedy arms yield a flat row.  ``best_arms[s]`` is state s's greedy
-    arm, by default its best arm of all.
+    Row h is the expected per-state evidence one greedy play generates
+    when ``hypotheses[h]`` is the truth: the density of each greedy arm's
+    hypothetical-state mean under that arm's distribution in every
+    state, averaged over the states' greedy arms weighted by the belief
+    ``probs``.  States indistinguishable through the greedy arms yield a
+    flat row.  The belief states are added in index order, so every row
+    equals the one built for its hypothesis alone.  ``best_arms[s]`` is
+    state s's greedy arm, by default its best arm of all.
     """
     if best_arms is None:
         best_arms = model.best_arms()
-    row = np.zeros(model.num_states)
-    for s, weight in enumerate(policy_belief.probs):
+    hypotheses = np.asarray(hypotheses, dtype=int)
+    rows = np.zeros((hypotheses.size, model.num_states))
+    for s, weight in enumerate(probs):
         if weight == 0.0:
             continue
         arm = best_arms[s]
-        probe = model.means[arm, hypothetical_state]
-        row += weight * _density(probe, model.means[arm], model.stds[arm])
-    total = row.sum()
-    if total <= 0.0:
+        rows += weight * _density(model.means[arm, hypotheses][:, None], model.means[arm], model.stds[arm])
+    totals = rows.sum(axis=1)
+    if (totals <= 0.0).any():
         raise DegenerateEvidenceError("greedy roll-out evidence underflowed everywhere")
-    return row / total
+    return rows / totals[:, None]
 
 
 def rollout_info_likelihood(
     model: RewardModel,
     info_arm: int,
-    hypothetical_state: int,
-    policy_belief: BeliefState,
+    hypotheses: np.ndarray,
+    probs: np.ndarray,
 ) -> np.ndarray:
-    """Pseudo-likelihood row for one probe-arm play, belief weighted.
+    """Pseudo-likelihood rows for one probe-arm play, belief weighted.
 
-    Component-wise product of the belief with the densities of the probe
-    arm's hypothetical-state mean under its distribution in every state.
-    A probe identical across states returns the belief unchanged.
+    Row h is the component-wise product of the belief ``probs`` with the
+    densities of the probe arm's ``hypotheses[h]`` mean under its
+    distribution in every state.  A probe identical across states
+    returns the belief unchanged; a row with no overlap with the belief
+    carries no evidence and is all zeros.
     """
-    probe = model.means[info_arm, hypothetical_state]
-    densities = _density(probe, model.means[info_arm], model.stds[info_arm])
-    row = policy_belief.probs * densities
-    total = row.sum()
-    if total <= 0.0:
-        raise DegenerateEvidenceError("probe evidence has no overlap with the belief")
-    return row / total
+    hypotheses = np.asarray(hypotheses, dtype=int)
+    probes = model.means[info_arm, hypotheses][:, None]
+    rows = probs * _density(probes, model.means[info_arm], model.stds[info_arm])
+    totals = rows.sum(axis=1)[:, None]
+    evidence = ~(totals <= 0.0)
+    return np.divide(rows, totals, out=np.zeros_like(rows), where=evidence)
+
+
+class _BeliefStack:
+    """Beliefs filtered together, one row per trajectory.
+
+    ``filter`` is :func:`~latentbandits.belief.filter_step` on every row
+    at once, in place.  Each row goes through its own gemv,
+    ``(W[:, None, :] @ K)[:, 0]``, which gives the bits of the 1-D
+    ``W[r] @ K`` (a plain ``W @ K`` goes through gemm and does not).  The
+    simplex check runs once over the stack, its minimum and its row
+    sums.  Negative likelihoods are the caller's to reject.  The work
+    arrays are allocated once.
+    """
+
+    def __init__(self, rows: np.ndarray, matrix: np.ndarray):
+        self.rows = np.array(rows, dtype=float)
+        self.matrix = matrix
+        count, size = self.rows.shape
+        self._stacked = self.rows[:, None, :]
+        self._weighted = np.empty((count, 1, size))
+        self._propagated = np.empty((count, 1, size))
+        self._totals = np.empty((count, 1, 1))
+        self._sums = np.empty(count)
+        self._expected = np.empty((count, 1, 1))
+
+    def filter(self, likelihoods: np.ndarray) -> int:
+        """One filter step of every row, with likelihoods shaped [rows, 1,
+        states]; returns the number of rows that fell back to propagation."""
+        stacked, propagated, totals = self._stacked, self._propagated, self._totals
+        np.matmul(np.multiply(stacked, likelihoods, out=self._weighted), self.matrix, out=propagated)
+        masses = np.add.reduce(propagated, axis=2, out=totals[:, :, 0]).ravel().tolist()
+        fallen = 0
+        # a NaN or an infinity makes the sum non-finite
+        if 0.0 < min(masses) and sum(masses) < math.inf:
+            np.divide(propagated, totals, out=stacked)
+        else:
+            kept = np.array([0.0 < mass < math.inf for mass in masses])
+            fallen = kept.size - int(kept.sum())
+            propagated_only = stacked[~kept] @ self.matrix
+            np.divide(propagated, totals, out=stacked, where=kept[:, None, None])
+            stacked[~kept] = propagated_only
+        rows = self.rows
+        sums = np.add.reduce(rows, axis=1, out=self._sums).tolist()
+        # a NaN fails the minimum, so the row sums are plain numbers
+        if not (
+            rows.min() >= 0.0
+            and abs(max(sums) - 1.0) <= STOCHASTIC_ATOL
+            and abs(min(sums) - 1.0) <= STOCHASTIC_ATOL
+        ):
+            raise ValueError(f"belief left the probability simplex: {rows!r}")
+        return fallen
+
+    def expect(self, values: np.ndarray) -> list:
+        """Each row's expectation of its own row of ``values``, shaped
+        [rows, states, 1], with the bits of the 1-D ``rows[r] @ values[r]``."""
+        return np.matmul(self._stacked, values, out=self._expected).ravel().tolist()
 
 
 def reward_estimator(
@@ -126,49 +186,62 @@ def reward_estimator(
     zero to both strategies rather than polluting the comparison.
     ``best_arms[s]`` is state s's greedy arm among the offered arms, by
     default its best arm of all.
+
+    Every hypothesis advances at once: the H probe trajectories and the
+    H greedy-only ones are the rows of one ``[2H, S]`` belief stack,
+    filtered together each step, and each row's arithmetic is that of
+    the scalar filter.  The re-probe gate takes the lead first and the
+    entropy only of the rows whose lead clears ``r_u``.
     """
     if info_arm == greedy_arm:
         raise ValueError("the probe arm must differ from the greedy arm")
-    num_states = model.num_states
     t_exp = int(round(expected_dwell_time(kernel, belief, horizon_cap)))
     t_exp = max(1, min(t_exp, int(horizon_cap)))
-    anchor = belief.argmax()
+    probs = belief.probs
+    hypotheses = np.flatnonzero(probs)
+    hypotheses = hypotheses[hypotheses != belief.argmax()]
+    count = hypotheses.size
+    scale = model.num_states - 1
+    if count == 0:
+        return RolloutResult(0.0, 0.0, t_exp)
     greedy = model.best_arms() if best_arms is None else np.asarray(best_arms)
 
-    matrix = kernel.matrix
-    total_ig = 0.0
-    total_ps = 0.0
-    fallbacks = 0
-    for s_hyp in range(num_states):
-        if s_hyp == anchor or belief.probs[s_hyp] == 0.0:
-            continue
-        # pseudo-evidence rows are frozen at the decision-time belief
-        try:
-            info_row = rollout_info_likelihood(model, info_arm, s_hyp, belief)
-        except DegenerateEvidenceError:
-            # no evidence: every filter step with it falls back to propagation
-            info_row = np.zeros(num_states)
-        greedy_row = rollout_likelihood_matrix(model, s_hyp, belief, greedy)
-        # mean reward of each state's greedy arm if s_hyp is the truth
-        payoff = model.means[greedy, s_hyp]
+    # pseudo-evidence rows are frozen at the decision-time belief; with a
+    # zero probe row every filter step falls back to propagation
+    info_rows = rollout_info_likelihood(model, info_arm, hypotheses, probs)
+    greedy_rows = rollout_likelihood_matrix(model, hypotheses, probs, greedy)
+    if (info_rows < 0).any() or (greedy_rows < 0).any():
+        raise ValueError("likelihoods must be non-negative")
+    # row h: mean reward of each state's greedy arm if hypothesis h is the truth
+    payoff = np.tile(model.means[greedy][:, hypotheses].T, (2, 1))[:, :, None]
 
-        p_ig, fell_back = filter_step(belief.probs, matrix, info_row)
-        fallbacks += fell_back
-        p_ps = belief.probs
-        r_ig = -r_u
-        r_ps = 0.0
-        for _ in range(t_exp):
-            if entropy_bits(p_ig) >= entropy_threshold and (r_ig - r_ps) > r_u:
-                p_ig, fell_back = filter_step(p_ig, matrix, info_row)
-                r_ig -= r_u
-            else:
-                p_ig, fell_back = filter_step(p_ig, matrix, greedy_row)
-            p_ps, fell_back_ps = filter_step(p_ps, matrix, greedy_row)
-            fallbacks += fell_back + fell_back_ps
-            r_ig += float(p_ig @ payoff)
-            r_ps += float(p_ps @ payoff)
-        total_ig += r_ig
-        total_ps += r_ps
+    # rows [0, H): the probe trajectories; rows [H, 2H): greedy only
+    probe = _BeliefStack(np.tile(probs, (count, 1)), kernel.matrix)
+    fallbacks = probe.filter(info_rows[:, None, :])
+    beliefs = _BeliefStack(np.concatenate([probe.rows, np.tile(probs, (count, 1))]), kernel.matrix)
+    likelihoods = np.tile(greedy_rows, (2, 1))[:, None, :]
+    # Python floats, added as the scalar loop added them
+    rewards_ig = [-r_u] * count
+    rewards_ps = [0.0] * count
+    reprobing = [False] * count
+    for _ in range(t_exp):
+        for h in range(count):
+            # the lead first: the entropy only where the lead clears r_u
+            gate = rewards_ig[h] - rewards_ps[h] > r_u and entropy_bits(beliefs.rows[h]) >= entropy_threshold
+            if gate:
+                rewards_ig[h] -= r_u
+            if gate != reprobing[h]:
+                likelihoods[h, 0] = info_rows[h] if gate else greedy_rows[h]
+                reprobing[h] = gate
+        fallbacks += beliefs.filter(likelihoods)
+        expected = beliefs.expect(payoff)
+        for h in range(count):
+            rewards_ig[h] += expected[h]
+            rewards_ps[h] += expected[count + h]
 
-    scale = num_states - 1
+    # the hypotheses add in index order, as the scalar loop added them
+    total_ig = total_ps = 0.0
+    for value_ig, value_ps in zip(rewards_ig, rewards_ps):
+        total_ig += value_ig
+        total_ps += value_ps
     return RolloutResult(total_ig / scale, total_ps / scale, t_exp, fallbacks)

@@ -1,10 +1,11 @@
 """Reference oracle for the per-step belief filter and roll-out.
 
-A copy of ``posterior_update``, ``propagate``, ``entropy`` and the
-``reward_estimator`` loop as they stood while every step built a
-validated ``BeliefState``.  The raw-array filter step, the policies and
-the roll-out must reproduce them bit for bit; this module is imported
-by tests only and is not a test file.
+A copy of ``posterior_update``, ``propagate``, ``entropy``, the two
+roll-out evidence rows and the ``reward_estimator`` loop as they stood
+while every step built a validated ``BeliefState`` and the roll-out
+walked one hypothesis at a time.  The raw-array filter step, the
+policies and the stacked roll-out must reproduce them bit for bit; this
+module is imported by tests only and is not a test file.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from latentbandits.belief import expected_dwell_time
 from latentbandits.models import BeliefState, DegenerateEvidenceError
-from latentbandits.policies.rollout import rollout_info_likelihood, rollout_likelihood_matrix
 from step_reference import best_arm
 
 
@@ -40,29 +40,58 @@ def entropy(belief):
     return float(-(probs * np.log2(probs)).sum())
 
 
-def filtered(belief, kernel, likelihoods):
-    """A policy's filter step: degenerate evidence falls back to propagation."""
-    try:
-        return posterior_update(belief, kernel, likelihoods)
-    except DegenerateEvidenceError:
-        return propagate(belief, kernel)
+def _density(value, means, stds):
+    z = (value - means) / stds
+    return np.exp(-0.5 * z * z) / (stds * np.sqrt(2.0 * np.pi))
+
+
+def rollout_likelihood_matrix(model, hypothetical_state, policy_belief, best_arms):
+    """Pseudo-likelihood row for greedy play under one hypothetical state."""
+    row = np.zeros(model.num_states)
+    for s, weight in enumerate(policy_belief.probs):
+        if weight == 0.0:
+            continue
+        arm = best_arms[s]
+        probe = model.means[arm, hypothetical_state]
+        row += weight * _density(probe, model.means[arm], model.stds[arm])
+    total = row.sum()
+    if total <= 0.0:
+        raise DegenerateEvidenceError("greedy roll-out evidence underflowed everywhere")
+    return row / total
+
+
+def rollout_info_likelihood(model, info_arm, hypothetical_state, policy_belief):
+    """Pseudo-likelihood row for one probe-arm play under one hypothetical state."""
+    probe = model.means[info_arm, hypothetical_state]
+    densities = _density(probe, model.means[info_arm], model.stds[info_arm])
+    row = policy_belief.probs * densities
+    total = row.sum()
+    if total <= 0.0:
+        raise DegenerateEvidenceError("probe evidence has no overlap with the belief")
+    return row / total
 
 
 def _updated(belief, kernel, pseudo_likelihood):
+    """(belief, fell back): a step without evidence, or with degenerate
+    evidence, propagates and counts as a fallback."""
     if pseudo_likelihood is None:
-        return propagate(belief, kernel)
-    return filtered(belief, kernel, pseudo_likelihood)
+        return propagate(belief, kernel), True
+    try:
+        return posterior_update(belief, kernel, pseudo_likelihood), False
+    except DegenerateEvidenceError:
+        return propagate(belief, kernel), True
 
 
 def reward_estimator(belief, model, kernel, greedy_arm, info_arm, r_u, horizon_cap, offered_arms=None,
                      entropy_threshold=1.0):
-    """(reward_ig, reward_ps, horizon_used) of the roll-out."""
+    """(reward_ig, reward_ps, horizon_used, degenerate_fallbacks) of the roll-out."""
     t_exp = int(round(expected_dwell_time(kernel, belief, horizon_cap)))
     t_exp = max(1, min(t_exp, int(horizon_cap)))
     anchor = belief.argmax()
     greedy = np.array([best_arm(model, s, offered_arms) for s in range(model.num_states)], dtype=int)
     total_ig = 0.0
     total_ps = 0.0
+    fallbacks = 0
     for s_hyp in range(model.num_states):
         if s_hyp == anchor or belief.probs[s_hyp] == 0.0:
             continue
@@ -72,20 +101,22 @@ def reward_estimator(belief, model, kernel, greedy_arm, info_arm, r_u, horizon_c
             info_row = None
         greedy_row = rollout_likelihood_matrix(model, s_hyp, belief, greedy)
         payoff = model.means[greedy, s_hyp]
-        p_ig = _updated(belief, kernel, info_row)
+        p_ig, fell_back = _updated(belief, kernel, info_row)
+        fallbacks += fell_back
         p_ps = belief
         r_ig = -r_u
         r_ps = 0.0
         for _ in range(t_exp):
             if entropy(p_ig) >= entropy_threshold and (r_ig - r_ps) > r_u:
-                p_ig = _updated(p_ig, kernel, info_row)
+                p_ig, fell_back = _updated(p_ig, kernel, info_row)
                 r_ig -= r_u
             else:
-                p_ig = _updated(p_ig, kernel, greedy_row)
-            p_ps = _updated(p_ps, kernel, greedy_row)
+                p_ig, fell_back = _updated(p_ig, kernel, greedy_row)
+            p_ps, fell_back_ps = _updated(p_ps, kernel, greedy_row)
+            fallbacks += fell_back + fell_back_ps
             r_ig += float(p_ig.probs @ payoff)
             r_ps += float(p_ps.probs @ payoff)
         total_ig += r_ig
         total_ps += r_ps
     scale = model.num_states - 1
-    return total_ig / scale, total_ps / scale, t_exp
+    return total_ig / scale, total_ps / scale, t_exp, fallbacks

@@ -1,10 +1,12 @@
-"""Reference oracle for the per-run step tables.
+"""Reference oracle for the per-run step tables and per-step kernels.
 
 Copies of the scalar code that the tables replaced: the trajectory walk
 that drew every state with ``rng.choice(p=row)``, the per-state best-arm
-argmax, and mUCB's per-state consistency loop.  The CDF walk, the
-best-arm tables and the broadcast mUCB must reproduce them bit for bit;
-this module is imported by tests only and is not a test file.
+argmax, and mUCB's per-state consistency loop; and EXP4S's step as it
+drew its arm with ``rng.choice`` and projected every update with the
+floor loop.  The CDF walk, the best-arm tables, the broadcast mUCB and
+EXP4S must reproduce them bit for bit; this module is imported by tests
+only and is not a test file.
 """
 
 from __future__ import annotations
@@ -78,3 +80,53 @@ def mucb_arm(model, offered, surviving):
     """mUCB's optimistic arm over the surviving states."""
     optimistic = model.means[np.ix_(offered, np.flatnonzero(surviving))]
     return int(offered[np.argmax(optimistic.max(axis=1))])
+
+
+def exp4s_mixture(model, weights, best_arms):
+    """EXP4S's arm probabilities and its advice matrix [expert, arm]."""
+    advice = np.zeros((model.num_states, model.num_arms))
+    advice[np.arange(model.num_states), best_arms] = 1.0
+    probs = weights @ advice
+    return probs / probs.sum(), advice
+
+
+def exp4s_choose(model, weights, best_arms, rng):
+    """EXP4S's arm and its advice matrix."""
+    probs, advice = exp4s_mixture(model, weights, best_arms)
+    return int(rng.choice(model.num_arms, p=probs)), advice
+
+
+def exp4s_update(weights, chosen_expert_probs, reward, arm, learning_rate, weight_floor):
+    weights = np.asarray(weights, dtype=float)
+    advice_col = np.asarray(chosen_expert_probs, dtype=float)
+    if advice_col.ndim == 2:
+        advice_col = advice_col[:, arm]
+    prob_arm = float(weights @ advice_col)
+    if prob_arm <= 0:
+        raise ValueError("the played arm had zero probability under the weights")
+    estimate = advice_col * (reward / prob_arm)
+    updated = weights * np.exp(learning_rate * estimate)
+    updated = updated / updated.sum()
+    return _floor_project(updated, weight_floor)
+
+
+def _floor_project(weights, floor):
+    k = weights.size
+    if floor * k > 1.0 + 1e-12:
+        raise ValueError("weight_floor is infeasible for this many experts")
+    pinned = np.zeros(k, dtype=bool)
+    weights = weights.copy()
+    for _ in range(k):
+        below = (weights < floor) & ~pinned
+        if not below.any():
+            break
+        pinned |= below
+        weights[pinned] = floor
+        free = ~pinned
+        remaining = 1.0 - floor * pinned.sum()
+        total_free = weights[free].sum()
+        if total_free > 0:
+            weights[free] *= remaining / total_free
+        else:
+            weights[free] = remaining / max(free.sum(), 1)
+    return weights

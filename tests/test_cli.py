@@ -11,6 +11,7 @@ from latentbandits.cli import main
 from latentbandits.config import ConfigError, check_type
 from latentbandits.harness import load_config
 from latentbandits.policies import _EXPERIMENT_QUANTITIES, POLICIES
+from latentbandits.presets import two_state_model
 from latentbandits.recipes import RECIPES, get_recipe
 
 
@@ -26,6 +27,16 @@ def small_config_file(tmp_path, horizon=30, runs=2):
 def set_axes(**axes):
     """A config edit that sets the config's sweep axes."""
     def edit(doc):
+        doc["sweep_axes"] = axes
+    return edit
+
+
+def probe_first(**axes):
+    """A config edit that sets sweep axes on the two-state model with its
+    probe arm moved from last to first."""
+    def edit(doc):
+        model = two_state_model()
+        doc["environment"]["model"] = {"means": model.means[::-1].tolist(), "stds": model.stds[::-1].tolist()}
         doc["sweep_axes"] = axes
     return edit
 
@@ -120,6 +131,8 @@ class TestValidate:
         lambda doc: doc["environment"].update(schedule=["x"]),
         lambda doc: doc["environment"].update(schedule=[True]),
         lambda doc: doc["environment"].update(schedule=[0]),
+        probe_first(probe_sigma=[0.05]),
+        probe_first(probe_gap=[0.4]),
     ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
             "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features",
             "explore_commit_info_arm_7", "explore_commit_info_arm_-1", "explore_then_ps_info_arm_7",
@@ -132,7 +145,8 @@ class TestValidate:
             "unknown_top_level_key", "unknown_environment_key", "params_not_a_map", "point_prior_true",
             "unknown_sweep_axis", "fractional_arm_set_size_axis", "arm_set_size_axis_9", "probe_sigma_axis_x",
             "probe_sigma_axis_-1", "probe_gap_axis_true", "axis_not_a_list", "axis_without_values",
-            "fractional_schedule_time", "schedule_time_x", "schedule_time_true", "schedule_time_0"])
+            "fractional_schedule_time", "schedule_time_x", "schedule_time_true", "schedule_time_0",
+            "probe_sigma_axis_probe_not_last", "probe_gap_axis_probe_not_last"])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, edit):
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
         doc["policies"] = [p for p in doc["policies"] if p["name"] != "agemts"]

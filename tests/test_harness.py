@@ -232,6 +232,18 @@ class TestRunExperiment:
             assert run["agemts"]["degenerate_fallbacks"] > 0
             assert run["cducb"] == {}
 
+    def test_run_meta_times_every_policy_of_every_run(self, tmp_path):
+        config = tiny_config(policies=("mts", "agemts", "cducb"), horizon=20, num_runs=3)
+        results = run_experiment(config, out_dir=str(tmp_path))
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert len(meta["policy_seconds"]) == 3
+        for run, seconds in zip(results.runs, meta["policy_seconds"]):
+            # run_meta.json sorts its keys
+            assert sorted(seconds) == sorted(results.policy_names)
+            assert seconds == run.policy_seconds
+            assert all(0.0 < value <= run.wall_clock_seconds for value in seconds.values())
+            assert sum(seconds.values()) <= run.wall_clock_seconds
+
     def test_protocol_violation_aborts_with_diagnostics(self, monkeypatch):
         from latentbandits import harness as harness_module
         from latentbandits.policies.base import Policy

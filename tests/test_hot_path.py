@@ -1,9 +1,11 @@
 """The per-step path on raw arrays against the validated filter it replaced.
 
 ``filter_reference`` keeps the filter, entropy and roll-out as they were
-while every step built a ``BeliefState``; the raw path must match them
-bit for bit, and the hand-formatted trace line must match ``json.dumps``
-byte for byte.
+while every step built a ``BeliefState`` and the roll-out walked one
+hypothesis at a time; the raw path and the stacked roll-out must match
+them bit for bit, the stacked products they rely on must match the
+per-row products, and the hand-formatted trace line must match
+``json.dumps`` byte for byte.
 """
 
 import json
@@ -26,7 +28,8 @@ from latentbandits.belief import (
     single_step_regret_bound,
 )
 from latentbandits.harness import _trace_line
-from latentbandits.policies import AGEmTS, MTS, reward_estimator
+from latentbandits.policies import AGEmTS, MTS, reward_estimator, rollout_info_likelihood, rollout_likelihood_matrix
+from latentbandits.policies.rollout import _BeliefStack
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 # log10 of the reward standard deviations: 1e-3 to 1e3
@@ -162,16 +165,59 @@ class TestPolicies:
         assert policy.belief.probs.tolist() == [1.0, 0.0]
 
 
+def rollout_belief(rng, n):
+    """A point belief (no hypotheses), a dense one, or one with zero-mass states."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return random_belief(rng, n)
+    probs = rng.dirichlet(np.full(n, 0.5))
+    if kind == 2:
+        probs[rng.random(n) < 0.4] = 0.0
+        probs[rng.integers(n)] += 1.0
+        probs /= probs.sum()
+    return BeliefState(probs)
+
+
+def without_probe_evidence(rng, model, probs):
+    """The model, belief, greedy arm, probe arm and hypothesis of a
+    roll-out where that hypothesis gets a probe row without evidence: it
+    keeps a subnormal mass, which the probe's density at its own mean
+    underflows with, and the probe is tight and far at every other state."""
+    n = model.num_states
+    anchor = int(np.argmax(probs))
+    hypothesis = int(rng.choice([s for s in range(n) if s != anchor]))
+    # only the hypothesis's column changes, so the anchor keeps its greedy arm
+    greedy = model.best_arm(anchor)
+    info = int((greedy + 1 + rng.integers(model.num_arms - 1)) % model.num_arms)
+    means, stds = model.means.copy(), model.stds.copy()
+    stds[info] = 1e-3
+    stds[info, hypothesis] = 1.0
+    means[info, hypothesis] = means[info].max() + 100.0
+    probs = probs.copy()
+    probs[hypothesis] = 0.0
+    probs /= probs.sum()
+    probs[hypothesis] = 5e-324
+    return RewardModel(means=means, stds=stds), BeliefState(probs), greedy, info, hypothesis
+
+
 class TestRewardEstimator:
-    @given(seeds, st.floats(min_value=-1.5, max_value=1.0), st.integers(min_value=2, max_value=5))
-    @settings(max_examples=60, deadline=None)
-    def test_bit_identical_to_the_validated_roll_out(self, seed, exponent, n):
+    @given(seeds, st.floats(min_value=-1.5, max_value=1.0), st.integers(min_value=2, max_value=8), st.booleans(),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical_to_the_validated_roll_out(self, seed, exponent, n, plant, eager):
         rng = np.random.default_rng(seed)
-        model, kernel, belief = random_model(rng, n, exponent), random_kernel(rng, n), random_belief(rng, n)
+        model, kernel, belief = random_model(rng, n, exponent), random_kernel(rng, n), rollout_belief(rng, n)
         greedy = model.best_arm(belief.argmax())
         info = int((greedy + 1 + rng.integers(model.num_arms - 1)) % model.num_arms)
-        args = (belief, model, kernel, greedy, info, single_step_regret_bound(model), 15)
-        threshold = float(rng.uniform(0.0, 1.5))
+        if plant:
+            probs = rng.dirichlet(np.full(n, 0.5))
+            model, belief, greedy, info, hypothesis = without_probe_evidence(rng, model, probs)
+            assert not rollout_info_likelihood(model, info, [hypothesis], belief.probs).any()
+        r_u, threshold = single_step_regret_bound(model), float(rng.uniform(0.0, 1.5))
+        if eager:
+            # a low bar to re-probe: the gate opens in about one roll-out in seven
+            r_u, threshold = r_u * float(rng.uniform(0.0, 0.1)), float(rng.uniform(0.0, 0.3))
+        args = (belief, model, kernel, greedy, info, r_u, 15)
         # the greedy arms of an offered subset, handed over as a row
         offered = np.sort(rng.choice(model.num_arms, size=int(rng.integers(1, model.num_arms + 1)), replace=False))
         row = model.best_arms(offered).tolist()
@@ -182,7 +228,47 @@ class TestRewardEstimator:
                 reward_estimator(*args, row, entropy_threshold=threshold)
             return
         result = reward_estimator(*args, row, entropy_threshold=threshold)
-        assert (result.reward_ig, result.reward_ps, result.horizon_used) == expected
+        got = (result.reward_ig, result.reward_ps, result.horizon_used, result.degenerate_fallbacks)
+        assert got == expected
+        assert np.array(got[:2]).tobytes() == np.array(expected[:2]).tobytes()
+
+    def test_probe_row_without_evidence_falls_back_on_every_probe_step(self):
+        rng = np.random.default_rng(3)
+        model = random_model(rng, 3, 0.0)
+        base = BeliefState([0.5, 0.3, 0.2])
+        model, belief, greedy, info, hypothesis = without_probe_evidence(rng, model, base.probs)
+        for h, row in zip([1, 2], rollout_info_likelihood(model, info, [1, 2], belief.probs)):
+            assert row.sum() == (0.0 if h == hypothesis else pytest.approx(1.0))
+        args = (belief, model, TransitionKernel.identity(3), greedy, info, 0.5, 10)
+        result = reward_estimator(*args)
+        expected = reference.reward_estimator(*args)
+        assert (result.reward_ig, result.reward_ps, result.horizon_used, result.degenerate_fallbacks) == expected
+        assert result.degenerate_fallbacks >= 1
+
+    @given(seeds, st.integers(min_value=2, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_evidence_rows_equal_the_scalar_rows(self, seed, n):
+        rng = np.random.default_rng(seed)
+        model, belief = random_model(rng, n, float(rng.uniform(-1.5, 1.0))), rollout_belief(rng, n)
+        hypotheses = np.arange(n)
+        greedy = model.best_arms()
+        info = int(rng.integers(model.num_arms))
+        info_rows = rollout_info_likelihood(model, info, hypotheses, belief.probs)
+        for h in hypotheses:
+            try:
+                expected = reference.rollout_info_likelihood(model, info, h, belief)
+            except DegenerateEvidenceError:
+                expected = np.zeros(n)
+            assert info_rows[h].tobytes() == expected.tobytes()
+        try:
+            greedy_rows = rollout_likelihood_matrix(model, hypotheses, belief.probs, greedy)
+        except DegenerateEvidenceError:
+            with pytest.raises(DegenerateEvidenceError):
+                for h in hypotheses:
+                    reference.rollout_likelihood_matrix(model, h, belief, greedy)
+            return
+        for h in hypotheses:
+            assert greedy_rows[h].tobytes() == reference.rollout_likelihood_matrix(model, h, belief, greedy).tobytes()
 
     def test_degenerate_roll_out_steps_are_counted(self):
         # tight arms and a chain that always switches: after the probe the
@@ -192,6 +278,46 @@ class TestRewardEstimator:
         flip = TransitionKernel([[0.0, 1.0], [1.0, 0.0]])
         result = reward_estimator(BeliefState([0.5, 0.5]), model, flip, 0, 1, 1.0, 5)
         assert result.degenerate_fallbacks == 1
+
+
+class TestBatchingRecipe:
+    """The stacked products the roll-out relies on give the bits of the
+    per-row products; a numpy or BLAS upgrade that breaks this fails here
+    instead of moving results."""
+
+    @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=100))
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_products_equal_the_per_row_products(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        kernel = random_kernel(rng, n).matrix
+        probs = rng.dirichlet(np.full(n, 0.5), size=rows)
+        weights = rng.normal(size=n)
+        values = rng.normal(size=(rows, n))
+        stacked = (probs[:, None, :] @ kernel)[:, 0]
+        sums = stacked.sum(axis=1)
+        payoff = (probs[:, None, :] @ weights)[:, 0]
+        own_payoff = (probs[:, None, :] @ values[:, :, None])[:, 0, 0]
+        for r in range(rows):
+            assert stacked[r].tobytes() == (probs[r] @ kernel).tobytes()
+            assert sums[r] == stacked[r].sum()
+            assert payoff[r] == float(probs[r] @ weights)
+            assert own_payoff[r] == float(probs[r] @ values[r])
+
+    @given(seeds, std_exponents, st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=150, deadline=None)
+    def test_belief_stack_filters_as_filter_step(self, seed, exponent, n, rows):
+        rng = np.random.default_rng(seed)
+        model, kernel = random_model(rng, n, exponent), random_kernel(rng, n)
+        beliefs = np.stack([random_belief(rng, n).probs for _ in range(rows)])
+        liks = np.stack([likelihoods_from_log(reward_log_likelihoods(model, *random_reward(rng, model)))
+                         for _ in range(rows)])
+        # rows without evidence, as a probe row can be
+        liks[rng.random(rows) < 0.2] = 0.0
+        stack = _BeliefStack(beliefs, kernel.matrix)
+        fallen = stack.filter(liks[:, None, :])
+        expected = [filter_step(beliefs[r], kernel.matrix, liks[r]) for r in range(rows)]
+        assert fallen == sum(degenerate for _, degenerate in expected)
+        assert stack.rows.tobytes() == np.stack([probs for probs, _ in expected]).tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -75,20 +75,20 @@ class TestRolloutLikelihoodMatrix:
         model = RewardModel(
             means=[[1.5, 1.5], [0.8, 0.8]], stds=[[0.4, 0.4], [0.4, 0.4]]
         )
-        row = rollout_likelihood_matrix(model, 1, BeliefState([0.3, 0.7]))
+        row = rollout_likelihood_matrix(model, [1], np.array([0.3, 0.7]))[0]
         np.testing.assert_allclose(row, [0.5, 0.5], atol=1e-12)
 
     def test_disjoint_means_concentrate_on_hypothetical_state(self):
         model = RewardModel(
             means=[[10.0, -10.0], [9.0, -9.0]], stds=np.full((2, 2), 0.1)
         )
-        row = rollout_likelihood_matrix(model, 1, BeliefState([0.5, 0.5]))
+        row = rollout_likelihood_matrix(model, [1], np.array([0.5, 0.5]))[0]
         assert row[1] > 1 - 1e-12
 
     def test_matches_naive_reimplementation(self, five_state):
         belief = BeliefState(np.full(5, 0.2))
         for s_hyp in range(5):
-            row = rollout_likelihood_matrix(five_state, s_hyp, belief)
+            row = rollout_likelihood_matrix(five_state, [s_hyp], belief.probs)[0]
             expected = np.zeros(5)
             for s in range(5):
                 arm = int(np.argmax(five_state.means[:, s]))
@@ -105,17 +105,17 @@ class TestRolloutInfoLikelihood:
     def test_flat_probe_returns_belief(self):
         model = flat_probe_model()
         belief = BeliefState([0.35, 0.65])
-        row = rollout_info_likelihood(model, 2, 0, belief)
+        row = rollout_info_likelihood(model, 2, [0], belief.probs)[0]
         np.testing.assert_allclose(row, belief.probs, atol=1e-12)
 
     def test_tight_probe_concentrates(self, two_state):
-        row = rollout_info_likelihood(two_state, 2, 0, BeliefState([0.5, 0.5]))
+        row = rollout_info_likelihood(two_state, 2, [0], np.array([0.5, 0.5]))[0]
         assert row[0] >= 1 - 1e-6
 
     def test_symmetric_model_swaps_with_states(self, two_state):
         belief = BeliefState([0.5, 0.5])
-        row0 = rollout_info_likelihood(two_state, 2, 0, belief)
-        row1 = rollout_info_likelihood(two_state, 2, 1, belief)
+        row0 = rollout_info_likelihood(two_state, 2, [0], belief.probs)[0]
+        row1 = rollout_info_likelihood(two_state, 2, [1], belief.probs)[0]
         np.testing.assert_allclose(row0, row1[::-1], atol=1e-12)
 
 
@@ -156,8 +156,8 @@ class TestRewardEstimator:
         )
         assert result.horizon_used == 1
         # recompute by the definition: one probe update, then one greedy step
-        info_row = rollout_info_likelihood(model, 2, 1, belief)
-        greedy_row = rollout_likelihood_matrix(model, 1, belief)
+        info_row = rollout_info_likelihood(model, 2, [1], belief.probs)[0]
+        greedy_row = rollout_likelihood_matrix(model, [1], belief.probs)[0]
         payoff = np.array([model.means[0, 1], model.means[1, 1]])
         p_ig = belief.probs * info_row
         p_ig = p_ig / p_ig.sum()

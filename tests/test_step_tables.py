@@ -1,9 +1,10 @@
 """The per-run step tables against the scalar code they replaced.
 
 ``step_reference`` keeps the trajectory walk that drew each state with
-``rng.choice``, the per-state best-arm argmax and mUCB's per-state
-consistency loop; the CDF walk, the best-arm tables, the rows handed to
-``Policy.step`` and the broadcast mUCB must match them bit for bit.
+``rng.choice``, the per-state best-arm argmax, mUCB's per-state
+consistency loop and EXP4S's ``rng.choice`` step; the CDF walk, the
+best-arm tables, the rows handed to ``Policy.step``, the broadcast mUCB
+and EXP4S's CDF draw must match them bit for bit.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from latentbandits import RewardModel, TransitionKernel
 from latentbandits.environments import generate_trajectory
-from latentbandits.policies import MUCB, POLICIES, make_policy
+from latentbandits.policies import EXP4S, MUCB, POLICIES, make_policy
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -150,3 +151,66 @@ class TestMUCB:
             assert policy.surviving.tolist() == expected_alive.tolist()
             assert arm == reference.mucb_arm(model, offered, expected_alive)
             policy.observe(float(model.means[arm, truth] + model.stds[arm, truth] * rng.normal()))
+
+
+class TestEXP4S:
+    @given(seeds, st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=12), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_same_arms_and_weights_as_the_choice_draw(self, seed, n, num_arms, slates):
+        rng = np.random.default_rng(seed)
+        # tied means: experts often share a best arm, and the weights of
+        # the experts behind one arm add up in the gemv
+        model = tied_model(rng, num_arms, n)
+        horizon = 80
+        # a floor of at least 0.01 keeps exp() of the importance-weighted
+        # reward finite at these learning rates
+        learning_rate = None if rng.random() < 0.3 else float(rng.uniform(0.05, 1.0))
+        weight_floor = None if rng.random() < 0.3 else float(rng.uniform(0.01, 1.0 / n))
+        policy = EXP4S(model, horizon, np.random.default_rng(seed), learning_rate, weight_floor)
+        draws = np.random.default_rng(seed)
+        weights = policy.weights.copy()
+        for _ in range(horizon):
+            offered = random_offered(rng, num_arms) if slates else np.arange(num_arms)
+            best_arms = model.best_arms(offered)
+            arm = policy.step(offered, best_arms)
+            expected, advice = reference.exp4s_choose(model, weights, best_arms, draws)
+            assert arm == expected
+            reward = float(rng.normal(model.means[arm].mean(), 1.0))
+            policy.observe(reward)
+            weights = reference.exp4s_update(weights, advice, reward, arm, policy.learning_rate, policy.weight_floor)
+            assert policy.weights.tobytes() == weights.tobytes()
+
+    @given(seeds, st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=12), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_draws_on_the_cdf_boundaries(self, seed, n, num_arms, slates):
+        # a uniform equal to an entry of the choice CDF: an arm one bit
+        # off in the mixture, or a bisection from the other side, moves it
+        rng = np.random.default_rng(seed)
+        model = tied_model(rng, num_arms, n)
+        horizon = 40
+        draws = FixedDraws()
+        policy = EXP4S(model, horizon, draws, float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.01, 1.0 / n)))
+        weights = policy.weights.copy()
+        for _ in range(horizon):
+            offered = random_offered(rng, num_arms) if slates else np.arange(num_arms)
+            best_arms = model.best_arms(offered)
+            probs, advice = reference.exp4s_mixture(model, weights, best_arms)
+            # the CDF as Generator.choice builds it; a uniform is in [0, 1)
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            draws.value = float(rng.choice(np.append(cdf[cdf < 1.0], 0.0)))
+            arm = policy.step(offered, best_arms)
+            assert arm == int(np.searchsorted(cdf, draws.value, side="right"))
+            reward = float(rng.normal(model.means[arm].mean(), 1.0))
+            policy.observe(reward)
+            weights = reference.exp4s_update(weights, advice, reward, arm, policy.learning_rate, policy.weight_floor)
+            assert policy.weights.tobytes() == weights.tobytes()
+
+
+class FixedDraws:
+    """A stand-in generator whose ``random()`` returns ``value``."""
+
+    value = 0.0
+
+    def random(self):
+        return self.value
