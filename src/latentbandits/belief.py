@@ -28,26 +28,34 @@ from .models import (
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def reward_log_likelihoods(model: RewardModel, arm: int, reward: float) -> np.ndarray:
-    """Per-state log density of an observed reward of ``arm``.
+def reward_log_likelihoods(model: RewardModel, arms, rewards, out=(None, None)) -> np.ndarray:
+    """Per-state log density of each reward under its arm, shaped
+    ``[..., state]`` for ``arms`` and ``rewards`` of one shape ``[...]``.
 
     Kept in log space because tight arms (std around 0.01) produce
-    densities spanning hundreds of orders of magnitude.
+    densities spanning hundreds of orders of magnitude.  ``out``, if
+    given, is the result and a scratch array of its shape; the gathers
+    into it clip (a raising ``take`` allocates a copy), so arms must be in range.
     """
-    means = model.means[arm]
-    stds = model.stds[arm]
-    z = (reward - means) / stds
-    return -0.5 * z * z - np.log(stds) - _LOG_SQRT_2PI
+    mode = "raise" if out[0] is None else "clip"
+    log_liks, stds = model.means.take(arms, 0, out[0], mode), model.stds.take(arms, 0, out[1], mode)
+    rewards = np.asarray(rewards, dtype=float)[..., None]
+    z = np.divide(np.subtract(rewards, log_liks, out=log_liks), stds, out=log_liks)
+    np.multiply(np.multiply(-0.5, z, out=stds), z, out=log_liks)
+    np.subtract(log_liks, np.log(model.stds).take(arms, axis=0, out=stds, mode=mode), out=log_liks)
+    return np.subtract(log_liks, _LOG_SQRT_2PI, out=log_liks)
 
 
-def likelihoods_from_log(log_liks: np.ndarray) -> np.ndarray:
-    """Exponentiate log likelihoods after subtracting the maximum.
+def likelihoods_from_log(log_liks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exponentiate log likelihoods, into ``out`` if given, after
+    subtracting each row's maximum (over the last axis).
 
     The common scale factor cancels in any normalized Bayes update, so
     this guards against underflow without changing the posterior.
     """
     log_liks = np.asarray(log_liks, dtype=float)
-    return np.exp(log_liks - log_liks.max())
+    shifted = np.subtract(log_liks, log_liks.max(axis=-1, keepdims=True), out=out)
+    return np.exp(shifted, out=shifted)
 
 
 def filter_step(probs: np.ndarray, matrix: np.ndarray, likelihoods: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -42,6 +42,19 @@ class TypedConfig:
         for name, annotation in hints.items():
             object.__setattr__(self, name, check_type(name, getattr(self, name), annotation))
 
+    def to_dict(self) -> dict:
+        """The JSON object ``from_dict`` reads back, a copy with every
+        nested config and mapping an object and every sequence a list."""
+
+        def plain(value):
+            if isinstance(value, TypedConfig):
+                return value.to_dict()
+            if isinstance(value, dict):
+                return {key: plain(item) for key, item in value.items()}
+            return [plain(item) for item in value] if isinstance(value, (list, tuple)) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
     @classmethod
     def from_dict(cls, doc, **convert):
         """An instance from the JSON object ``doc``, with its arrays as

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .belief import best_info_arm
+from .belief import best_info_arm, likelihoods_from_log, reward_log_likelihoods
 from .config import ConfigError, TypedConfig, check_type
 from .environments import (
     ProtocolViolationError,
@@ -43,9 +43,6 @@ class PolicySpec(TypedConfig):
     name: str
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
-
 
 @dataclass(frozen=True)
 class EnvironmentSpec(TypedConfig):
@@ -64,15 +61,6 @@ class EnvironmentSpec(TypedConfig):
     schedule: tuple | None = None
     arm_set_size: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "model": json.loads(json.dumps(self.model)),
-            "kernel": json.loads(json.dumps(self.kernel)),
-            "prior": self.prior if isinstance(self.prior, (str, dict)) else list(self.prior),
-            "schedule": list(self.schedule) if self.schedule is not None else None,
-            "arm_set_size": self.arm_set_size,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentConfig(TypedConfig):
@@ -84,18 +72,6 @@ class ExperimentConfig(TypedConfig):
     sweep_axes: dict | None = None
     out_dir: str | None = None
     name: str = "experiment"
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "environment": self.environment.to_dict(),
-            "policies": [p.to_dict() for p in self.policies],
-            "horizon": self.horizon,
-            "num_runs": self.num_runs,
-            "base_seed": self.base_seed,
-            "sweep_axes": json.loads(json.dumps(self.sweep_axes)) if self.sweep_axes else None,
-            "out_dir": self.out_dir,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -334,6 +310,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
         os.makedirs(trace_dir, exist_ok=True)
 
     results = ExperimentResults(config=config, runs=[])
+    # the evidence table and its scratch, reused so no run faults in pages of its size
+    buffers = np.empty((2, config.horizon, env.arm_set_size or env.model.num_arms, env.model.num_states))
     for r in range(config.num_runs):
         start = time.perf_counter()
         kernel = _run_kernel(env, config, r)
@@ -348,7 +326,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
             arm_set_size=env.arm_set_size,
         )
         lines = [] if trace_dir else None
-        run = _run_policies(config, env, params, kernel, trajectory, r, lines)
+        run = _run_policies(config, env, params, kernel, trajectory, r, lines, buffers)
         run.wall_clock_seconds = time.perf_counter() - start
         results.runs.append(run)
         if trace_dir:
@@ -369,27 +347,26 @@ def _run_policies(
     trajectory: Trajectory,
     run_index: int,
     lines: list | None,
+    buffers: np.ndarray,
 ) -> RunResult:
     model = env.model
     horizon = config.horizon
-    cum_regret: dict = {}
-    cum_realized: dict = {}
-    info_flags: dict = {}
-    final_beliefs: dict = {}
-    counters: dict = {}
-    seconds: dict = {}
+    run = RunResult(run_index=run_index, states=trajectory.states, cum_regret={}, cum_realized_regret={},
+                    info_flags={}, final_beliefs={}, wall_clock_seconds=0.0)
     # shared by every policy's steps, as Python scalars: the trajectory,
-    # each step's offered arms and best offered arm per state, and the
-    # reward tables; without slates every step shares one row
+    # each step's best offered arm per state and each arm's column in its
+    # slate (-1 if not offered), and the reward tables; without slates
+    # every step shares one row
     states, noise, arm_sets = trajectory.states.tolist(), trajectory.noise.tolist(), trajectory.arm_sets
     slates = np.stack(arm_sets) if env.arm_set_size is not None else arm_sets[0][None, :]
-    offered = np.zeros((len(slates), model.num_arms), dtype=bool)
-    np.put_along_axis(offered, slates, True, axis=1)
-    best_arms, offered = model.best_arms(slates).tolist(), offered.tolist()
+    columns = np.full((len(slates), model.num_arms), -1)
+    np.put_along_axis(columns, slates, np.arange(slates.shape[1]), axis=1)
+    best_arms, columns = model.best_arms(slates).tolist(), columns.tolist()
     if env.arm_set_size is None:
-        best_arms, offered = best_arms * horizon, offered * horizon
+        best_arms, columns = best_arms * horizon, columns * horizon
     means, stds = model.means.tolist(), model.stds.tolist()
     optimal = [means[row[state]][state] for row, state in zip(best_arms, states)]
+    evidence = None
 
     for i, spec in enumerate(config.policies):
         start = time.perf_counter()
@@ -404,6 +381,12 @@ def _run_policies(
             params=params[i],
             arm_features=env.arm_features,
         )
+        if evidence is None and policy.belief_probs is not None:
+            # built for the first belief policy, timed in no policy's seconds
+            built = time.perf_counter()
+            evidence = _evidence_table(model, slates, trajectory, out=buffers)
+            start += time.perf_counter() - built
+        rows = evidence if policy.belief_probs is not None else None
         regret = np.zeros(horizon)
         realized = np.zeros(horizon)
         flags = np.zeros(horizon, dtype=int)
@@ -413,16 +396,16 @@ def _run_policies(
             state = states[t]
             if policy.wants_true_state:
                 policy.set_true_state(state)
-            # the row goes positionally: wrappers of step may forward no keywords
+            # rows go positionally: wrappers of step and observe may forward no keywords
             arm = policy.step(arm_sets[t], best_arms[t])
-            if not (0 <= arm < model.num_arms and offered[t][arm]):
+            if not (0 <= arm < model.num_arms and (column := columns[t][arm]) >= 0):
                 raise ProtocolViolationError(
                     f"run {run_index}, policy {spec.name!r}, step {t + 1}: "
                     f"arm {arm} not offered"
                 )
             mean = means[arm][state]
             reward = mean + stds[arm][state] * noise[t]
-            policy.observe(reward)
+            policy.observe(reward, None if rows is None else rows[t, column])
             total += optimal[t] - mean
             total_realized += optimal[t] - reward
             regret[t] = total
@@ -449,24 +432,26 @@ def _run_policies(
                     )
                 )
         name = spec.name
-        cum_regret[name] = regret
-        cum_realized[name] = realized
-        info_flags[name] = flags
+        run.cum_regret[name] = regret
+        run.cum_realized_regret[name] = realized
+        run.info_flags[name] = flags
         belief = policy.belief
-        final_beliefs[name] = belief.probs.tolist() if belief is not None else None
-        counters[name] = {key: getattr(policy, key) for key in policy.counters}
-        seconds[name] = time.perf_counter() - start
-    return RunResult(
-        run_index=run_index,
-        states=trajectory.states,
-        cum_regret=cum_regret,
-        cum_realized_regret=cum_realized,
-        info_flags=info_flags,
-        final_beliefs=final_beliefs,
-        wall_clock_seconds=0.0,
-        policy_counters=counters,
-        policy_seconds=seconds,
-    )
+        run.final_beliefs[name] = belief.probs.tolist() if belief is not None else None
+        run.policy_counters[name] = {key: getattr(policy, key) for key in policy.counters}
+        run.policy_seconds[name] = time.perf_counter() - start
+    return run
+
+
+def _evidence_table(model: RewardModel, slates: np.ndarray, trajectory: Trajectory, out=(None, None)) -> np.ndarray:
+    """A run's likelihood rows, shaped [step, slate column, state]: row
+    [t, j] is that of the reward of step t's j-th offered arm (``slates``
+    holds every step's slate, or one that all steps share), built in ``out``."""
+    arms = np.broadcast_to(slates, (trajectory.states.size, slates.shape[1]))
+    states = trajectory.states[:, None]
+    # the harness's reward, mean + std * noise, in the same float operations
+    rewards = model.means[arms, states] + model.stds[arms, states] * trajectory.noise[:, None]
+    table = reward_log_likelihoods(model, arms, rewards, out=out)
+    return likelihoods_from_log(table, out=table)
 
 
 def bayes_regret(results: ExperimentResults, confidence_z: float = 1.96) -> dict:

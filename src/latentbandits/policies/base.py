@@ -1,9 +1,10 @@
 """Common policy interface.
 
 Every agent exposes ``step(offered_arms, best_arms=None) -> arm``
-followed by ``observe(reward)``.  ``best_arms[s]`` is state s's best
-offered arm: the harness passes the step's row of a table it builds
-once per run, and ``step`` computes it for a caller that leaves it out.
+followed by ``observe(reward, likelihoods=None)``.  ``best_arms[s]`` is
+state s's best offered arm and ``likelihoods[s]`` the reward's scaled
+likelihood in state s: the harness passes each step's row of tables it
+builds once per run, and a policy computes a row a caller leaves out.
 A policy instance serves one run and is single-threaded: it owns its
 mutable belief or statistics and consumes randomness only through the
 generator injected at construction, so identical seeds yield identical
@@ -51,20 +52,23 @@ class Policy:
         self._pending = (offered, arm)
         return arm
 
-    def observe(self, reward: float) -> None:
+    def observe(self, reward: float, likelihoods=None) -> None:
         if self._pending is None:
             raise RuntimeError("observe() called before step()")
         offered, arm = self._pending
         self._pending = None
-        self._learn(offered, arm, float(reward))
+        reward = float(reward)
+        if likelihoods is None and self.belief_probs is not None:
+            likelihoods = likelihoods_from_log(reward_log_likelihoods(self.model, arm, reward))
+        self._learn(offered, arm, reward, likelihoods)
         self.time += 1
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:
         """The arm to play; ``best_arms[s]`` is state s's best offered arm."""
         raise NotImplementedError
 
-    def _learn(self, offered: np.ndarray, arm: int, reward: float) -> None:
-        pass
+    def _learn(self, offered: np.ndarray, arm: int, reward: float, likelihoods) -> None:
+        """Learn from the reward (and its likelihood row, if the policy filters a belief)."""
 
 
 class BeliefPolicy(Policy):
@@ -95,7 +99,6 @@ class BeliefPolicy(Policy):
         self.belief_probs = self.prior.probs
         self.degenerate_fallbacks = 0
 
-    def _learn(self, offered: np.ndarray, arm: int, reward: float) -> None:
-        liks = likelihoods_from_log(reward_log_likelihoods(self.model, arm, reward))
-        self.belief_probs, degenerate = filter_step(self.belief_probs, self.kernel.matrix, liks)
+    def _learn(self, offered: np.ndarray, arm: int, reward: float, likelihoods) -> None:
+        self.belief_probs, degenerate = filter_step(self.belief_probs, self.kernel.matrix, likelihoods)
         self.degenerate_fallbacks += degenerate

@@ -20,6 +20,8 @@ class _StateModelBandit(Policy):
     """Shared scaffolding: one meta-arm per latent state, scalar change
     detector per meta-arm, full reset on detection."""
 
+    counters = ("detector_resets",)
+
     def __init__(
         self,
         model: RewardModel,
@@ -32,6 +34,7 @@ class _StateModelBandit(Policy):
         self.window_size = window_size
         self.threshold = threshold
         self._scale = float(model.stds.max())
+        self.detector_resets = 0
         self._reset_stats()
 
     def _reset_stats(self) -> None:
@@ -52,13 +55,14 @@ class _StateModelBandit(Policy):
         self._last_meta = state
         return best_arms[state]
 
-    def _learn(self, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward, likelihoods) -> None:
         meta = self._last_meta
         self.counts[meta] += 1
         self.sums[meta] += reward
         detector = self.detectors[meta]
         detector.push(reward)
         if cd_scalar_check(detector):
+            self.detector_resets += 1
             self._reset_stats()
 
 
@@ -189,7 +193,7 @@ class EXP4S(Policy):
         cdf /= cdf[-1]
         return int(cdf.searchsorted(self.rng.random(), side="right"))
 
-    def _learn(self, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward, likelihoods) -> None:
         self.weights = exp4s_update(
             self.weights, self._advice, reward, arm, self.learning_rate, self.weight_floor
         )
@@ -235,7 +239,7 @@ class MUCB(Policy):
         best = self.model.means[offered][:, alive].max(axis=1)
         return int(offered[np.argmax(best)])
 
-    def _learn(self, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward, likelihoods) -> None:
         self.counts[arm] += 1
         self.sums[arm] += reward
 
@@ -243,6 +247,8 @@ class MUCB(Policy):
 class _LinearBandit(Policy):
     """Ridge regression on arm feature vectors with a linear-drift
     change detector; reset on detection."""
+
+    counters = ("detector_resets",)
 
     def __init__(
         self,
@@ -262,6 +268,7 @@ class _LinearBandit(Policy):
             raise ValueError("need one feature vector per arm")
         self.ridge = ridge
         self.detector = ChangeDetectorState(window_size, threshold)
+        self.detector_resets = 0
         self._reset_regression()
 
     def _reset_regression(self) -> None:
@@ -276,12 +283,13 @@ class _LinearBandit(Policy):
     def _choose(self, offered: np.ndarray, best_arms) -> int:
         return int(offered[np.argmax(self._scores(offered))])
 
-    def _learn(self, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward, likelihoods) -> None:
         x = self.features[arm]
         self.a_matrix += np.outer(x, x)
         self.b_vector += reward * x
         self.detector.push((x, reward))
         if cd_linear_check(self.detector):
+            self.detector_resets += 1
             self._reset_regression()
 
 

@@ -72,10 +72,10 @@ class ExploreCommit(BeliefPolicy):
             self._committed_state = self._commit()
         return best_arms[self._committed_state]
 
-    def _learn(self, offered, arm, reward) -> None:
+    def _learn(self, offered, arm, reward, likelihoods) -> None:
         if arm == self.info_arm and self._committed_state is None:
             self._probe_rewards.append(reward)
-        super()._learn(offered, arm, reward)
+        super()._learn(offered, arm, reward, likelihoods)
 
 
 # Gauss-Hermite rule for expectations over the reward noise; 64 nodes keep

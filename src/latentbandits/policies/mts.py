@@ -7,7 +7,8 @@ is the special case of an identity transition kernel.
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_right
+from itertools import accumulate
 
 from .base import BeliefPolicy
 
@@ -16,10 +17,11 @@ class MTS(BeliefPolicy):
     name = "mts"
 
     def _sample_state(self) -> int:
-        # inverse-CDF draw; cheaper than rng.choice for tiny state spaces
+        # inverse-CDF draw: accumulate adds in order, as np.cumsum does, so
+        # this is np.searchsorted(np.cumsum(probs), u, side="right")
         u = self.rng.random()
-        probs = self.belief_probs
-        return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), probs.size - 1)
+        probs = self.belief_probs.tolist()
+        return min(bisect_right(list(accumulate(probs)), u), len(probs) - 1)
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:
         return best_arms[self._sample_state()]

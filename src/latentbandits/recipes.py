@@ -8,6 +8,7 @@ recipes need a model file produced by the ``build-model`` command.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 from .harness import ConfigError, EnvironmentSpec, ExperimentConfig, PolicySpec
 from .policies import explore_commit_sample_size
@@ -92,25 +93,18 @@ def two_state_explore_strategies(**overrides) -> ExperimentConfig:
     return _config("two_state_explore_strategies", env, policies, 1000, 100, **overrides)
 
 
+# the graph recipes' name suffixes -> their graph kinds
+_KIND_BY_SUFFIX = {"full": "fully_connected", "skip": "skip_chain", "branch": "two_branch"}
+
+
 def _five_state(name: str, kind: str, **overrides) -> ExperimentConfig:
+    """The five-state benchmark on one graph family, from the start state."""
     env = EnvironmentSpec(
         model={"preset": "five_state"},
         kernel={"graph": {"kind": kind, "num_states": 5, "stay_prob": 0.995}},
         prior={"point": 0},
     )
     return _config(name, env, _FULL_POLICY_SET, 1000, 100, **overrides)
-
-
-def five_state_full(**overrides) -> ExperimentConfig:
-    return _five_state("five_state_full", "fully_connected", **overrides)
-
-
-def five_state_skip(**overrides) -> ExperimentConfig:
-    return _five_state("five_state_skip", "skip_chain", **overrides)
-
-
-def five_state_branch(**overrides) -> ExperimentConfig:
-    return _five_state("five_state_branch", "two_branch", **overrides)
 
 
 def five_state_nonuniform(**overrides) -> ExperimentConfig:
@@ -131,7 +125,8 @@ def five_state_nonuniform(**overrides) -> ExperimentConfig:
     return _config("five_state_nonuniform", env, ("mts", "agemts"), 1000, 100, **overrides)
 
 
-def _movielens(name: str, kind: str, model_file: str | None, **overrides) -> ExperimentConfig:
+def _movielens(name: str, kind: str, model_file: str | None = None, **overrides) -> ExperimentConfig:
+    """A ``build-model`` reward model on one graph family, with 20-arm slates."""
     if model_file is None:
         raise ConfigError(
             f"recipe {name!r} needs a model file; build one with the build-model command"
@@ -143,18 +138,6 @@ def _movielens(name: str, kind: str, model_file: str | None, **overrides) -> Exp
         arm_set_size=20,
     )
     return _config(name, env, _POLICIES_WITHOUT_MUCB, 1000, 100, **overrides)
-
-
-def movielens_full(model_file=None, **overrides) -> ExperimentConfig:
-    return _movielens("movielens_full", "fully_connected", model_file, **overrides)
-
-
-def movielens_skip(model_file=None, **overrides) -> ExperimentConfig:
-    return _movielens("movielens_skip", "skip_chain", model_file, **overrides)
-
-
-def movielens_branch(model_file=None, **overrides) -> ExperimentConfig:
-    return _movielens("movielens_branch", "two_branch", model_file, **overrides)
 
 
 _REGION_AXES = {
@@ -186,13 +169,11 @@ RECIPES = {
     "two_state_random_switch": two_state_random_switch,
     "two_state_fixed_200": two_state_fixed_200,
     "two_state_explore_strategies": two_state_explore_strategies,
-    "five_state_full": five_state_full,
-    "five_state_skip": five_state_skip,
-    "five_state_branch": five_state_branch,
+    **{f"five_state_{suffix}": partial(_five_state, f"five_state_{suffix}", kind)
+       for suffix, kind in _KIND_BY_SUFFIX.items()},
     "five_state_nonuniform": five_state_nonuniform,
-    "movielens_full": movielens_full,
-    "movielens_skip": movielens_skip,
-    "movielens_branch": movielens_branch,
+    **{f"movielens_{suffix}": partial(_movielens, f"movielens_{suffix}", kind)
+       for suffix, kind in _KIND_BY_SUFFIX.items()},
     "regions_stationary": regions_stationary,
     "regions_nonstationary": regions_nonstationary,
 }

@@ -3,18 +3,38 @@
 A copy of ``posterior_update``, ``propagate``, ``entropy``, the two
 roll-out evidence rows and the ``reward_estimator`` loop as they stood
 while every step built a validated ``BeliefState`` and the roll-out
-walked one hypothesis at a time.  The raw-array filter step, the
-policies and the stacked roll-out must reproduce them bit for bit; this
-module is imported by tests only and is not a test file.
+walked one hypothesis at a time, and of the scalar likelihood row
+(``reward_log_likelihoods`` and ``likelihoods_from_log``) as it stood
+while every filter step built its own.  The raw-array filter step, the
+policies, the per-run evidence table and the stacked roll-out must
+reproduce them bit for bit; this module is imported by tests only and
+is not a test file.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from latentbandits.belief import expected_dwell_time
 from latentbandits.models import BeliefState, DegenerateEvidenceError
 from step_reference import best_arm
+
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def reward_log_likelihoods(model, arm, reward):
+    means = model.means[arm]
+    stds = model.stds[arm]
+    z = (reward - means) / stds
+    return -0.5 * z * z - np.log(stds) - _LOG_SQRT_2PI
+
+
+def likelihoods_from_log(log_liks):
+    log_liks = np.asarray(log_liks, dtype=float)
+    return np.exp(log_liks - log_liks.max())
 
 
 def posterior_update(belief, kernel, likelihoods):

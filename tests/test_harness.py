@@ -230,7 +230,8 @@ class TestRunExperiment:
             assert run["mts"]["degenerate_fallbacks"] == 15
             assert set(run["agemts"]) == {"degenerate_fallbacks", "rollouts_run", "info_plays", "rollout_fallbacks"}
             assert run["agemts"]["degenerate_fallbacks"] > 0
-            assert run["cducb"] == {}
+            # a 20-step run never fills cducb's 50-reward detector window
+            assert run["cducb"] == {"detector_resets": 0}
 
     def test_run_meta_times_every_policy_of_every_run(self, tmp_path):
         config = tiny_config(policies=("mts", "agemts", "cducb"), horizon=20, num_runs=3)
@@ -243,6 +244,26 @@ class TestRunExperiment:
             assert seconds == run.policy_seconds
             assert all(0.0 < value <= run.wall_clock_seconds for value in seconds.values())
             assert sum(seconds.values()) <= run.wall_clock_seconds
+
+    def test_run_meta_counts_detector_resets(self, tmp_path):
+        # every state's best arm is arm 2, and every arm's mean rises by 10
+        # when the chain switches after step 30: the two halves of a
+        # detector's window straddling the switch differ by far more than
+        # its threshold, while 0.01 noise never trips it otherwise
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"means": [[0.0, 10.0], [0.5, 10.5], [1.0, 11.0]], "stds": [[0.01] * 2] * 3,
+                                    "features": np.eye(3).tolist()}))
+        detectors = ("cducb", "cdts", "cd_linucb", "cd_lints")
+        window = {"window_size": 10, "threshold": 5.0}
+        for schedule, planted in (((30,), True), (None, False)):
+            config = tiny_config(policies=tuple(PolicySpec(name, window) for name in detectors), horizon=60,
+                                 num_runs=2, model={"file": str(path)}, prior={"point": 0}, schedule=schedule)
+            out = tmp_path / str(planted)
+            run_experiment(config, out_dir=str(out))
+            for run in json.loads((out / "run_meta.json").read_text())["policy_counters"]:
+                for name in detectors:
+                    assert set(run[name]) == {"detector_resets"}
+                    assert (run[name]["detector_resets"] > 0) == planted
 
     def test_protocol_violation_aborts_with_diagnostics(self, monkeypatch):
         from latentbandits import harness as harness_module
@@ -265,6 +286,54 @@ class TestRunExperiment:
         config = tiny_config(policies=("mts",), horizon=5, num_runs=1)
         with pytest.raises(ProtocolViolationError, match="step 1"):
             run_experiment(config)
+
+
+class TestBenchmarkHooks:
+    def test_wrapped_make_policy_and_step_record_every_arm(self, monkeypatch):
+        """The benchmark's behaviour lock wraps ``harness.make_policy`` and
+        every instance's ``step``, and its probes every ``observe``, with
+        wrappers that forward positional arguments only; they must see
+        every arm of every (run, policy) pair, run by run."""
+        from latentbandits import harness as harness_module
+
+        real = harness_module.make_policy
+        recorded = []
+
+        def recording(*args, **kwargs):
+            policy = real(*args, **kwargs)
+            played = []
+            recorded.append(played)
+            step, observe = policy.step, policy.observe
+
+            def step_and_record(*step_args):
+                arm = step(*step_args)
+                played.append((arm, np.asarray(step_args[0]).tolist()))
+                return arm
+
+            def observe_positionally(*observe_args):
+                return observe(*observe_args)
+
+            policy.step, policy.observe = step_and_record, observe_positionally
+            return policy
+
+        monkeypatch.setattr(harness_module, "make_policy", recording)
+        for arm_set_size, extra in ((None, (PolicySpec("explore_then_ps", {"info_arm": 2}), "oracle")), (2, ())):
+            recorded.clear()
+            config = tiny_config(policies=("mts", "agemts", "cducb", "exp4s") + extra, horizon=40, num_runs=3,
+                                 kernel={"graph": {"kind": "fully_connected", "num_states": 2, "stay_prob": 0.9}},
+                                 arm_set_size=arm_set_size)
+            results = run_experiment(config)
+            means = resolve_environment(config.environment).model.means.tolist()
+            names = results.policy_names
+            assert len(recorded) == len(results.runs) * len(names)
+            for k, played in enumerate(recorded):
+                run, name = results.runs[k // len(names)], names[k % len(names)]
+                assert len(played) == config.horizon
+                total, regret = 0.0, []
+                for (arm, offered), state in zip(played, run.states.tolist()):
+                    total += max(means[a][state] for a in offered) - means[arm][state]
+                    regret.append(total)
+                assert regret == run.cum_regret[name].tolist()
 
 
 class TestBayesRegret:

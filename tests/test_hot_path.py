@@ -1,10 +1,12 @@
 """The per-step path on raw arrays against the validated filter it replaced.
 
-``filter_reference`` keeps the filter, entropy and roll-out as they were
-while every step built a ``BeliefState`` and the roll-out walked one
-hypothesis at a time; the raw path and the stacked roll-out must match
+``filter_reference`` keeps the filter, entropy, likelihood row and
+roll-out as they were while every step built a ``BeliefState`` and its
+own likelihood row and the roll-out walked one hypothesis at a time; the
+raw path, the per-run evidence table and the stacked roll-out must match
 them bit for bit, the stacked products they rely on must match the
-per-row products, and the hand-formatted trace line must match
+per-row products, mTS's bisected state draw must be numpy's
+``searchsorted`` draw, and the hand-formatted trace line must match
 ``json.dumps`` byte for byte.
 """
 
@@ -27,7 +29,8 @@ from latentbandits.belief import (
     reward_log_likelihoods,
     single_step_regret_bound,
 )
-from latentbandits.harness import _trace_line
+from latentbandits.environments import Trajectory
+from latentbandits.harness import _evidence_table, _trace_line
 from latentbandits.policies import AGEmTS, MTS, reward_estimator, rollout_info_likelihood, rollout_likelihood_matrix
 from latentbandits.policies.rollout import _BeliefStack
 
@@ -147,7 +150,7 @@ class TestPolicies:
                 arm = policy.step(np.arange(model.num_arms))
                 _, reward = random_reward(rng, model)
                 policy.observe(reward)
-                liks = likelihoods_from_log(reward_log_likelihoods(model, arm, reward))
+                liks = reference.likelihoods_from_log(reference.reward_log_likelihoods(model, arm, reward))
                 probs, degenerate = reference_step(expected, kernel, liks)
                 expected, fallbacks = BeliefState(probs), fallbacks + degenerate
                 assert isinstance(policy.belief, BeliefState)
@@ -163,6 +166,88 @@ class TestPolicies:
             policy.observe(model.means[arm, 1])
         assert policy.degenerate_fallbacks == 3
         assert policy.belief.probs.tolist() == [1.0, 0.0]
+
+
+class TestEvidenceTable:
+    """Every row of the per-run table against the scalar row the filter
+    step built for itself."""
+
+    @staticmethod
+    def assert_rows_match_the_scalar_rows(model, slates, states, noise):
+        trajectory = Trajectory(states=states, arm_sets=[], noise=noise)
+        table = _evidence_table(model, slates, trajectory)
+        assert table.shape == (states.size, slates.shape[1], model.num_states)
+        # the harness builds every run's table into buffers an earlier run left dirty
+        buffers = np.full((2, *table.shape), np.nan)
+        built = _evidence_table(model, slates, trajectory, out=buffers)
+        assert np.shares_memory(built, buffers[0]) and built.tobytes() == table.tobytes()
+        means, stds = model.means.tolist(), model.stds.tolist()
+        for t, (state, draw) in enumerate(zip(states.tolist(), noise.tolist())):
+            for column, arm in enumerate(slates[t % len(slates)].tolist()):
+                # the harness's own reward, in Python floats
+                reward = means[arm][state] + stds[arm][state] * draw
+                row = reference.likelihoods_from_log(reference.reward_log_likelihoods(model, arm, reward))
+                assert table[t, column].tobytes() == row.tobytes()
+        return table
+
+    @given(seeds, std_exponents, st.integers(min_value=2, max_value=20), st.integers(min_value=2, max_value=40),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_bit_identical_to_the_scalar_rows(self, seed, exponent, n, arms, slated):
+        rng = np.random.default_rng(seed)
+        stds = 10.0 ** (exponent + rng.uniform(-0.5, 0.5, size=(arms, n)))
+        model = RewardModel(means=rng.normal(0.0, 2.0, size=(arms, n)), stds=stds)
+        horizon = int(rng.integers(1, 12))
+        if slated:
+            size = int(rng.integers(1, arms + 1))
+            slates = np.stack([np.sort(rng.choice(arms, size=size, replace=False)) for _ in range(horizon)])
+        else:
+            slates = np.arange(arms)[None, :]
+        states = rng.integers(n, size=horizon)
+        # some draws far in the tails, where all but one state underflows
+        noise = np.where(rng.random(horizon) < 0.3, rng.normal(0.0, 1e3, size=horizon), rng.normal(size=horizon))
+        self.assert_rows_match_the_scalar_rows(model, slates, states, noise)
+
+    @pytest.mark.parametrize("slated", [False, True])
+    def test_tail_rewards_leave_one_state(self, slated):
+        rng = np.random.default_rng(7)
+        model = RewardModel(means=rng.normal(0.0, 2.0, size=(6, 4)), stds=np.full((6, 4), 0.05))
+        slates = np.arange(6)[None, :]
+        if slated:
+            slates = np.stack([np.sort(rng.choice(6, size=3, replace=False)) for _ in range(5)])
+        table = self.assert_rows_match_the_scalar_rows(model, slates, rng.integers(4, size=5), np.full(5, 1e4))
+        # 1e4 sigmas out: the nearest state keeps likelihood 1, the rest underflow to 0
+        assert ((table == 1.0).sum(axis=-1) == 1).all()
+        assert ((table == 0.0).sum(axis=-1) == 3).all()
+
+
+class _FixedDraw:
+    """A stand-in generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestStateDraw:
+    @given(seeds, st.integers(min_value=2, max_value=20))
+    @settings(max_examples=200, deadline=None)
+    def test_bisect_draw_is_the_searchsorted_draw(self, seed, n):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.full(n, 0.5))
+        # zero-mass states, the first one included at times
+        probs[rng.random(n) < 0.4] = 0.0
+        probs[rng.integers(n)] += 1.0
+        probs /= probs.sum()
+        model = RewardModel(means=np.zeros((2, n)), stds=np.ones((2, n)))
+        policy = MTS(model, TransitionKernel.identity(n), probs)
+        cdf = np.cumsum(probs)
+        # every CDF entry exactly, the float just below each, and a random draw
+        for u in [0.0, rng.random(), *cdf.tolist(), *np.nextafter(cdf, 0.0).tolist()]:
+            policy.rng = _FixedDraw(u)
+            assert policy._sample_state() == min(int(np.searchsorted(cdf, u, side="right")), n - 1)
 
 
 def rollout_belief(rng, n):
