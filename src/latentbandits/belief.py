@@ -54,7 +54,12 @@ def likelihoods_from_log(log_liks: np.ndarray, out: np.ndarray | None = None) ->
     this guards against underflow without changing the posterior.
     """
     log_liks = np.asarray(log_liks, dtype=float)
-    shifted = np.subtract(log_liks, log_liks.max(axis=-1, keepdims=True), out=out)
+    # the row maximum over column views: exact, NaN-propagating, and far
+    # cheaper than a reduction over a short last axis
+    top = log_liks[..., 0].copy()
+    for k in range(1, log_liks.shape[-1]):
+        np.maximum(top, log_liks[..., k], out=top)
+    shifted = np.subtract(log_liks, top[..., None], out=out)
     return np.exp(shifted, out=shifted)
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -36,6 +37,8 @@ from .presets import PRESETS
 OUT_DIR_ENV_VAR = "LBL_OUT_DIR"
 # sweep axes that move the probe arm, which is the model's last arm
 PROBE_AXES = ("probe_gap", "probe_sigma")
+# JSON's spellings of the non-finite float reprs
+_JSON_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -238,8 +241,8 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
 class RunResult:
     """Per-run traces: one cumulative regret vector per policy, probe-play
     indicators, final beliefs, each policy's ``counters`` and wall-clock
-    metadata: the run's seconds, and each policy's (its construction and
-    its steps, trace lines included)."""
+    metadata: the run's seconds (its trace file included), and each
+    policy's (its construction and its steps)."""
 
     run_index: int
     states: np.ndarray
@@ -273,21 +276,44 @@ def _run_kernel(env: ResolvedEnvironment, config: ExperimentConfig, run_index: i
     return env.kernel
 
 
-def _trace_line(record: dict) -> str:
-    """``json.dumps(record, sort_keys=True, separators=(",", ":"))`` by hand, for
-    the fixed trace keys: ints, the ``policy`` string, floats and a
-    ``belief`` list of floats or None."""
-    realized, regret, reward, belief = record["realized_regret"], record["regret"], record["reward"], record["belief"]
-    if not math.isfinite(realized + regret + reward + (0.0 if belief is None else sum(belief))):
-        # a nan or inf, which JSON spells NaN or Infinity (or a sum overflowing)
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
-    belief = "null" if belief is None else f"[{','.join(map(float.__repr__, belief))}]"
+def _trace_line(arm, belief, info, policy, realized_regret, regret, reward, run, state, t) -> str:
+    """One trace line from its fields, each already formatted as JSON, as
+    ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes it;
+    ``context`` is a constant, kept so trace files keep their format."""
     return (
-        f'{{"arm":{record["arm"]},"belief":{belief},"context":{record["context"]},"info":{record["info"]},'
-        f'"policy":{encode_basestring_ascii(record["policy"])},"realized_regret":{float.__repr__(realized)},'
-        f'"regret":{float.__repr__(regret)},"reward":{float.__repr__(reward)},"run":{record["run"]},'
-        f'"state":{record["state"]},"t":{record["t"]}}}'
+        f'{{"arm":{arm},"belief":{belief},"context":0,"info":{info},"policy":{policy},'
+        f'"realized_regret":{realized_regret},"regret":{regret},"reward":{reward},"run":{run},'
+        f'"state":{state},"t":{t}}}'
     )
+
+
+def _float_texts(values: np.ndarray, spellings: dict | None = None) -> np.ndarray:
+    """``float.__repr__`` of every value, as an object array of str, formatted
+    once per distinct bit pattern (so -0.0 and 0.0 stay apart); ``spellings``
+    renames the non-finite reprs."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    floats = bits.view(float)
+    texts = np.array(list(map(float.__repr__, floats.tolist())), dtype=object)
+    if spellings and not (finite := np.isfinite(floats)).all():
+        texts[~finite] = [spellings[text] for text in texts[~finite]]
+    return texts[inverse]
+
+
+def _trace_lines(run_index: int, states: list, columns: list) -> Iterator[list]:
+    """A run's trace lines, one list per policy, from one ``(name, arms,
+    rewards, regret, realized, flags, beliefs)`` column set per policy;
+    ``beliefs`` holds each step's belief vector or None.  The run's floats
+    are formatted together; a policy's lines are built when its list is
+    asked for, so the writer holds one policy's lines at a time."""
+    floats = [np.concatenate([rewards, regret, realized, *(b for b in beliefs if b is not None)])
+              for _, _, rewards, regret, realized, _, beliefs in columns]
+    texts = iter(_float_texts(np.concatenate(floats), _JSON_SPELLINGS))
+    steps = range(1, len(states) + 1)
+    for name, arms, _, _, _, flags, beliefs in columns:
+        rewards, regrets, realized = (list(islice(texts, len(states))) for _ in range(3))
+        beliefs = ["null" if b is None else f"[{','.join(islice(texts, len(b)))}]" for b in beliefs]
+        yield list(map(_trace_line, arms, beliefs, flags.tolist(), repeat(encode_basestring_ascii(name)),
+                       realized, regrets, rewards, repeat(run_index), states, steps))
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> ExperimentResults:
@@ -314,6 +340,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     buffers = np.empty((2, config.horizon, env.arm_set_size or env.model.num_arms, env.model.num_states))
     for r in range(config.num_runs):
         start = time.perf_counter()
+        # each policy's recorded columns; rebinding drops the last run's before this run allocates
+        trace = [] if trace_dir else None
         kernel = _run_kernel(env, config, r)
         env_rng = np.random.default_rng([config.base_seed + r, 0])
         trajectory = generate_trajectory(
@@ -325,15 +353,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
             schedule=env.schedule,
             arm_set_size=env.arm_set_size,
         )
-        lines = [] if trace_dir else None
-        run = _run_policies(config, env, params, kernel, trajectory, r, lines, buffers)
+        run = _run_policies(config, env, params, kernel, trajectory, r, trace, buffers)
+        if trace_dir:
+            with open(os.path.join(trace_dir, f"run_{r:04d}.jsonl"), "w", encoding="utf-8") as handle:
+                for lines in _trace_lines(r, trajectory.states.tolist(), trace):
+                    handle.write("\n".join(lines))
+                    handle.write("\n")
         run.wall_clock_seconds = time.perf_counter() - start
         results.runs.append(run)
-        if trace_dir:
-            path = os.path.join(trace_dir, f"run_{r:04d}.jsonl")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines))
-                handle.write("\n")
     if out_dir:
         _write_run_meta(results, out_dir)
     return results
@@ -346,7 +373,7 @@ def _run_policies(
     kernel: TransitionKernel,
     trajectory: Trajectory,
     run_index: int,
-    lines: list | None,
+    trace: list | None,
     buffers: np.ndarray,
 ) -> RunResult:
     model = env.model
@@ -392,6 +419,9 @@ def _run_policies(
         flags = np.zeros(horizon, dtype=int)
         total = 0.0
         total_realized = 0.0
+        if trace is not None:
+            arms, rewards, beliefs = [], [], []
+            trace.append((spec.name, arms, rewards, regret, realized, flags, beliefs))
         for t in range(horizon):
             state = states[t]
             if policy.wants_true_state:
@@ -410,27 +440,11 @@ def _run_policies(
             total_realized += optimal[t] - reward
             regret[t] = total
             realized[t] = total_realized
-            flags[t] = info = int(policy.last_info_play)
-            if lines is not None:
-                probs = policy.belief_probs
-                lines.append(
-                    _trace_line(
-                        {
-                            "run": run_index,
-                            "policy": spec.name,
-                            "t": t + 1,
-                            # constant, kept so trace files keep their format
-                            "context": 0,
-                            "arm": arm,
-                            "reward": reward,
-                            "regret": total,
-                            "realized_regret": total_realized,
-                            "info": info,
-                            "belief": probs.tolist() if probs is not None else None,
-                            "state": state,
-                        }
-                    )
-                )
+            flags[t] = int(policy.last_info_play)
+            if trace is not None:
+                arms.append(arm)
+                rewards.append(reward)
+                beliefs.append(policy.belief_probs)
         name = spec.name
         run.cum_regret[name] = regret
         run.cum_realized_regret[name] = realized
@@ -559,23 +573,22 @@ def emit_outputs(results: ExperimentResults, out_dir: str) -> dict:
         bands = {
             name: (results.regret_matrix(name)[0],) * 3 for name in results.policy_names
         }
+    names, steps = results.policy_names, range(1, results.config.horizon + 1)
+    # [policy, band, step] cells, each distinct float formatted once
+    cells = _float_texts(np.concatenate([np.concatenate(bands[name]) for name in names]))
+    cells = cells.reshape(len(names), 3, len(steps))
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
     with open(aggregate_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["step", "policy", "mean_regret", "ci_low", "ci_high"])
-        for name in results.policy_names:
-            # Python floats, so each cell is a plain float repr
-            mean, lo, hi = (band.tolist() for band in bands[name])
-            for t in range(results.config.horizon):
-                writer.writerow([t + 1, name, repr(mean[t]), repr(lo[t]), repr(hi[t])])
+        for name, (mean, lo, hi) in zip(names, cells):
+            writer.writerows(zip(steps, repeat(name), mean, lo, hi))
 
     curves_path = os.path.join(out_dir, "curves.csv")
     with open(curves_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["step"] + results.policy_names)
-        means = {name: bands[name][0].tolist() for name in results.policy_names}
-        for t in range(results.config.horizon):
-            writer.writerow([t + 1] + [repr(means[name][t]) for name in results.policy_names])
+        writer.writerow(["step"] + names)
+        writer.writerows(zip(steps, *cells[:, 0]))
     return {"aggregate": aggregate_path, "curves": curves_path}
 
 

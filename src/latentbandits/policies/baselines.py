@@ -45,18 +45,20 @@ class _StateModelBandit(Policy):
             ChangeDetectorState(self.window_size, self.threshold) for _ in range(k)
         ]
         self._last_meta: int | None = None
+        # plays since the reset: the first k play states 0..k-1 in order
+        self._plays = 0
 
     def _pick_state(self) -> int:
         raise NotImplementedError
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:
-        unplayed = np.flatnonzero(self.counts == 0)
-        state = int(unplayed[0]) if unplayed.size else self._pick_state()
+        state = self._plays if self._plays < self.counts.size else self._pick_state()
         self._last_meta = state
         return best_arms[state]
 
     def _learn(self, offered, arm, reward, likelihoods) -> None:
         meta = self._last_meta
+        self._plays += 1
         self.counts[meta] += 1
         self.sums[meta] += reward
         detector = self.detectors[meta]

@@ -2,11 +2,12 @@
 
 Copies of the scalar code that the tables replaced: the trajectory walk
 that drew every state with ``rng.choice(p=row)``, the per-state best-arm
-argmax, and mUCB's per-state consistency loop; and EXP4S's step as it
+argmax, and mUCB's per-state consistency loop; EXP4S's step as it
 drew its arm with ``rng.choice`` and projected every update with the
-floor loop.  The CDF walk, the best-arm tables, the broadcast mUCB and
-EXP4S must reproduce them bit for bit; this module is imported by tests
-only and is not a test file.
+floor loop; and cducb/cdts's choice as it scanned its counts for an
+unplayed state every step.  The CDF walk, the best-arm tables, the
+broadcast mUCB, EXP4S and the warm-up counter must reproduce them bit
+for bit; this module is imported by tests only and is not a test file.
 """
 
 from __future__ import annotations
@@ -80,6 +81,15 @@ def mucb_arm(model, offered, surviving):
     """mUCB's optimistic arm over the surviving states."""
     optimistic = model.means[np.ix_(offered, np.flatnonzero(surviving))]
     return int(offered[np.argmax(optimistic.max(axis=1))])
+
+
+def state_model_choose(policy, offered, best_arms):
+    """cducb/cdts's ``_choose``: the first state unplayed since the last
+    reset, else the policy's own pick."""
+    unplayed = np.flatnonzero(policy.counts == 0)
+    state = int(unplayed[0]) if unplayed.size else policy._pick_state()
+    policy._last_meta = state
+    return best_arms[state]
 
 
 def exp4s_mixture(model, weights, best_arms):

@@ -335,6 +335,27 @@ class TestBenchmarkHooks:
                     regret.append(total)
                 assert regret == run.cum_regret[name].tolist()
 
+    def test_wrapped_trace_line_sees_every_line(self, monkeypatch, tmp_path):
+        """The benchmark's probes wrap ``harness._trace_line`` with a wrapper
+        that forwards positional arguments; the writer must call it through
+        the module global once per trace line, and write the same bytes."""
+        from latentbandits import harness as harness_module
+
+        config = tiny_config(policies=("mts", "cducb"), horizon=30, num_runs=2)
+        run_experiment(config, out_dir=str(tmp_path / "plain"))
+        real, calls = harness_module._trace_line, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness_module, "_trace_line", counting)
+        run_experiment(config, out_dir=str(tmp_path / "wrapped"))
+        assert len(calls) == config.num_runs * len(config.policies) * config.horizon
+        for name in ("run_0000.jsonl", "run_0001.jsonl"):
+            plain, wrapped = (tmp_path / side / "traces" / name for side in ("plain", "wrapped"))
+            assert wrapped.read_bytes() == plain.read_bytes()
+
 
 class TestBayesRegret:
     def test_needs_two_runs(self):

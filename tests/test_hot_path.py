@@ -6,15 +6,19 @@ own likelihood row and the roll-out walked one hypothesis at a time; the
 raw path, the per-run evidence table and the stacked roll-out must match
 them bit for bit, the stacked products they rely on must match the
 per-row products, mTS's bisected state draw must be numpy's
-``searchsorted`` draw, and the hand-formatted trace line must match
-``json.dumps`` byte for byte.
+``searchsorted`` draw, and the column-wise trace and CSV writer must match
+``json.dumps`` and the record-at-a-time writer of ``output_reference``
+byte for byte.
 """
 
 import json
 import math
+import os
+import tempfile
 
 import filter_reference as reference
 import numpy as np
+import output_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +34,16 @@ from latentbandits.belief import (
     single_step_regret_bound,
 )
 from latentbandits.environments import Trajectory
-from latentbandits.harness import _evidence_table, _trace_line
+from latentbandits.harness import (
+    EnvironmentSpec,
+    ExperimentConfig,
+    ExperimentResults,
+    PolicySpec,
+    RunResult,
+    _evidence_table,
+    _trace_lines,
+    emit_outputs,
+)
 from latentbandits.policies import AGEmTS, MTS, reward_estimator, rollout_info_likelihood, rollout_likelihood_matrix
 from latentbandits.policies.rollout import _BeliefStack
 
@@ -406,34 +419,106 @@ class TestBatchingRecipe:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-any_float = st.one_of(finite, st.sampled_from([-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]))
-records = st.fixed_dictionaries(
-    {
-        "run": st.integers(min_value=0, max_value=10**6),
-        "policy": st.one_of(st.sampled_from(["mts", "agemts", 'a"b\\c\n\té☃']), st.text()),
-        "t": st.integers(min_value=1, max_value=10**6),
-        "context": st.just(0),
-        "arm": st.integers(min_value=0, max_value=10**4),
-        "reward": any_float,
-        "regret": any_float,
-        "realized_regret": any_float,
-        "info": st.integers(min_value=0, max_value=1),
-        "belief": st.one_of(st.none(), st.lists(any_float, max_size=6)),
-        "state": st.integers(min_value=0, max_value=100),
-    }
-)
+# NaNs of either sign and any payload
+nans = st.builds(lambda sign, payload: float(np.uint64(sign << 63 | 0x7FF << 52 | payload).view(np.float64)),
+                 st.integers(min_value=0, max_value=1), st.integers(min_value=1, max_value=2**52 - 1))
+any_float = st.one_of(finite, nans, st.sampled_from([-0.0, 0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]))
+policy_names = st.one_of(st.sampled_from(["mts", "agemts", 'a"b\\c\n\té☃']), st.text())
+
+
+@st.composite
+def recorded_runs(draw):
+    """A run's recorded columns as ``run_experiment`` hands them to
+    ``_trace_lines``.  Floats come partly from a small pool, so values
+    repeat within and across policies as in real runs; a policy's beliefs
+    are all None, all of one size up to 20, or each step None or any size."""
+    pool = draw(st.lists(any_float, min_size=1, max_size=6))
+    cell = st.one_of(any_float, st.sampled_from(pool))
+    horizon = draw(st.integers(min_value=1, max_value=8))
+
+    def column(element):
+        return draw(st.lists(element, min_size=horizon, max_size=horizon))
+
+    states = column(st.integers(min_value=0, max_value=100))
+    columns = []
+    for name in draw(st.lists(policy_names, min_size=1, max_size=4)):
+        size = draw(st.sampled_from(["none", "mixed", *range(21)]))
+        if size == "none":
+            belief = st.none()
+        elif size == "mixed":
+            belief = st.one_of(st.none(), st.lists(cell, max_size=20).map(np.array))
+        else:
+            belief = st.lists(cell, min_size=size, max_size=size).map(np.array)
+        columns.append((name, column(st.integers(min_value=0, max_value=10**4)), column(cell),
+                        np.array(column(cell)), np.array(column(cell)),
+                        np.array(column(st.integers(min_value=0, max_value=1))), column(belief)))
+    return draw(st.integers(min_value=0, max_value=10**6)), states, columns
+
+
+def trace_records(run_index, states, columns):
+    """The records the harness formatted one at a time, in file order."""
+    for name, arms, rewards, regret, realized, flags, beliefs in columns:
+        for t, state in enumerate(states):
+            belief = beliefs[t]
+            yield {"run": run_index, "policy": name, "t": t + 1, "context": 0, "arm": arms[t], "reward": rewards[t],
+                   "regret": float(regret[t]), "realized_regret": float(realized[t]), "info": int(flags[t]),
+                   "belief": None if belief is None else belief.tolist(), "state": state}
 
 
 class TestTraceLine:
-    @given(records)
-    @settings(max_examples=500, deadline=None)
-    def test_byte_equal_to_json_dumps(self, record):
-        assert _trace_line(record) == json.dumps(record, sort_keys=True, separators=(",", ":"))
+    """The column-wise trace writer against ``json.dumps`` and the
+    record-at-a-time writer it replaced, on whole runs."""
+
+    @staticmethod
+    def assert_byte_equal(run_index, states, columns):
+        lines = [line for policy_lines in _trace_lines(run_index, states, columns) for line in policy_lines]
+        records = list(trace_records(run_index, states, columns))
+        assert lines == [json.dumps(record, sort_keys=True, separators=(",", ":")) for record in records]
+        assert lines == list(map(output_reference.trace_line, records))
+
+    @given(recorded_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_byte_equal_to_json_dumps(self, run):
+        self.assert_byte_equal(*run)
 
     @pytest.mark.parametrize("value", [-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf])
     def test_special_floats(self, value):
-        record = {"run": 0, "policy": "mts", "t": 1, "context": 0, "arm": 2, "reward": value,
-                  "regret": value, "realized_regret": value, "info": 0, "belief": [value, 1.0], "state": 1}
-        for belief in ([value, 1.0], None):
-            record["belief"] = belief
-            assert _trace_line(record) == json.dumps(record, sort_keys=True, separators=(",", ":"))
+        values = np.array([value, 0.0, -0.0, value])
+        beliefs = [np.array([value, 1.0]), np.array([1.0, value]), np.array([value] * 20), np.array([])]
+        columns = [(name, [2, 0, 1, 2], values.tolist(), values, values[::-1].copy(), np.array([0, 1, 0, 0]), belief)
+                   for name, belief in (("mts", beliefs), ('a"b\\c', [None] * 4))]
+        self.assert_byte_equal(3, [1, 0, 1, 1], columns)
+
+
+cells = st.one_of(any_float, st.sampled_from([0.0, 1.5, math.nan]))
+csv_names = st.one_of(st.sampled_from(["mts", "a,b", 'a"b', "a\nb", " c "]),
+                      st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
+
+
+@st.composite
+def experiment_results(draw):
+    """Results of 1 to 3 runs of up to 4 policies with any cumulative
+    regret; a 1-run experiment's three bands are the one curve."""
+    names = draw(st.lists(csv_names, min_size=1, max_size=4, unique=True))
+    horizon, num_runs = draw(st.integers(min_value=1, max_value=8)), draw(st.integers(min_value=1, max_value=3))
+    config = ExperimentConfig(EnvironmentSpec(model={"preset": "two_state"}, kernel={"identity": True}),
+                              tuple(map(PolicySpec, names)), horizon=horizon, num_runs=num_runs)
+    runs = [RunResult(run_index=r, states=np.zeros(horizon, dtype=int), cum_realized_regret={}, info_flags={},
+                      final_beliefs={}, wall_clock_seconds=0.0,
+                      cum_regret={name: np.array(draw(st.lists(cells, min_size=horizon, max_size=horizon)))
+                                  for name in names})
+            for r in range(num_runs)]
+    return ExperimentResults(config, runs)
+
+
+class TestCsvCells:
+    @given(experiment_results())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_equal_to_the_cell_loop(self, results):
+        with tempfile.TemporaryDirectory() as work_dir, np.errstate(all="ignore"):
+            written = emit_outputs(results, os.path.join(work_dir, "new"))
+            os.makedirs(os.path.join(work_dir, "old"))
+            expected = output_reference.emit_outputs(results, os.path.join(work_dir, "old"))
+            for key, path in expected.items():
+                with open(path, "rb") as want, open(written[key], "rb") as got:
+                    assert got.read() == want.read(), key

@@ -2,10 +2,13 @@
 
 ``step_reference`` keeps the trajectory walk that drew each state with
 ``rng.choice``, the per-state best-arm argmax, mUCB's per-state
-consistency loop and EXP4S's ``rng.choice`` step; the CDF walk, the
-best-arm tables, the rows handed to ``Policy.step``, the broadcast mUCB
-and EXP4S's CDF draw must match them bit for bit.
+consistency loop, EXP4S's ``rng.choice`` step and cducb/cdts's scan for
+an unplayed state; the CDF walk, the best-arm tables, the rows handed to
+``Policy.step``, the broadcast mUCB, EXP4S's CDF draw and the warm-up
+counter must match them bit for bit.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from latentbandits import RewardModel, TransitionKernel
 from latentbandits.environments import generate_trajectory
-from latentbandits.policies import EXP4S, MUCB, POLICIES, make_policy
+from latentbandits.policies import CDTS, CDUCB, EXP4S, MUCB, POLICIES, make_policy
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -151,6 +154,26 @@ class TestMUCB:
             assert policy.surviving.tolist() == expected_alive.tolist()
             assert arm == reference.mucb_arm(model, offered, expected_alive)
             policy.observe(float(model.means[arm, truth] + model.stds[arm, truth] * rng.normal()))
+
+
+class TestStateModelWarmUp:
+    @pytest.mark.parametrize("cls", [CDUCB, CDTS])
+    @pytest.mark.parametrize("num_states", [2, 3, 5])
+    def test_arms_match_the_unplayed_scan_across_resets(self, cls, num_states):
+        rng = np.random.default_rng(num_states)
+        model = RewardModel(means=rng.normal(size=(4, num_states)), stds=np.full((4, num_states), 0.01))
+        policy, scan = (cls(model, rng=np.random.default_rng(3), window_size=4, threshold=5.0) for _ in range(2))
+        scan._choose = functools.partial(reference.state_model_choose, scan)
+        offered = np.arange(4)
+        for t in range(240):
+            arm = policy.step(offered)
+            assert scan.step(offered) == arm, t
+            # every mean rises by 10 each 40 steps, so detectors fire and the warm-up restarts
+            reward = float(model.means[arm, 0] + 10.0 * (t // 40) + 0.01 * rng.normal())
+            policy.observe(reward)
+            scan.observe(reward)
+        assert policy.detector_resets == scan.detector_resets >= 5
+        assert policy.counts.tolist() == scan.counts.tolist()
 
 
 class TestEXP4S:
