@@ -4,9 +4,10 @@ import os
 import typing
 
 import numpy as np
+import pmf_reference
 import pytest
 
-from latentbandits import harness
+from latentbandits import datasets, harness
 from latentbandits.cli import main
 from latentbandits.config import ConfigError, check_type
 from latentbandits.harness import load_config
@@ -337,6 +338,17 @@ class TestBuildModel:
         {"variance_params": {"sigma": True}},
         {"variance_params": {"sigma": 0.3, "scale": 2}},
         {"variance_mode": "three_nn", "variance_params": {"sigma": 0.3}},
+        {"learning_rate": float("nan")},
+        {"learning_rate": -0.5},
+        {"learning_rate": float("inf")},
+        {"lambda_u": float("inf")},
+        {"lambda_u": -1e-3},
+        {"lambda_v": float("nan")},
+        {"lambda_v": -1},
+        {"variance_params": {"sigma": -1.0}},
+        {"variance_params": {"sigma": 0}},
+        {"variance_params": {"sigma": float("nan")}},
+        {"variance_params": {"sigma": float("inf")}},
     ])
     def test_bad_dataset_config_fails_before_ingest(self, tmp_path, rng, capsys, entry):
         config = {"ratings_file": str(self.make_ratings(tmp_path, rng)), "min_user_ratings": 5,
@@ -350,12 +362,26 @@ class TestBuildModel:
 
     def test_float_given_as_int_is_written_as_float(self, tmp_path, rng):
         config = {"ratings_file": str(self.make_ratings(tmp_path, rng)), "min_user_ratings": 5,
-                  "min_item_ratings": 5, "d": 4, "learning_rate": 0.02, "epochs": 2, "lambda_u": 0}
+                  "min_item_ratings": 5, "d": 4, "learning_rate": 0.02, "epochs": 2, "lambda_u": 0, "lambda_v": 0}
         config_path = tmp_path / "dataset.json"
         config_path.write_text(json.dumps(config))
         out = tmp_path / "model_out"
         assert main(["build-model", str(config_path), "--out-dir", str(out)]) == 0
         assert '"lambda_u": 0.0,' in (out / "provenance.json").read_text()
+        assert '"lambda_v": 0.0,' in (out / "provenance.json").read_text()
+
+    @pytest.mark.parametrize("variance_mode", ["fixed", "three_nn", "sampled_normal"])
+    def test_outputs_byte_identical_to_per_rating_training(self, tmp_path, rng, monkeypatch, variance_mode):
+        config = {"ratings_file": str(self.make_ratings(tmp_path, rng)), "min_user_ratings": 5,
+                  "min_item_ratings": 5, "d": 4, "learning_rate": 0.02, "epochs": 10,
+                  "variance_mode": variance_mode, "seed": 3}
+        config_path = tmp_path / "dataset.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["build-model", str(config_path), "--out-dir", str(tmp_path / "levels")]) == 0
+        monkeypatch.setattr(datasets, "pmf_train", pmf_reference.pmf_train)
+        assert main(["build-model", str(config_path), "--out-dir", str(tmp_path / "per_rating")]) == 0
+        for name in ("reward_model.json", "provenance.json"):
+            assert (tmp_path / "levels" / name).read_bytes() == (tmp_path / "per_rating" / name).read_bytes()
 
     def test_missing_ratings_file_is_config_error(self, tmp_path):
         config_path = tmp_path / "dataset.json"

@@ -1,8 +1,12 @@
 import numpy as np
+import pmf_reference
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from latentbandits.datasets import (
     FactorModel,
+    RatingsTable,
     SuperUser,
     build_reward_model,
     ingest_ratings,
@@ -80,6 +84,26 @@ class TestIngestRatings:
         with pytest.raises(ValueError, match="line 2"):
             ingest_ratings(path, 0, 0)
 
+    @pytest.mark.parametrize("rating", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_rating_reports_line_number(self, tmp_path, rating):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,2,3.5\n1,3,4.0\n2,2,{rating}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            ingest_ratings(path, 0, 0)
+
+    def test_sparse_ids_map_to_sorted_contiguous_indices(self, tmp_path, rng):
+        triples = [(int(u), int(i), 3.0) for u, i in zip(rng.choice([7, 3, 90, 12], 30), rng.choice([5, 500, 41], 30))]
+        path = tmp_path / "sparse.csv"
+        write_ratings(path, triples)
+        table = ingest_ratings(path, 0, 0)
+        assert table.user_ids == tuple(sorted({u for u, _, _ in triples}))
+        assert table.item_ids == tuple(sorted({i for _, i, _ in triples}))
+        assert all(type(value) is int for value in table.user_ids + table.item_ids)
+        assert table.users.dtype == table.items.dtype == np.dtype(int)
+        assert table.users.shape == table.items.shape == table.ratings.shape == (30,)
+        assert [table.user_ids[u] for u in table.users] == [u for u, _, _ in triples]
+        assert [table.item_ids[i] for i in table.items] == [i for _, i, _ in triples]
+
     def test_empty_after_filtering_rejected(self, tmp_path, rng):
         path, _ = planted_table(tmp_path, rng, n_users=5, n_items=5)
         with pytest.raises(ValueError, match="survive"):
@@ -95,24 +119,23 @@ def planted_factors(rng, n_users, n_items, d, noise=0.0):
     return U, V, ratings
 
 
+def table_from_matrix(ratings, keep, rng):
+    n_users, n_items = ratings.shape
+    mask = rng.random(ratings.shape) <= keep
+    users, items = np.nonzero(mask)
+    return RatingsTable(
+        users=users,
+        items=items,
+        ratings=ratings[users, items],
+        user_ids=tuple(range(n_users)),
+        item_ids=tuple(range(n_items)),
+    )
+
+
 class TestPMFTrain:
-    def table_from_matrix(self, ratings, keep, rng):
-        from latentbandits.datasets import RatingsTable
-
-        n_users, n_items = ratings.shape
-        mask = rng.random(ratings.shape) <= keep
-        users, items = np.nonzero(mask)
-        return RatingsTable(
-            users=users,
-            items=items,
-            ratings=ratings[users, items],
-            user_ids=tuple(range(n_users)),
-            item_ids=tuple(range(n_items)),
-        )
-
     def test_recovers_planted_low_rank_matrix(self, rng):
         _, _, ratings = planted_factors(rng, 60, 50, d=4)
-        table = self.table_from_matrix(ratings, keep=0.6, rng=rng)
+        table = table_from_matrix(ratings, keep=0.6, rng=rng)
         model = pmf_train(table, d=4, lambda_u=1e-3, lambda_v=1e-3,
                           learning_rate=0.03, validation_fraction=0.1,
                           epochs=60, seed=0)
@@ -120,7 +143,7 @@ class TestPMFTrain:
 
     def test_zero_learning_rate_never_moves(self, rng):
         _, _, ratings = planted_factors(rng, 20, 15, d=3)
-        table = self.table_from_matrix(ratings, keep=0.8, rng=rng)
+        table = table_from_matrix(ratings, keep=0.8, rng=rng)
         short = pmf_train(table, 3, 1e-3, 1e-3, 0.0, 0.2, 1, seed=4)
         long = pmf_train(table, 3, 1e-3, 1e-3, 0.0, 0.2, 25, seed=4)
         np.testing.assert_array_equal(short.U, long.U)
@@ -129,7 +152,7 @@ class TestPMFTrain:
 
     def test_best_rmse_history_non_increasing(self, rng):
         _, _, ratings = planted_factors(rng, 40, 30, d=3, noise=0.1)
-        table = self.table_from_matrix(ratings, keep=0.7, rng=rng)
+        table = table_from_matrix(ratings, keep=0.7, rng=rng)
         model = pmf_train(table, 3, 1e-3, 1e-3, 0.02, 0.1, 30, seed=1)
         history = np.array(model.best_rmse_history)
         assert np.all(np.diff(history) <= 0)
@@ -137,13 +160,13 @@ class TestPMFTrain:
     def test_conservative_hyperparameters_stay_finite(self, rng):
         # small dense table, tiny learning rate: slow but never divergent
         _, _, ratings = planted_factors(rng, 40, 40, d=10, noise=0.05)
-        table = self.table_from_matrix(ratings, keep=1.0, rng=rng)
+        table = table_from_matrix(ratings, keep=1.0, rng=rng)
         model = pmf_train(table, 10, 1e-3, 1e-3, 2e-4, 0.1, 5, seed=2)
         assert np.isfinite(model.validation_rmse)
 
     def test_seed_determinism(self, rng):
         _, _, ratings = planted_factors(rng, 25, 20, d=3)
-        table = self.table_from_matrix(ratings, keep=0.9, rng=rng)
+        table = table_from_matrix(ratings, keep=0.9, rng=rng)
         a = pmf_train(table, 3, 1e-3, 1e-3, 0.02, 0.15, 8, seed=9)
         b = pmf_train(table, 3, 1e-3, 1e-3, 0.02, 0.15, 8, seed=9)
         np.testing.assert_array_equal(a.U, b.U)
@@ -151,9 +174,79 @@ class TestPMFTrain:
 
     def test_divergence_reports_epoch(self, rng):
         _, _, ratings = planted_factors(rng, 30, 25, d=3)
-        table = self.table_from_matrix(ratings, keep=1.0, rng=rng)
+        table = table_from_matrix(ratings, keep=1.0, rng=rng)
         with pytest.raises(FloatingPointError, match="epoch"):
             pmf_train(table, 3, 1e-3, 1e-3, 5.0, 0.1, 50, seed=0)
+
+
+def assert_same_training(table, *args, seed):
+    """``pmf_train`` and the per-rating oracle give the same factors and
+    RMSEs bit for bit, or both raise the same divergence error."""
+    try:
+        expected = pmf_reference.pmf_train(table, *args, seed=seed)
+    except FloatingPointError as exc:
+        with pytest.raises(FloatingPointError) as raised:
+            pmf_train(table, *args, seed=seed)
+        assert str(raised.value) == str(exc)
+        return None
+    model = pmf_train(table, *args, seed=seed)
+    assert model.U.tobytes() == expected.U.tobytes()
+    assert model.V.tobytes() == expected.V.tobytes()
+    assert np.float64(model.validation_rmse).tobytes() == np.float64(expected.validation_rmse).tobytes()
+    assert np.array(model.best_rmse_history).tobytes() == np.array(expected.best_rmse_history).tobytes()
+    return model
+
+
+@st.composite
+def ratings_tables(draw):
+    """Small tables with repeated (user, item) pairs, users and items
+    without ratings, and optionally one user and one item that have a
+    single rating each."""
+    n_users, n_items = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+                          min_size=1, max_size=80))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    if draw(st.booleans()):
+        pairs.append((n_users, n_items))
+        n_users, n_items = n_users + 1, n_items + 1
+    users, items = (np.array(column) for column in zip(*pairs))
+    ratings = np.array(draw(st.lists(st.floats(-5, 5), min_size=len(pairs), max_size=len(pairs))))
+    return RatingsTable(users=users, items=items, ratings=ratings,
+                        user_ids=tuple(range(n_users)), item_ids=tuple(range(n_items)))
+
+
+class TestPMFSchedule:
+    """The level schedule against the per-rating loop of ``pmf_reference``."""
+
+    @given(ratings_tables(), st.integers(1, 32), st.sampled_from([0.0, 1e-3, 0.1]),
+           st.sampled_from([0.0, 1e-3, 0.1]), st.sampled_from([0.0, 0.01, 0.05, 0.3, 3.0, 50.0]),
+           st.sampled_from([0.1, 0.3, 0.5]), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @example(table=RatingsTable(users=np.array([0, 0, 1, 1, 2]), items=np.array([0, 0, 1, 0, 2]),
+                          ratings=np.array([1.0, 2.0, 3.0, 4.0, 5.0]), user_ids=(0, 1, 2), item_ids=(0, 1, 2)),
+             d=1, lambda_u=0.0, lambda_v=0.0, learning_rate=0.05, validation_fraction=0.3, epochs=4, seed=0)
+    @example(table=RatingsTable(users=np.array([0, 1, 1, 2]), items=np.array([1, 0, 1, 1]),
+                                ratings=np.array([1.0, 2.0, 3.0, 4.0]), user_ids=(0, 1, 2), item_ids=(0, 1)),
+             d=3, lambda_u=1e-3, lambda_v=0.1, learning_rate=0.0, validation_fraction=0.3, epochs=3, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_per_rating_loop(self, table, d, lambda_u, lambda_v, learning_rate,
+                                              validation_fraction, epochs, seed):
+        assume(max(1, round(validation_fraction * len(table))) < len(table))
+        assert_same_training(table, d, lambda_u, lambda_v, learning_rate, validation_fraction, epochs, seed=seed)
+
+    @pytest.mark.parametrize("d", [1, 10, 32])
+    def test_dense_table_bit_identical(self, rng, d):
+        _, _, ratings = planted_factors(rng, 40, 30, d=4, noise=0.1)
+        table = table_from_matrix(ratings, keep=0.7, rng=rng)
+        model = assert_same_training(table, d, 1e-3, 1e-3, 0.02, 0.1, 8, seed=d)
+        assert len(model.best_rmse_history) > 1
+
+    @pytest.mark.parametrize("learning_rate, epoch", [(0.203, 4), (0.204, 3), (0.21, 2), (5.0, 1)])
+    def test_divergence_names_the_oracle_epoch(self, rng, learning_rate, epoch):
+        _, _, ratings = planted_factors(rng, 30, 25, d=3)
+        table = table_from_matrix(ratings, keep=1.0, rng=rng)
+        with pytest.raises(FloatingPointError, match=f"epoch {epoch}$"):
+            pmf_reference.pmf_train(table, 3, 1e-3, 1e-3, learning_rate, 0.1, 50, seed=0)
+        assert_same_training(table, 3, 1e-3, 1e-3, learning_rate, 0.1, 50, seed=0)
 
 
 def blob_factors(rng, k=5, per_cluster=30, d=6, spread=0.05):

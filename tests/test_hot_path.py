@@ -379,9 +379,9 @@ class TestRewardEstimator:
 
 
 class TestBatchingRecipe:
-    """The stacked products the roll-out relies on give the bits of the
-    per-row products; a numpy or BLAS upgrade that breaks this fails here
-    instead of moving results."""
+    """The stacked products the roll-out and PMF training rely on give the
+    bits of the per-row products; a numpy or BLAS upgrade that breaks this
+    fails here instead of moving results."""
 
     @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=100))
     @settings(max_examples=150, deadline=None)
@@ -400,6 +400,21 @@ class TestBatchingRecipe:
             assert sums[r] == stacked[r].sum()
             assert payoff[r] == float(probs[r] @ weights)
             assert own_payoff[r] == float(probs[r] @ values[r])
+
+    @given(seeds, st.integers(min_value=1, max_value=32), st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=160))
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_dot_equals_the_per_row_dot(self, seed, d, rows, spread):
+        # any real rows, as PMF training's levels take the errors of d-vector
+        # factor rows: entries spread over 10**-spread to 10**spread, so
+        # wide spreads mix in underflow, overflow and inf - inf
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(rows, d)) * 10.0 ** rng.integers(-spread, spread + 1, size=(rows, d))
+                for _ in range(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+            for r in range(rows):
+                assert dots[r].tobytes() == (a[r] @ b[r]).tobytes()
 
     @given(seeds, std_exponents, st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=12))
     @settings(max_examples=150, deadline=None)
