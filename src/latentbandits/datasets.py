@@ -88,9 +88,9 @@ def ingest_ratings(path, min_user_ratings: int, min_item_ratings: int) -> Rating
 
     Format: one rating per line, ``user<sep>item<sep>rating`` with extra
     trailing fields ignored.  The separator is ``::`` when the first data
-    line contains it, otherwise a comma.  A leading header line (rating
-    field not numeric) is skipped; any later line that does not parse, or
-    whose rating is not finite, raises ValueError naming its line.  Users
+    line contains it, otherwise a comma.  A leading header line (user
+    field not an integer) is skipped; any other line that does not parse,
+    or whose rating is not finite, raises ValueError naming its line.  Users
     below ``min_user_ratings`` and items below ``min_item_ratings`` are
     removed, re-running both passes until the surviving table satisfies
     both thresholds.
@@ -105,11 +105,9 @@ def ingest_ratings(path, min_user_ratings: int, min_item_ratings: int) -> Rating
             if delimiter is None:
                 delimiter = "::" if "::" in line else ","
                 try:
-                    triples.append(_parse_line(line, delimiter, line_number))
+                    int(line.split(delimiter, 1)[0])
                 except ValueError:
-                    # header line; real parse errors will surface below
-                    continue
-                continue
+                    continue  # a header line
             triples.append(_parse_line(line, delimiter, line_number))
     if not triples:
         raise ValueError(f"no ratings found in {path}")
@@ -185,8 +183,10 @@ def pmf_train(
     val_ratings = table.ratings[val_idx]
 
     def validation_rmse() -> float:
-        predictions = np.einsum("ij,ij->i", U[val_users], V[val_items])
-        return float(np.sqrt(np.mean((predictions - val_ratings) ** 2)))
+        # huge factors or ratings overflow to a non-finite RMSE, which an epoch reports as divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            predictions = np.einsum("ij,ij->i", U[val_users], V[val_items])
+            return float(np.sqrt(np.mean((predictions - val_ratings) ** 2)))
 
     best = FactorModel(U=U.copy(), V=V.copy(), d=d, validation_rmse=validation_rmse())
     best.best_rmse_history.append(best.validation_rmse)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TypedConfig, check_type
 from .models import RewardModel, TransitionKernel, _as_prob_vector
 
 GRAPH_KINDS = ("fully_connected", "skip_chain", "two_branch", "custom")
@@ -25,7 +26,7 @@ class ProtocolViolationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TransitionGraphSpec:
+class TransitionGraphSpec(TypedConfig):
     """Recipe for building a transition kernel.
 
     ``stay_prob`` is the self-transition probability of every non-start
@@ -39,9 +40,10 @@ class TransitionGraphSpec:
     stay_prob: float = 0.995
     off_diagonal: str = "uniform"
     seed: int = 0
-    edges: tuple = None  # only for kind == "custom": ((src, dst), ...)
+    edges: tuple | None = None  # only for kind == "custom": ((src, dst), ...)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
         if not 0.0 < self.stay_prob <= 1.0:
@@ -57,7 +59,11 @@ class TransitionGraphSpec:
         if self.kind == "custom" and self.edges is None:
             raise ValueError("custom graphs require an explicit edge list")
         if self.edges is not None:
-            object.__setattr__(self, "edges", tuple((int(a), int(b)) for a, b in self.edges))
+            edges = tuple((check_type("an edge source", a, int), check_type("an edge target", b, int))
+                          for a, b in self.edges)
+            if not all(0 <= state < self.num_states for edge in edges for state in edge):
+                raise ValueError(f"edge endpoints must be states in [0, {self.num_states}), got {edges}")
+            object.__setattr__(self, "edges", edges)
 
 
 def _graph_edges(spec: TransitionGraphSpec) -> tuple[dict[int, list[int]], set[int]]:

@@ -86,8 +86,8 @@ class ExperimentConfig(TypedConfig):
 
     def validate(self) -> "ResolvedEnvironment":
         """Check the config without running it; returns the resolved
-        environment.  Policy params are bound to their factory's signature
-        but no policy is built, and each sweep-axis value is tried alone."""
+        environment.  Each policy is built once on a throwaway generator,
+        with no forecast run, and each sweep-axis value is tried alone."""
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if self.num_runs < 1:
@@ -116,7 +116,7 @@ class ExperimentConfig(TypedConfig):
             if spec.name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy name {spec.name!r}")
             try:
-                check_policy_params(spec.name, spec.params, resolved.model, resolved.arm_features)
+                check_policy_params(spec.name, spec.params, resolved, self.horizon)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"policy {spec.name!r} params: {exc}") from exc
         return resolved
@@ -165,10 +165,10 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
             raise ConfigError(f"cannot read model file: {exc}") from exc
         try:
             model, _ = model_from_dict(doc)
+            if doc.get("features") is not None:
+                arm_features = np.asarray(doc["features"], dtype=float)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid model file: {exc}") from exc
-        if doc.get("features") is not None:
-            arm_features = np.asarray(doc["features"], dtype=float)
     elif "means" in model_doc:
         try:
             model = RewardModel(
@@ -191,7 +191,7 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
             raise ConfigError(f"invalid kernel matrix: {exc}") from exc
     elif "graph" in kernel_doc:
         try:
-            graph = TransitionGraphSpec(**kernel_doc["graph"])
+            graph = TransitionGraphSpec.from_dict(kernel_doc["graph"])
             kernel = build_transition_kernel(graph)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid graph spec: {exc}") from exc
@@ -272,7 +272,7 @@ def _run_kernel(env: ResolvedEnvironment, config: ExperimentConfig, run_index: i
     # nonuniform graphs re-sample their off-diagonal masses per run, so a
     # multi-run experiment averages over kernel instantiations
     if env.graph is not None and env.graph.off_diagonal == "random_nonuniform":
-        return build_transition_kernel(replace(env.graph, seed=int(env.graph.seed + 7919 * run_index)))
+        return build_transition_kernel(replace(env.graph, seed=env.graph.seed + 7919 * run_index))
     return env.kernel
 
 

@@ -39,39 +39,13 @@ from .rollout import (
 )
 
 
-def _non_negative(name: str, value):
-    """``value`` unless it is negative, else ValueError."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-def _explore_commit_budget(n_e=None, delta=None, std1=None, std2=None, z_alpha=1.96, z_beta=0.84):
-    """Explore-commit's budget: ``n_e`` if given, else the z-test sample
-    size from ``delta``, ``std1`` and ``std2``."""
-    if n_e is not None:
-        return _non_negative("n_e", n_e)
-    if delta is None or std1 is None or std2 is None:
-        raise ValueError("explore_commit needs n_e, or all of delta, std1 and std2")
-    return explore_commit_sample_size(delta, std1, std2, z_alpha, z_beta)
-
-
-def _explore_commit(
-    model, kernel, prior, rng, info_arm: int, n_e: int | None = None, delta: float | None = None,
-    std1: float | None = None, std2: float | None = None, z_alpha: float = 1.96, z_beta: float = 0.84,
-):
-    """Explore-commit with its budget given as ``n_e`` or sized by the
-    z-test from ``delta``, ``std1`` and ``std2``."""
-    n_e = _explore_commit_budget(n_e, delta, std1, std2, z_alpha, z_beta)
-    return ExploreCommit(model, kernel, prior, info_arm=info_arm, n_e=n_e, rng=rng)
-
-
-# registry name -> factory; a factory's parameters other than the
-# experiment quantities below are the policy's config params
+# registry name -> policy class; its constructor's parameters other than
+# the experiment quantities below are the policy's config params, and its
+# constructor is the one check on their values
 POLICIES = {
     "mts": MTS,
     "agemts": AGEmTS,
-    "explore_commit": _explore_commit,
+    "explore_commit": ExploreCommit,
     "explore_then_ps": ExploreThenPS,
     "cducb": CDUCB,
     "cdts": CDTS,
@@ -83,15 +57,6 @@ POLICIES = {
     "uniform_random": UniformRandom,
 }
 POLICY_NAMES = tuple(POLICIES)
-# registry name -> cheap range check of the param values, whose types the
-# factory's annotations fix; it takes the params its signature names
-PARAM_CHECKS = {
-    "explore_commit": _explore_commit_budget,
-    "explore_then_ps": lambda tau=None: tau is None or _non_negative("tau", tau),
-    # a detector's own check wants a positive even window
-    **dict.fromkeys(("cducb", "cdts", "cd_linucb", "cd_lints"),
-                    lambda window_size=50: ChangeDetectorState(window_size, threshold=0.0)),
-}
 # registry name -> {param: what computes it when the config leaves it
 # out}.  It takes the experiment quantities and params its signature
 # names and depends on nothing that changes from run to run, so an
@@ -111,33 +76,32 @@ def _quantities_for(factory, quantities: dict) -> dict:
     return {key: value for key, value in quantities.items() if key in wanted}
 
 
-def check_policy_params(name: str, params: dict, model: RewardModel, arm_features=None) -> None:
-    """Raise TypeError unless ``params`` bind to the factory's signature,
-    and ValueError if the policy still could not be built: a value does
-    not have the type its parameter is annotated with, its ``info_arm``
-    is not an arm of ``model``, its factory requires ``arm_features`` and
-    there are none, or its entry in ``PARAM_CHECKS`` rejects the params.
+def check_policy_params(name: str, params: dict, env, horizon: int) -> None:
+    """Raise TypeError unless every param is a config param of the policy,
+    annotated in its constructor, and ValueError unless each value has the
+    annotated type and the policy builds on the resolved environment ``env``
+    and ``horizon``.
 
-    Nothing is constructed, so this costs no per-policy set-up work.
+    The policy is built once, with a throwaway generator; a param that
+    ``PARAM_DEFAULTS`` computes and the config leaves out or null is
+    given a placeholder 0, so no forecast runs.
     """
     factory = POLICIES[name]
-    signature = inspect.signature(factory)
-    placeholders = _quantities_for(factory, dict.fromkeys(_EXPERIMENT_QUANTITIES))
-    # a param that PARAM_DEFAULTS fills in may be left out of the config, or null
-    computed = PARAM_DEFAULTS.get(name, {})
-    signature.bind(**{key: None for key in computed if key not in params}, **placeholders, **params)
     # the modules postpone their annotations, so they are resolved here
-    hints = typing.get_type_hints(factory.__init__ if isinstance(factory, type) else factory)
+    hints = typing.get_type_hints(factory.__init__)
+    computed = PARAM_DEFAULTS.get(name, {})
     for key, value in params.items():
+        if key in _EXPERIMENT_QUANTITIES or key not in hints:
+            raise TypeError(f"{name} takes no param {key!r}")
         check_type(key, value, hints[key] | None if key in computed else hints[key])
-    if not 0 <= params.get("info_arm", 0) < model.num_arms:
-        raise ValueError(f"info_arm must be an arm in [0, {model.num_arms}), got {params['info_arm']}")
-    features = signature.parameters.get("arm_features")
-    if features is not None and features.default is inspect.Parameter.empty and arm_features is None:
-        raise ValueError(f"{name} requires arm features and the model has none")
-    if name in PARAM_CHECKS:
-        check = PARAM_CHECKS[name]
-        check(**_quantities_for(check, params))
+    quantities = dict(zip(_EXPERIMENT_QUANTITIES, (env.model, env.kernel, env.prior, horizon,
+                                                   np.random.default_rng(0), env.arm_features)))
+    _build(factory, quantities, {**params, **{key: 0 for key in computed if params.get(key) is None}})
+
+
+def _build(factory, quantities: dict, params: dict) -> Policy:
+    """``factory`` called with the experiment quantities it takes and ``params``."""
+    return factory(**_quantities_for(factory, quantities), **params)
 
 
 def experiment_params(name: str, params: dict | None, model: RewardModel, horizon: int) -> dict:
@@ -163,13 +127,12 @@ def make_policy(
     """Build a policy from its registry name and a parameter map.
 
     This is the construction path used by experiment configs.  The
-    factory receives the experiment quantities its signature names
+    policy class receives the experiment quantities its signature names
     (model, kernel, prior, horizon, rng, arm_features) plus ``params``
     as keywords, with ``experiment_params`` filling in any missing
     default; an experiment passes them already filled in.
     """
     if name not in POLICIES:
         raise ValueError(f"unknown policy name {name!r}")
-    factory = POLICIES[name]
     quantities = dict(zip(_EXPERIMENT_QUANTITIES, (model, kernel, prior, horizon, rng, arm_features)))
-    return factory(**_quantities_for(factory, quantities), **experiment_params(name, params, model, horizon))
+    return _build(POLICIES[name], quantities, experiment_params(name, params, model, horizon))

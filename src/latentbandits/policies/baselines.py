@@ -265,9 +265,11 @@ class _LinearBandit(Policy):
         if arm_features is None:
             raise ValueError(f"{self.name} requires arm features")
         self.model = model
-        self.features = np.asarray(arm_features, dtype=float)
-        if self.features.shape[0] != model.num_arms:
-            raise ValueError("need one feature vector per arm")
+        self.features = features = np.asarray(arm_features, dtype=float)
+        if features.ndim != 2 or len(features) != model.num_arms or not np.isfinite(features).all():
+            raise ValueError("need one finite feature vector per arm")
+        if not 0 < ridge < math.inf:
+            raise ValueError(f"ridge must be finite and positive, got {ridge}")
         self.ridge = ridge
         self.detector = ChangeDetectorState(window_size, threshold)
         self.detector_resets = 0

@@ -38,11 +38,22 @@ def explore_commit_sample_size(
     return max(n1, n2)
 
 
+def _check_probe_budget(model: RewardModel, info_arm: int, name: str, budget: int) -> None:
+    """ValueError unless ``info_arm`` is an arm of ``model`` and the probe
+    budget ``budget``, called ``name``, is non-negative."""
+    if not 0 <= info_arm < model.num_arms:
+        raise ValueError(f"info_arm must be an arm in [0, {model.num_arms}), got {info_arm}")
+    if budget < 0:
+        raise ValueError(f"{name} must be non-negative, got {budget}")
+
+
 class ExploreCommit(BeliefPolicy):
     """Play the probe arm ``n_e`` times, then commit to the nearest state.
 
     The commit compares the empirical probe mean against the probe arm's
     per-state means and plays the winning state's best arm forever.
+    The budget is ``n_e`` if given, else the z-test sample size from
+    ``delta``, ``std1`` and ``std2`` (``explore_commit_sample_size``).
     A zero budget commits immediately from the prior's argmax.  The
     belief is still filtered so traces stay comparable, but it no longer
     influences arm choice after the commit.
@@ -50,8 +61,15 @@ class ExploreCommit(BeliefPolicy):
 
     name = "explore_commit"
 
-    def __init__(self, model, kernel, prior, info_arm: int, n_e: int, rng=None):
+    def __init__(self, model, kernel, prior, info_arm: int, n_e: int | None = None, rng=None,
+                 delta: float | None = None, std1: float | None = None, std2: float | None = None,
+                 z_alpha: float = 1.96, z_beta: float = 0.84):
         super().__init__(model, kernel, prior, rng)
+        if n_e is None:
+            if delta is None or std1 is None or std2 is None:
+                raise ValueError("explore_commit needs n_e, or all of delta, std1 and std2")
+            n_e = explore_commit_sample_size(delta, std1, std2, z_alpha, z_beta)
+        _check_probe_budget(model, info_arm, "n_e", n_e)
         self.info_arm = int(info_arm)
         self.n_e = int(n_e)
         self._probe_rewards: list[float] = []
@@ -260,6 +278,7 @@ class ExploreThenPS(MTS):
 
     def __init__(self, model, kernel, prior, info_arm: int, tau: int, rng=None):
         super().__init__(model, kernel, prior, rng)
+        _check_probe_budget(model, info_arm, "tau", tau)
         self.info_arm = int(info_arm)
         self.tau = int(tau)
 

@@ -49,14 +49,33 @@ def set_params(name, **params):
     return edit
 
 
+def set_graph(**fields):
+    """A config edit that sets fields of the config's transition graph."""
+    def edit(doc):
+        doc["environment"]["kernel"]["graph"].update(fields)
+    return edit
+
+
+def with_features(features, policy, **params):
+    """A config edit that moves the config onto a two-state model file with
+    arm ``features``, written to the working directory, and adds
+    ``policy`` with ``params``."""
+    def edit(doc):
+        model = two_state_model()
+        with open("model.json", "w", encoding="utf-8") as handle:
+            json.dump({"means": model.means.tolist(), "stds": model.stds.tolist(), "features": features}, handle)
+        doc["environment"]["model"] = {"file": "model.json"}
+        doc["policies"].append({"name": policy, "params": params})
+    return edit
+
+
 # params with which each policy validates; the others need none
 VALID_PARAMS = {"explore_commit": {"info_arm": 2, "n_e": 5}, "explore_then_ps": {"info_arm": 2, "tau": 3}}
 
 
 def _config_hints(name):
-    """The annotations of a policy factory's config params."""
-    factory = POLICIES[name]
-    hints = typing.get_type_hints(factory.__init__ if isinstance(factory, type) else factory)
+    """The annotations of a policy constructor's config params."""
+    hints = typing.get_type_hints(POLICIES[name].__init__)
     return {key: value for key, value in hints.items() if key not in _EXPERIMENT_QUANTITIES + ("return",)}
 
 
@@ -134,6 +153,15 @@ class TestValidate:
         lambda doc: doc["environment"].update(schedule=[0]),
         probe_first(probe_sigma=[0.05]),
         probe_first(probe_gap=[0.4]),
+        with_features(np.eye(3)[:2].tolist(), "cd_linucb"),
+        with_features(np.eye(3).tolist(), "cd_lints", ridge=0),
+        set_graph(stay_prob=True),
+        set_graph(seed=True),
+        set_graph(kind="custom", edges=[[0, 1.7], [1, 0]]),
+        set_graph(kind="custom", edges=[[0, -1], [1, 0]]),
+        with_features([[1, 0], [0, 1], [1, "x"]], "cd_linucb"),
+        with_features([1, 0, 1], "cd_linucb"),
+        with_features([[1, 0], [0, 1], [1, float("inf")]], "cd_linucb"),
     ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
             "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features",
             "explore_commit_info_arm_7", "explore_commit_info_arm_-1", "explore_then_ps_info_arm_7",
@@ -147,8 +175,12 @@ class TestValidate:
             "unknown_sweep_axis", "fractional_arm_set_size_axis", "arm_set_size_axis_9", "probe_sigma_axis_x",
             "probe_sigma_axis_-1", "probe_gap_axis_true", "axis_not_a_list", "axis_without_values",
             "fractional_schedule_time", "schedule_time_x", "schedule_time_true", "schedule_time_0",
-            "probe_sigma_axis_probe_not_last", "probe_gap_axis_probe_not_last"])
-    def test_unrunnable_configs_are_config_errors(self, tmp_path, edit):
+            "probe_sigma_axis_probe_not_last", "probe_gap_axis_probe_not_last", "features_one_row_short",
+            "cd_lints_ridge_0", "graph_stay_prob_true", "graph_seed_true", "graph_fractional_edge",
+            "graph_edge_outside_states", "features_not_numbers", "features_one_dimensional",
+            "features_not_finite"])
+    def test_unrunnable_configs_are_config_errors(self, tmp_path, monkeypatch, edit):
+        monkeypatch.chdir(tmp_path)  # where an edit writes its model file
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
         doc["policies"] = [p for p in doc["policies"] if p["name"] != "agemts"]
         edit(doc)

@@ -90,6 +90,10 @@ class TestIngestRatings:
         path.write_text(f"1,2,3.5\n1,3,4.0\n2,2,{rating}\n")
         with pytest.raises(ValueError, match="line 3"):
             ingest_ratings(path, 0, 0)
+        # a first line whose user field parses is data, not a header
+        path.write_text(f"2,2,{rating}\n1,2,3.5\n1,3,4.0\n")
+        with pytest.raises(ValueError, match="line 1"):
+            ingest_ratings(path, 0, 0)
 
     def test_sparse_ids_map_to_sorted_contiguous_indices(self, tmp_path, rng):
         triples = [(int(u), int(i), 3.0) for u, i in zip(rng.choice([7, 3, 90, 12], 30), rng.choice([5, 500, 41], 30))]
@@ -177,6 +181,13 @@ class TestPMFTrain:
         table = table_from_matrix(ratings, keep=1.0, rng=rng)
         with pytest.raises(FloatingPointError, match="epoch"):
             pmf_train(table, 3, 1e-3, 1e-3, 5.0, 0.1, 50, seed=0)
+
+    def test_overflowing_ratings_diverge_without_a_warning(self, rng):
+        # the squared errors overflow from the first RMSE on; the divergence
+        # error is the one report (the suite turns library warnings into errors)
+        table = table_from_matrix(np.full((4, 3), 1e200), keep=1.0, rng=rng)
+        with pytest.raises(FloatingPointError, match="diverged at epoch 1"):
+            pmf_train(table, 2, 1e-3, 1e-3, 0.01, 0.25, 5, seed=0)
 
 
 def assert_same_training(table, *args, seed):

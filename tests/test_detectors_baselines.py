@@ -233,6 +233,12 @@ class TestLinearBandits:
             assert arm in offered
             policy.observe(0.5)
 
+    @pytest.mark.parametrize("cls", [CDLinUCB, CDLinTS])
+    @pytest.mark.parametrize("ridge", [0.0, -1.0, float("inf"), float("nan")])
+    def test_ridge_must_be_finite_and_positive(self, two_state, cls, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and positive"):
+            cls(two_state, np.eye(3), ridge=ridge)
+
 
 def test_oracle_plays_true_state_best_arm(two_state):
     policy = OraclePolicy(two_state, rng=np.random.default_rng(0))

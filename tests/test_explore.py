@@ -87,6 +87,31 @@ class TestExploreCommit:
             assert policy.step(ARMS3) == 1
             policy.observe(float(rng.normal(2.1, 0.5)))
 
+    def test_z_test_budget_is_the_sample_size(self, two_state_loose, identity2):
+        policy = ExploreCommit(two_state_loose, identity2, [0.5, 0.5], info_arm=2,
+                               delta=0.2, std1=0.5, std2=0.5)
+        assert policy.n_e == explore_commit_sample_size(0.2, 0.5, 0.5, 1.96, 0.84) == 49
+
+
+class TestProbeBudgetConstructors:
+    """The explore constructors are the one check on their params."""
+
+    @pytest.mark.parametrize("cls,budget", [(ExploreCommit, "n_e"), (ExploreThenPS, "tau")])
+    @pytest.mark.parametrize("info_arm,value,message", [
+        (3, 4, r"info_arm must be an arm in \[0, 3\), got 3"),
+        (-1, 4, r"info_arm must be an arm in \[0, 3\), got -1"),
+        (2, -1, "{budget} must be non-negative, got -1"),
+    ], ids=["info_arm_3", "info_arm_-1", "negative_budget"])
+    def test_out_of_range_params_rejected(self, two_state, identity2, cls, budget, info_arm, value, message):
+        with pytest.raises(ValueError, match=message.format(budget=budget)):
+            cls(two_state, identity2, [0.5, 0.5], info_arm=info_arm, **{budget: value})
+
+    @pytest.mark.parametrize("triple", [{}, {"delta": 0.2}, {"delta": 0.2, "std1": 0.5},
+                                        {"std1": 0.5, "std2": 0.5}])
+    def test_incomplete_z_test_triple_rejected(self, two_state, identity2, triple):
+        with pytest.raises(ValueError, match="needs n_e, or all of delta, std1 and std2"):
+            ExploreCommit(two_state, identity2, [0.5, 0.5], info_arm=2, **triple)
+
 
 class TestBeliefForecast:
     def test_identical_distributions_fixed_point(self, identity2):

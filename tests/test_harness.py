@@ -111,16 +111,39 @@ class TestConfig:
         assert config.validate().arm_features.shape == (3, 3)
         assert set(run_experiment(config).policy_names) == {"explore_commit", "cd_linucb", "cd_lints"}
 
-    def test_valid_params_accepted_without_building(self, monkeypatch):
+    def test_valid_params_accepted_without_forecasting_tau(self, monkeypatch):
         from latentbandits import policies
 
         def no_tau(*args, **kwargs):
-            raise AssertionError("validate must not build policies")
+            raise AssertionError("validate must not forecast tau")
 
         monkeypatch.setattr(policies, "explore_then_ps_tau", no_tau)
         config = tiny_config(policies=(PolicySpec("agemts", {"entropy_threshold": 0.5}),
                                        PolicySpec("explore_then_ps", {"info_arm": 2})))
         assert config.validate().model.num_arms == 3
+
+    @pytest.mark.parametrize("tau", ["absent", None])
+    def test_validate_builds_each_policy_once_through_neither_hook(self, monkeypatch, tau):
+        # the benchmark's lock wraps harness.make_policy to record arms in
+        # build order, and its probes count explore_then_ps_tau's forecasts
+        from latentbandits import harness as harness_module
+        from latentbandits import models, policies
+        from latentbandits.recipes import get_recipe
+
+        calls, built = [], []
+        for module, name in ((harness_module, "make_policy"), (policies, "explore_then_ps_tau")):
+            monkeypatch.setattr(module, name, lambda *args, hook=name, **kwargs: calls.append(hook))
+        real = models.BeliefState.__post_init__
+        monkeypatch.setattr(models.BeliefState, "__post_init__", lambda belief: built.append(real(belief)))
+        config = get_recipe("two_state_explore_strategies", horizon=10, num_runs=2)
+        if tau is None:
+            explore_then_ps = PolicySpec("explore_then_ps", {"info_arm": 2, "tau": None})
+            config = replace(config, policies=config.policies[:2] + (explore_then_ps,))
+        assert config.policies[2].params.get("tau") is None
+        config.validate()
+        assert calls == []
+        # mts, explore_commit and explore_then_ps each build their prior's belief once
+        assert len(built) == 3
 
     def test_duplicate_schedule_times_rejected(self):
         config = tiny_config(kernel={"graph": {"kind": "fully_connected", "num_states": 2}},
