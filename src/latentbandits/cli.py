@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -108,8 +107,8 @@ class DatasetConfig(TypedConfig):
         lows = {"min_user_ratings": 1, "min_item_ratings": 1, "d": 1, "epochs": 1, "num_states": 2, "seed": 0,
                 "lambda_u": 0, "lambda_v": 0, "learning_rate": 0}
         for key, low in lows.items():
-            if not low <= getattr(self, key) < math.inf:
-                raise ConfigError(f"{key} must be finite and at least {low}, got {getattr(self, key)}")
+            if not low <= getattr(self, key):
+                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError(f"validation_fraction must lie in (0, 1), got {self.validation_fraction}")
         if self.variance_mode not in datasets.VARIANCE_MODES:
@@ -123,8 +122,8 @@ class DatasetConfig(TypedConfig):
             for key, value in self.variance_params.items()
         })
         sigma = self.variance_params.get("sigma", 0.25)
-        if not 0.0 < sigma < math.inf:
-            raise ConfigError(f"variance param 'sigma' must be finite and positive, got {sigma}")
+        if not 0.0 < sigma:
+            raise ConfigError(f"variance param 'sigma' must be positive, got {sigma}")
         for pair in self.pairing:
             states = [check_type("a paired state", state, int) for state in check_type("a pairing", pair, list)]
             if len(states) != 2 or not all(0 <= state < self.num_states for state in states):

@@ -4,6 +4,7 @@ policy params and ``build-model``'s dataset config."""
 from __future__ import annotations
 
 import numbers
+import sys
 import types
 import typing
 from dataclasses import MISSING, fields
@@ -15,13 +16,15 @@ class ConfigError(ValueError):
 
 def check_type(name: str, value, annotation):
     """``value`` if it has the type ``annotation``, else ConfigError: ``int``
-    takes an integral number, ``float`` any real number (as a float),
+    takes an integral number, ``float`` any finite real number (as a float),
     ``Optional[X]`` or ``X | None`` also None; a bool is never a number."""
     is_union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
     for option in typing.get_args(annotation) if is_union else (annotation,):
         number = {int: numbers.Integral, float: numbers.Real}.get(option)
         if number and isinstance(value, number) and not isinstance(value, bool):
-            return option(value)
+            # NaN, the infinities and ints beyond the float range are not floats
+            if option is int or abs(value) <= sys.float_info.max:
+                return option(value)
         if not number and isinstance(value, typing.get_origin(option) or option):
             return value
     raise ConfigError(f"{name} must be {getattr(annotation, '__name__', annotation)}, got {value!r}")

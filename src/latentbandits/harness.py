@@ -242,7 +242,8 @@ class RunResult:
     """Per-run traces: one cumulative regret vector per policy, probe-play
     indicators, final beliefs, each policy's ``counters`` and wall-clock
     metadata: the run's seconds (its trace file included), and each
-    policy's (its construction and its steps)."""
+    policy's (its construction and its steps); ``arms`` maps each policy
+    to the arms it played, an int array."""
 
     run_index: int
     states: np.ndarray
@@ -253,6 +254,7 @@ class RunResult:
     wall_clock_seconds: float
     policy_counters: dict = field(default_factory=dict)
     policy_seconds: dict = field(default_factory=dict)
+    arms: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -380,19 +382,20 @@ def _run_policies(
     horizon = config.horizon
     run = RunResult(run_index=run_index, states=trajectory.states, cum_regret={}, cum_realized_regret={},
                     info_flags={}, final_beliefs={}, wall_clock_seconds=0.0)
-    # shared by every policy's steps, as Python scalars: the trajectory,
-    # each step's best offered arm per state and each arm's column in its
-    # slate (-1 if not offered), and the reward tables; without slates
-    # every step shares one row
-    states, noise, arm_sets = trajectory.states.tolist(), trajectory.noise.tolist(), trajectory.arm_sets
-    slates = np.stack(arm_sets) if env.arm_set_size is not None else arm_sets[0][None, :]
-    columns = np.full((len(slates), model.num_arms), -1)
-    np.put_along_axis(columns, slates, np.arange(slates.shape[1]), axis=1)
-    best_arms, columns = model.best_arms(slates).tolist(), columns.tolist()
-    if env.arm_set_size is None:
-        best_arms, columns = best_arms * horizon, columns * horizon
-    means, stds = model.means.tolist(), model.stds.tolist()
-    optimal = [means[row[state]][state] for row, state in zip(best_arms, states)]
+    # the run's tables: by [step, slate column] each offered arm, its mean
+    # and its reward; by step each state's best offered arm and each arm's
+    # column in the slate (-1 if not offered), as Python lists for the steps
+    states, arm_sets = trajectory.states.tolist(), trajectory.arm_sets
+    offered = np.stack(arm_sets)
+    steps = np.arange(horizon)
+    columns = np.full((horizon, model.num_arms), -1)
+    np.put_along_axis(columns, offered, np.arange(offered.shape[1]), axis=1)
+    best_arms = model.best_arms(offered)
+    means = model.means[offered, trajectory.states[:, None]]
+    rewards = means + model.stds[offered, trajectory.states[:, None]] * trajectory.noise[:, None]
+    # the optimal mean through the argmax, so a -0.0/0.0 tie keeps its sign
+    optimal = model.means[best_arms[steps, trajectory.states], trajectory.states]
+    best_arms, columns, reward_rows = best_arms.tolist(), columns.tolist(), rewards.tolist()
     evidence = None
 
     for i, spec in enumerate(config.policies):
@@ -411,21 +414,14 @@ def _run_policies(
         if evidence is None and policy.belief_probs is not None:
             # built for the first belief policy, timed in no policy's seconds
             built = time.perf_counter()
-            evidence = _evidence_table(model, slates, trajectory, out=buffers)
+            evidence = _evidence_table(model, offered, rewards, out=buffers)
             start += time.perf_counter() - built
         rows = evidence if policy.belief_probs is not None else None
-        regret = np.zeros(horizon)
-        realized = np.zeros(horizon)
-        flags = np.zeros(horizon, dtype=int)
-        total = 0.0
-        total_realized = 0.0
-        if trace is not None:
-            arms, rewards, beliefs = [], [], []
-            trace.append((spec.name, arms, rewards, regret, realized, flags, beliefs))
+        played, flags = [], []
+        beliefs = [] if trace is not None else None
         for t in range(horizon):
-            state = states[t]
             if policy.wants_true_state:
-                policy.set_true_state(state)
+                policy.set_true_state(states[t])
             # rows go positionally: wrappers of step and observe may forward no keywords
             arm = policy.step(arm_sets[t], best_arms[t])
             if not (0 <= arm < model.num_arms and (column := columns[t][arm]) >= 0):
@@ -433,22 +429,22 @@ def _run_policies(
                     f"run {run_index}, policy {spec.name!r}, step {t + 1}: "
                     f"arm {arm} not offered"
                 )
-            mean = means[arm][state]
-            reward = mean + stds[arm][state] * noise[t]
-            policy.observe(reward, None if rows is None else rows[t, column])
-            total += optimal[t] - mean
-            total_realized += optimal[t] - reward
-            regret[t] = total
-            realized[t] = total_realized
-            flags[t] = int(policy.last_info_play)
-            if trace is not None:
-                arms.append(arm)
-                rewards.append(reward)
+            policy.observe(reward_rows[t][column], None if rows is None else rows[t, column])
+            played.append(column)
+            flags.append(policy.last_info_play)
+            if beliefs is not None:
                 beliefs.append(policy.belief_probs)
         name = spec.name
-        run.cum_regret[name] = regret
-        run.cum_realized_regret[name] = realized
-        run.info_flags[name] = flags
+        plays = steps, np.array(played)
+        # running sums in step order; adding 0.0 turns a leading -0.0 into
+        # 0.0, as a total that starts at 0.0 does
+        run.cum_regret[name] = np.cumsum(optimal - means[plays]) + 0.0
+        run.cum_realized_regret[name] = np.cumsum(optimal - rewards[plays]) + 0.0
+        run.info_flags[name] = np.array(flags, dtype=int)
+        run.arms[name] = offered[plays]
+        if trace is not None:
+            trace.append((name, run.arms[name].tolist(), rewards[plays], run.cum_regret[name],
+                          run.cum_realized_regret[name], run.info_flags[name], beliefs))
         belief = policy.belief
         run.final_beliefs[name] = belief.probs.tolist() if belief is not None else None
         run.policy_counters[name] = {key: getattr(policy, key) for key in policy.counters}
@@ -456,15 +452,11 @@ def _run_policies(
     return run
 
 
-def _evidence_table(model: RewardModel, slates: np.ndarray, trajectory: Trajectory, out=(None, None)) -> np.ndarray:
+def _evidence_table(model: RewardModel, offered: np.ndarray, rewards: np.ndarray, out=(None, None)) -> np.ndarray:
     """A run's likelihood rows, shaped [step, slate column, state]: row
-    [t, j] is that of the reward of step t's j-th offered arm (``slates``
-    holds every step's slate, or one that all steps share), built in ``out``."""
-    arms = np.broadcast_to(slates, (trajectory.states.size, slates.shape[1]))
-    states = trajectory.states[:, None]
-    # the harness's reward, mean + std * noise, in the same float operations
-    rewards = model.means[arms, states] + model.stds[arms, states] * trajectory.noise[:, None]
-    table = reward_log_likelihoods(model, arms, rewards, out=out)
+    [t, j] is that of ``rewards[t, j]``, the reward of step t's j-th
+    offered arm, built in ``out``."""
+    table = reward_log_likelihoods(model, offered, rewards, out=out)
     return likelihoods_from_log(table, out=table)
 
 
@@ -517,6 +509,8 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None) -> list:
     if not config.sweep_axes:
         raise ConfigError("sweep requires non-empty sweep_axes")
     config.validate()
+    if out_dir:
+        _check_writable(out_dir)  # before the grid, so a bad path costs no grid point
     axes = list(config.sweep_axes.items())
     grid = [()]
     for _, values in axes:
@@ -593,7 +587,6 @@ def emit_outputs(results: ExperimentResults, out_dir: str) -> dict:
 
 
 def _write_sweep_csv(rows: list, axis_names: list, config: ExperimentConfig, out_dir: str) -> None:
-    _check_writable(out_dir)
     policies = [spec.name for spec in config.policies]
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as handle:

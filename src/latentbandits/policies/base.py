@@ -35,7 +35,7 @@ class Policy:
     def __init__(self, rng: np.random.Generator | None = None):
         self.rng = rng if rng is not None else np.random.default_rng()
         self.time = 1
-        self._pending: tuple[np.ndarray, int] | None = None
+        self._pending: int | None = None
         self.last_info_play = False
 
     @property
@@ -48,26 +48,24 @@ class Policy:
         if best_arms is None and self.model is not None:
             best_arms = self.model.best_arms(offered)
         self.last_info_play = False
-        arm = int(self._choose(offered, best_arms))
-        self._pending = (offered, arm)
+        arm = self._pending = int(self._choose(offered, best_arms))
         return arm
 
     def observe(self, reward: float, likelihoods=None) -> None:
         if self._pending is None:
             raise RuntimeError("observe() called before step()")
-        offered, arm = self._pending
-        self._pending = None
+        arm, self._pending = self._pending, None
         reward = float(reward)
         if likelihoods is None and self.belief_probs is not None:
             likelihoods = likelihoods_from_log(reward_log_likelihoods(self.model, arm, reward))
-        self._learn(offered, arm, reward, likelihoods)
+        self._learn(arm, reward, likelihoods)
         self.time += 1
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:
         """The arm to play; ``best_arms[s]`` is state s's best offered arm."""
         raise NotImplementedError
 
-    def _learn(self, offered: np.ndarray, arm: int, reward: float, likelihoods) -> None:
+    def _learn(self, arm: int, reward: float, likelihoods) -> None:
         """Learn from the reward (and its likelihood row, if the policy filters a belief)."""
 
 
@@ -99,6 +97,6 @@ class BeliefPolicy(Policy):
         self.belief_probs = self.prior.probs
         self.degenerate_fallbacks = 0
 
-    def _learn(self, offered: np.ndarray, arm: int, reward: float, likelihoods) -> None:
+    def _learn(self, arm: int, reward: float, likelihoods) -> None:
         self.belief_probs, degenerate = filter_step(self.belief_probs, self.kernel.matrix, likelihoods)
         self.degenerate_fallbacks += degenerate

@@ -56,7 +56,7 @@ class _StateModelBandit(Policy):
         self._last_meta = state
         return best_arms[state]
 
-    def _learn(self, offered, arm, reward, likelihoods) -> None:
+    def _learn(self, arm, reward, likelihoods) -> None:
         meta = self._last_meta
         self._plays += 1
         self.counts[meta] += 1
@@ -175,6 +175,8 @@ class EXP4S(Policy):
             learning_rate if learning_rate is not None else math.sqrt(math.log(k) / horizon)
         )
         floor = weight_floor if weight_floor is not None else 1.0 / math.sqrt(k * horizon)
+        if not (self.learning_rate > 0 and floor >= 0):
+            raise ValueError(f"need learning_rate > 0 and weight_floor >= 0, got {self.learning_rate} and {floor}")
         self.weight_floor = min(floor, 1.0 / k)
         self.weights = np.full(k, 1.0 / k)
         self._experts = np.arange(k)
@@ -195,7 +197,7 @@ class EXP4S(Policy):
         cdf /= cdf[-1]
         return int(cdf.searchsorted(self.rng.random(), side="right"))
 
-    def _learn(self, offered, arm, reward, likelihoods) -> None:
+    def _learn(self, arm, reward, likelihoods) -> None:
         self.weights = exp4s_update(
             self.weights, self._advice, reward, arm, self.learning_rate, self.weight_floor
         )
@@ -241,7 +243,7 @@ class MUCB(Policy):
         best = self.model.means[offered][:, alive].max(axis=1)
         return int(offered[np.argmax(best)])
 
-    def _learn(self, offered, arm, reward, likelihoods) -> None:
+    def _learn(self, arm, reward, likelihoods) -> None:
         self.counts[arm] += 1
         self.sums[arm] += reward
 
@@ -287,7 +289,7 @@ class _LinearBandit(Policy):
     def _choose(self, offered: np.ndarray, best_arms) -> int:
         return int(offered[np.argmax(self._scores(offered))])
 
-    def _learn(self, offered, arm, reward, likelihoods) -> None:
+    def _learn(self, arm, reward, likelihoods) -> None:
         x = self.features[arm]
         self.a_matrix += np.outer(x, x)
         self.b_vector += reward * x

@@ -25,15 +25,12 @@ class ChangeDetectorState:
 
     window_size: int
     threshold: float
-    window: deque = field(default=None)
+    window: deque = field(init=False)
 
     def __post_init__(self):
         if self.window_size % 2 != 0 or self.window_size <= 0:
             raise ValueError("window_size must be a positive even number")
-        if self.window is None:
-            self.window = deque(maxlen=self.window_size)
-        else:
-            self.window = deque(self.window, maxlen=self.window_size)
+        self.window = deque(maxlen=self.window_size)
 
     @property
     def full(self) -> bool:

@@ -90,10 +90,10 @@ class ExploreCommit(BeliefPolicy):
             self._committed_state = self._commit()
         return best_arms[self._committed_state]
 
-    def _learn(self, offered, arm, reward, likelihoods) -> None:
+    def _learn(self, arm, reward, likelihoods) -> None:
         if arm == self.info_arm and self._committed_state is None:
             self._probe_rewards.append(reward)
-        super()._learn(offered, arm, reward, likelihoods)
+        super()._learn(arm, reward, likelihoods)
 
 
 # Gauss-Hermite rule for expectations over the reward noise; 64 nodes keep

@@ -4,10 +4,13 @@ Copies of the scalar code that the tables replaced: the trajectory walk
 that drew every state with ``rng.choice(p=row)``, the per-state best-arm
 argmax, and mUCB's per-state consistency loop; EXP4S's step as it
 drew its arm with ``rng.choice`` and projected every update with the
-floor loop; and cducb/cdts's choice as it scanned its counts for an
-unplayed state every step.  The CDF walk, the best-arm tables, the
-broadcast mUCB, EXP4S and the warm-up counter must reproduce them bit
-for bit; this module is imported by tests only and is not a test file.
+floor loop; cducb/cdts's choice as it scanned its counts for an
+unplayed state every step; and the harness's step loop as it summed
+each step's Python-float reward and regret into running totals.  The
+CDF walk, the best-arm tables, the broadcast mUCB, EXP4S, the warm-up
+counter and the run record gathered after the step loop must reproduce
+them bit for bit; this module is imported by tests only and is not a
+test file.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 import numpy as np
 
 from latentbandits.environments import Trajectory, sample_arm_set
+from latentbandits.harness import _run_kernel
+from latentbandits.policies import experiment_params, make_policy
 
 
 def best_arm(model, state, arms=None):
@@ -140,3 +145,39 @@ def _floor_project(weights, floor):
         else:
             weights[free] = remaining / max(free.sum(), 1)
     return weights
+
+
+def run_policies(config, run_index):
+    """Each policy's ``(arms, rewards, cum_regret, cum_realized_regret,
+    info_flags)`` lists on run ``run_index`` of ``config``, stepped one
+    scalar at a time: each reward as ``mean + std * noise`` in Python
+    floats, and regret as running totals that start at 0.0."""
+    env = config.validate()
+    model, horizon = env.model, config.horizon
+    kernel = _run_kernel(env, config, run_index)
+    trajectory = generate_trajectory(model, kernel, env.prior, horizon,
+                                     np.random.default_rng([config.base_seed + run_index, 0]),
+                                     schedule=env.schedule, arm_set_size=env.arm_set_size)
+    means, stds = model.means.tolist(), model.stds.tolist()
+    record = {}
+    for i, spec in enumerate(config.policies):
+        policy = make_policy(spec.name, model, kernel, env.prior, horizon,
+                             np.random.default_rng([config.base_seed + run_index, i + 1]),
+                             params=experiment_params(spec.name, spec.params, model, horizon),
+                             arm_features=env.arm_features)
+        columns = arms, rewards, regret, realized, flags = [], [], [], [], []
+        total = total_realized = 0.0
+        for state, offered, draw in zip(trajectory.states.tolist(), trajectory.arm_sets, trajectory.noise.tolist()):
+            if policy.wants_true_state:
+                policy.set_true_state(state)
+            arm = policy.step(offered)
+            mean = means[arm][state]
+            reward = mean + stds[arm][state] * draw
+            policy.observe(reward)
+            optimal = means[best_arm(model, state, offered)][state]
+            total += optimal - mean
+            total_realized += optimal - reward
+            for column, value in zip(columns, (arm, reward, total, total_realized, int(policy.last_info_play))):
+                column.append(value)
+        record[spec.name] = columns
+    return record

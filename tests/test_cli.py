@@ -162,6 +162,13 @@ class TestValidate:
         with_features([[1, 0], [0, 1], [1, "x"]], "cd_linucb"),
         with_features([1, 0, 1], "cd_linucb"),
         with_features([[1, 0], [0, 1], [1, float("inf")]], "cd_linucb"),
+        set_params("exp4s", learning_rate=float("nan")),
+        set_params("exp4s", weight_floor=float("nan")),
+        set_params("exp4s", learning_rate=-0.5),
+        set_params("exp4s", weight_floor=-0.1),
+        set_params("exp4s", learning_rate=10**400),
+        set_params("cducb", threshold=float("nan")),
+        lambda doc: doc["policies"].append({"name": "agemts", "params": {"entropy_threshold": float("nan")}}),
     ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
             "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features",
             "explore_commit_info_arm_7", "explore_commit_info_arm_-1", "explore_then_ps_info_arm_7",
@@ -178,7 +185,9 @@ class TestValidate:
             "probe_sigma_axis_probe_not_last", "probe_gap_axis_probe_not_last", "features_one_row_short",
             "cd_lints_ridge_0", "graph_stay_prob_true", "graph_seed_true", "graph_fractional_edge",
             "graph_edge_outside_states", "features_not_numbers", "features_one_dimensional",
-            "features_not_finite"])
+            "features_not_finite", "exp4s_learning_rate_nan", "exp4s_weight_floor_nan",
+            "exp4s_negative_learning_rate", "exp4s_negative_weight_floor", "exp4s_learning_rate_past_floats",
+            "cducb_threshold_nan", "agemts_threshold_nan"])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, monkeypatch, edit):
         monkeypatch.chdir(tmp_path)  # where an edit writes its model file
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()

@@ -357,6 +357,7 @@ class TestBenchmarkHooks:
                     total += max(means[a][state] for a in offered) - means[arm][state]
                     regret.append(total)
                 assert regret == run.cum_regret[name].tolist()
+                assert run.arms[name].tolist() == [arm for arm, _ in played]
 
     def test_wrapped_trace_line_sees_every_line(self, monkeypatch, tmp_path):
         """The benchmark's probes wrap ``harness._trace_line`` with a wrapper
@@ -448,6 +449,20 @@ class TestSweep:
         rows = sweep(ExperimentConfig.from_dict(doc), out_dir=str(tmp_path / "sweep"))
         assert [row["arm_set_size"] for row in rows] == [2, 3]
         assert not (tmp_path / "parent").exists()
+
+    def test_unwritable_path_fails_before_the_grid(self, tmp_path, monkeypatch):
+        from latentbandits import harness as harness_module
+
+        def no_grid_point(*args, **kwargs):
+            raise AssertionError("a grid point ran before the output path was checked")
+
+        monkeypatch.setattr(harness_module, "run_experiment", no_grid_point)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        doc = tiny_config(policies=("mts",), horizon=20, num_runs=2).to_dict()
+        doc["sweep_axes"] = {"arm_set_size": [2, 3]}
+        with pytest.raises(OSError, match="not writable"):
+            sweep(ExperimentConfig.from_dict(doc), out_dir=str(blocker / "sub"))
 
     def test_unknown_axis_rejected(self):
         doc = tiny_config().to_dict()

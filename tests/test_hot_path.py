@@ -33,7 +33,6 @@ from latentbandits.belief import (
     reward_log_likelihoods,
     single_step_regret_bound,
 )
-from latentbandits.environments import Trajectory
 from latentbandits.harness import (
     EnvironmentSpec,
     ExperimentConfig,
@@ -187,12 +186,13 @@ class TestEvidenceTable:
 
     @staticmethod
     def assert_rows_match_the_scalar_rows(model, slates, states, noise):
-        trajectory = Trajectory(states=states, arm_sets=[], noise=noise)
-        table = _evidence_table(model, slates, trajectory)
+        offered = np.broadcast_to(slates, (states.size, slates.shape[1]))
+        rewards = model.means[offered, states[:, None]] + model.stds[offered, states[:, None]] * noise[:, None]
+        table = _evidence_table(model, offered, rewards)
         assert table.shape == (states.size, slates.shape[1], model.num_states)
         # the harness builds every run's table into buffers an earlier run left dirty
         buffers = np.full((2, *table.shape), np.nan)
-        built = _evidence_table(model, slates, trajectory, out=buffers)
+        built = _evidence_table(model, offered, rewards, out=buffers)
         assert np.shares_memory(built, buffers[0]) and built.tobytes() == table.tobytes()
         means, stds = model.means.tolist(), model.stds.tolist()
         for t, (state, draw) in enumerate(zip(states.tolist(), noise.tolist())):

@@ -2,13 +2,16 @@
 
 ``step_reference`` keeps the trajectory walk that drew each state with
 ``rng.choice``, the per-state best-arm argmax, mUCB's per-state
-consistency loop, EXP4S's ``rng.choice`` step and cducb/cdts's scan for
-an unplayed state; the CDF walk, the best-arm tables, the rows handed to
-``Policy.step``, the broadcast mUCB, EXP4S's CDF draw and the warm-up
-counter must match them bit for bit.
+consistency loop, EXP4S's ``rng.choice`` step, cducb/cdts's scan for an
+unplayed state and the harness's per-step running totals; the CDF walk,
+the best-arm tables, the rows handed to ``Policy.step``, the broadcast
+mUCB, EXP4S's CDF draw, the warm-up counter and each run's record must
+match them bit for bit.
 """
 
 import functools
+import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ import step_reference as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentbandits import RewardModel, TransitionKernel
+from latentbandits import EnvironmentSpec, ExperimentConfig, PolicySpec, RewardModel, TransitionKernel, run_experiment
 from latentbandits.environments import generate_trajectory
 from latentbandits.policies import CDTS, CDUCB, EXP4S, MUCB, POLICIES, make_policy
 
@@ -228,6 +231,69 @@ class TestEXP4S:
             policy.observe(reward)
             weights = reference.exp4s_update(weights, advice, reward, arm, policy.learning_rate, policy.weight_floor)
             assert policy.weights.tobytes() == weights.tobytes()
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestRunRecord:
+    """Each run's arms, info flags, regret and realized regret, gathered
+    after the step loop from the run's tables, and its trace, against the
+    per-step running totals of ``step_reference.run_policies``."""
+
+    @staticmethod
+    def assert_record_matches(model, kernel, policies, horizon, arm_set_size=None, seed=0):
+        config = ExperimentConfig(
+            environment=EnvironmentSpec(model={"means": model.means.tolist(), "stds": model.stds.tolist()},
+                                        kernel={"matrix": kernel.matrix.tolist()}, arm_set_size=arm_set_size),
+            policies=tuple(PolicySpec(name, params) for name, params in policies),
+            horizon=horizon, num_runs=2, base_seed=seed,
+        )
+        with tempfile.TemporaryDirectory() as out_dir:
+            results = run_experiment(config, out_dir=out_dir)
+            for run in results.runs:
+                expected = reference.run_policies(config, run.run_index)
+                with open(f"{out_dir}/traces/run_{run.run_index:04d}.jsonl", encoding="utf-8") as handle:
+                    lines = [json.loads(line) for line in handle]
+                for k, name in enumerate(results.policy_names):
+                    arms, rewards, regret, realized, flags = expected[name]
+                    assert run.arms[name].tolist() == arms
+                    assert run.info_flags[name].tolist() == flags
+                    assert run.cum_regret[name].tobytes() == bits(regret)
+                    assert run.cum_realized_regret[name].tobytes() == bits(realized)
+                    traced = lines[k * horizon:(k + 1) * horizon]
+                    assert [line["policy"] for line in traced] == [name] * horizon
+                    assert bits([line["reward"] for line in traced]) == bits(rewards)
+                    assert [line["arm"] for line in traced] == arms
+                    assert bits([line["regret"] for line in traced]) == bits(regret)
+                    assert bits([line["realized_regret"] for line in traced]) == bits(realized)
+        return results
+
+    @given(seeds, st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=6),
+           st.integers(min_value=1, max_value=40), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_record_equals_the_running_totals(self, seed, n, num_arms, horizon, slated):
+        rng = np.random.default_rng(seed)
+        # signed zeros and ties: optimal and played means of either sign of zero
+        means = np.array([-0.0, 0.0, -0.5, 0.5, 1.0])[rng.integers(5, size=(num_arms, n))]
+        means[:2, 0] = -0.0, 0.0
+        model = RewardModel(means=means, stds=rng.uniform(0.2, 1.0, size=(num_arms, n)))
+        policies = [(name, {}) for name in ("mts", "agemts", "cducb", "exp4s", "mucb", "oracle", "uniform_random")]
+        if not slated:
+            policies.append(("explore_commit", {"info_arm": 1, "n_e": 3}))
+        size = int(rng.integers(1, num_arms + 1)) if slated else None
+        self.assert_record_matches(model, random_kernel(rng, n), policies, horizon, size, seed % 1000)
+
+    def test_a_leading_negative_zero_regret_reads_zero(self):
+        # arm 0 ties arm 1 at -0.0 against 0.0 in both states, so the
+        # probe's first plays each regret -0.0 - 0.0 = -0.0
+        model = RewardModel(means=[[-0.0, -0.0], [0.0, 0.0], [-1.0, 1.0]], stds=np.full((3, 2), 0.5))
+        results = self.assert_record_matches(model, TransitionKernel.identity(2),
+                                             [("explore_commit", {"info_arm": 1, "n_e": 3})], 5)
+        for run in results.runs:
+            assert run.arms["explore_commit"][:3].tolist() == [1, 1, 1]
+            assert not np.signbit(run.cum_regret["explore_commit"][:3]).any()
 
 
 class FixedDraws:
