@@ -60,9 +60,13 @@ def _cmd_run(args) -> int:
         name: float(results.regret_matrix(name)[:, -1].mean())
         for name in results.policy_names
     }
+    counters = results.runs[0].policy_counters
     print(f"ran {config.name}: {config.num_runs} runs x {config.horizon} steps")
     for name, value in final.items():
         print(f"  final mean regret {name}: {value:.3f}")
+        # the policy's cost over all runs: its seconds and its summed counters
+        counts = [f", {key} {sum(run.policy_counters[name][key] for run in results.runs)}" for key in counters[name]]
+        print(f"    policy seconds {sum(run.policy_seconds[name] for run in results.runs):.3f}" + "".join(counts))
     print(f"wrote {paths['aggregate']} and traces under {out_dir}")
     return 0
 

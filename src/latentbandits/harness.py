@@ -383,19 +383,17 @@ def _run_policies(
     run = RunResult(run_index=run_index, states=trajectory.states, cum_regret={}, cum_realized_regret={},
                     info_flags={}, final_beliefs={}, wall_clock_seconds=0.0)
     # the run's tables: by [step, slate column] each offered arm, its mean
-    # and its reward; by step each state's best offered arm and each arm's
-    # column in the slate (-1 if not offered), as Python lists for the steps
+    # and its reward; by step each state's best offered arm; the slates,
+    # best arms and rewards as Python lists for the steps
     states, arm_sets = trajectory.states.tolist(), trajectory.arm_sets
     offered = np.stack(arm_sets)
     steps = np.arange(horizon)
-    columns = np.full((horizon, model.num_arms), -1)
-    np.put_along_axis(columns, offered, np.arange(offered.shape[1]), axis=1)
     best_arms = model.best_arms(offered)
     means = model.means[offered, trajectory.states[:, None]]
     rewards = means + model.stds[offered, trajectory.states[:, None]] * trajectory.noise[:, None]
     # the optimal mean through the argmax, so a -0.0/0.0 tie keeps its sign
     optimal = model.means[best_arms[steps, trajectory.states], trajectory.states]
-    best_arms, columns, reward_rows = best_arms.tolist(), columns.tolist(), rewards.tolist()
+    slates, best_arms, reward_rows = offered.tolist(), best_arms.tolist(), rewards.tolist()
     evidence = None
 
     for i, spec in enumerate(config.policies):
@@ -424,11 +422,13 @@ def _run_policies(
                 policy.set_true_state(states[t])
             # rows go positionally: wrappers of step and observe may forward no keywords
             arm = policy.step(arm_sets[t], best_arms[t])
-            if not (0 <= arm < model.num_arms and (column := columns[t][arm]) >= 0):
+            try:
+                column = slates[t].index(arm)
+            except ValueError:
                 raise ProtocolViolationError(
                     f"run {run_index}, policy {spec.name!r}, step {t + 1}: "
                     f"arm {arm} not offered"
-                )
+                ) from None
             policy.observe(reward_rows[t][column], None if rows is None else rows[t, column])
             played.append(column)
             flags.append(policy.last_info_play)

@@ -8,6 +8,8 @@ or experts: choosing "state s" means playing state s's best offered arm.
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -18,41 +20,31 @@ from .detectors import ChangeDetectorState, cd_linear_check, cd_scalar_check
 
 class _StateModelBandit(Policy):
     """Shared scaffolding: one meta-arm per latent state, scalar change
-    detector per meta-arm, full reset on detection."""
+    detector per meta-arm, full reset on detection; a subclass picks the
+    state with ``_pick_state``.  Per-state play counts and reward sums are
+    Python lists, so a step is O(S) work on Python floats."""
 
     counters = ("detector_resets",)
 
-    def __init__(
-        self,
-        model: RewardModel,
-        rng=None,
-        window_size: int = 50,
-        threshold: float = 15.0,
-    ):
+    def __init__(self, model: RewardModel, rng=None, window_size: int = 50, threshold: float = 15.0):
         super().__init__(rng)
         self.model = model
-        self.window_size = window_size
-        self.threshold = threshold
         self._scale = float(model.stds.max())
         self.detector_resets = 0
+        self.detectors = [ChangeDetectorState(window_size, threshold) for _ in range(model.num_states)]
         self._reset_stats()
 
     def _reset_stats(self) -> None:
         k = self.model.num_states
-        self.counts = np.zeros(k, dtype=int)
-        self.sums = np.zeros(k)
-        self.detectors = [
-            ChangeDetectorState(self.window_size, self.threshold) for _ in range(k)
-        ]
-        self._last_meta: int | None = None
+        self.counts = [0] * k
+        self.sums = [0.0] * k
+        for detector in self.detectors:
+            detector.clear()
         # plays since the reset: the first k play states 0..k-1 in order
         self._plays = 0
 
-    def _pick_state(self) -> int:
-        raise NotImplementedError
-
     def _choose(self, offered: np.ndarray, best_arms) -> int:
-        state = self._plays if self._plays < self.counts.size else self._pick_state()
+        state = self._plays if self._plays < len(self.counts) else self._pick_state()
         self._last_meta = state
         return best_arms[state]
 
@@ -74,9 +66,10 @@ class CDUCB(_StateModelBandit):
     name = "cducb"
 
     def _pick_state(self) -> int:
-        means = self.sums / self.counts
-        bonus = self._scale * np.sqrt(2.0 * math.log(max(self.time, 2)) / self.counts)
-        return int(np.argmax(means + bonus))
+        width, scale = 2.0 * math.log(max(self.time, 2)), self._scale
+        indices = [total / n + scale * math.sqrt(width / n) for total, n in zip(self.sums, self.counts)]
+        # the first state of the highest index, as np.argmax picks it
+        return indices.index(max(indices))
 
 
 class CDTS(_StateModelBandit):
@@ -84,20 +77,22 @@ class CDTS(_StateModelBandit):
 
     name = "cdts"
 
+    @cached_property
+    def _normals(self):
+        """The stream's standard normals in order, drawn 256 at a time: the
+        values ``rng.normal(loc, scale)`` draws as ``loc + scale * z``."""
+        return chain.from_iterable(iter(lambda: self.rng.standard_normal(256).tolist(), None))
+
     def _pick_state(self) -> int:
-        means = self.sums / self.counts
-        samples = self.rng.normal(means, self._scale / np.sqrt(self.counts))
-        return int(np.argmax(samples))
+        scale = self._scale
+        # zip takes one normal per state: the sums run out first
+        samples = [total / n + scale / math.sqrt(n) * z
+                   for total, n, z in zip(self.sums, self.counts, self._normals)]
+        return samples.index(max(samples))
 
 
-def exp4s_update(
-    weights: np.ndarray,
-    chosen_expert_probs: np.ndarray,
-    reward: float,
-    arm: int,
-    learning_rate: float,
-    weight_floor: float,
-) -> np.ndarray:
+def exp4s_update(weights: np.ndarray, chosen_expert_probs: np.ndarray, reward: float, arm: int,
+                 learning_rate: float, weight_floor: float) -> np.ndarray:
     """One exponential-weights update with an enforced weight floor.
 
     ``chosen_expert_probs`` is the advice matrix [expert, arm]; column
@@ -114,36 +109,36 @@ def exp4s_update(
     prob_arm = float(weights @ advice_col)
     if prob_arm <= 0:
         raise ValueError("the played arm had zero probability under the weights")
-    estimate = advice_col * (reward / prob_arm)
-    updated = weights * np.exp(learning_rate * estimate)
-    updated = updated / updated.sum()
-    return _floor_project(updated, weight_floor)
+    # element-wise on Python floats; np.exp and the normalising sum stay numpy's
+    estimate = reward / prob_arm
+    gains = np.exp([learning_rate * (advice * estimate) for advice in advice_col.tolist()]).tolist()
+    updated = [weight * gain for weight, gain in zip(weights.tolist(), gains)]
+    total = float(np.add.reduce(updated))
+    return _floor_project([value / total for value in updated], weight_floor)
 
 
-def _floor_project(weights: np.ndarray, floor: float) -> np.ndarray:
-    """Project onto the simplex subset {w : w_i >= floor}; weights
-    already on it are returned as they are."""
-    k = weights.size
+def _floor_project(values: list, floor: float) -> np.ndarray:
+    """Project a list of weights onto the simplex subset {w : w_i >= floor}:
+    pin the entries below the floor and rescale the free ones, until none
+    is below.  The loop runs on Python floats; the free mass is numpy's
+    pairwise sum."""
+    k = len(values)
     if floor * k > 1.0 + 1e-12:
         raise ValueError("weight_floor is infeasible for this many experts")
-    if weights.min() >= floor:
-        return weights
-    pinned = np.zeros(k, dtype=bool)
-    weights = weights.copy()
+    values = list(values)
+    free = range(k)
     for _ in range(k):
-        below = (weights < floor) & ~pinned
-        if not below.any():
+        below = [i for i in free if values[i] < floor]
+        if not below:
             break
-        pinned |= below
-        weights[pinned] = floor
-        free = ~pinned
-        remaining = 1.0 - floor * pinned.sum()
-        total_free = weights[free].sum()
-        if total_free > 0:
-            weights[free] *= remaining / total_free
-        else:
-            weights[free] = remaining / max(free.sum(), 1)
-    return weights
+        free = [i for i in free if not values[i] < floor]
+        for i in below:
+            values[i] = floor
+        remaining = 1.0 - floor * (k - len(free))
+        total_free = float(np.add.reduce([values[i] for i in free]))
+        for i in free:
+            values[i] = values[i] * (remaining / total_free) if total_free > 0 else remaining / len(free)
+    return np.array(values)
 
 
 # the tolerance of Generator.choice on the sum of p
@@ -160,47 +155,42 @@ class EXP4S(Policy):
 
     name = "exp4s"
 
-    def __init__(
-        self,
-        model: RewardModel,
-        horizon: int,
-        rng=None,
-        learning_rate: float | None = None,
-        weight_floor: float | None = None,
-    ):
+    def __init__(self, model: RewardModel, horizon: int, rng=None, learning_rate: float | None = None,
+                 weight_floor: float | None = None):
         super().__init__(rng)
         self.model = model
         k = model.num_states
-        self.learning_rate = (
-            learning_rate if learning_rate is not None else math.sqrt(math.log(k) / horizon)
-        )
+        self.learning_rate = learning_rate if learning_rate is not None else math.sqrt(math.log(k) / horizon)
         floor = weight_floor if weight_floor is not None else 1.0 / math.sqrt(k * horizon)
         if not (self.learning_rate > 0 and floor >= 0):
             raise ValueError(f"need learning_rate > 0 and weight_floor >= 0, got {self.learning_rate} and {floor}")
         self.weight_floor = min(floor, 1.0 / k)
         self.weights = np.full(k, 1.0 / k)
         self._experts = np.arange(k)
-        # the advice matrix [expert, arm] of the current step, rewritten in place
+        # the advice matrix [expert, arm], rewritten in place when the
+        # best-arm row it was written from changes
         self._advice = np.zeros((k, model.num_arms))
+        self._advised = None
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:
-        advice = self._advice
-        advice.fill(0.0)
-        advice[self._experts, best_arms] = 1.0
-        probs = self.weights @ advice
-        probs = probs / probs.sum()
+        best_arms = list(best_arms)
+        if best_arms != self._advised:
+            self._advice.fill(0.0)
+            self._advice[self._experts, best_arms] = 1.0
+            self._advised = best_arms
+        probs = self.weights @ self._advice
+        probs = probs / np.add.reduce(probs)
         # rng.choice(num_arms, p=probs) as numpy draws it: its check on p,
         # then one uniform against the normalised CDF
         cdf = probs.cumsum()
-        if not (probs.min() >= 0.0 and abs(cdf[-1] - 1.0) <= _CHOICE_ATOL):
+        if not (np.minimum.reduce(probs) >= 0.0 and abs(cdf[-1] - 1.0) <= _CHOICE_ATOL):
             raise ValueError(f"arm probabilities must be a distribution, got {probs!r}")
         cdf /= cdf[-1]
         return int(cdf.searchsorted(self.rng.random(), side="right"))
 
     def _learn(self, arm, reward, likelihoods) -> None:
-        self.weights = exp4s_update(
-            self.weights, self._advice, reward, arm, self.learning_rate, self.weight_floor
-        )
+        self.weights = exp4s_update(self.weights, self._advice[:, arm], reward, arm, self.learning_rate,
+                                    self.weight_floor)
 
 
 class MUCB(Policy):
@@ -218,30 +208,32 @@ class MUCB(Policy):
     def __init__(self, model: RewardModel, rng=None):
         super().__init__(rng)
         self.model = model
-        self.counts = np.zeros(model.num_arms, dtype=int)
-        self.sums = np.zeros(model.num_arms)
-        self.surviving = np.ones(model.num_states, dtype=bool)
+        self.counts = [0] * model.num_arms
+        self.sums = [0.0] * model.num_arms
+        self.surviving = [True] * model.num_states
+        self._means, self._stds = model.means.tolist(), model.stds.tolist()
 
-    def consistent_states(self) -> np.ndarray:
-        played = np.flatnonzero(self.counts > 0)
-        if played.size == 0:
-            return np.ones(self.model.num_states, dtype=bool)
-        means = self.sums[played] / self.counts[played]
+    def consistent_states(self) -> list:
         log_t = math.log(max(self.time, 2))
-        radius = self.model.stds[played] * np.sqrt(log_t / self.counts[played])[:, None]
-        alive = (np.abs(means[:, None] - self.model.means[played]) <= radius).all(axis=0)
-        if not alive.any():
-            alive[:] = True
-        return alive
+        alive = [True] * self.model.num_states
+        # the played arms are read from the counts every step
+        for arm, n in enumerate(self.counts):
+            if n:
+                mean, root = self.sums[arm] / n, math.sqrt(log_t / n)
+                alive = [ok and abs(mean - mu) <= sd * root
+                         for ok, mu, sd in zip(alive, self._means[arm], self._stds[arm])]
+        return alive if any(alive) else [True] * self.model.num_states
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:
         # elimination is sticky; an empty intersection resets to all states
-        alive = self.surviving & self.consistent_states()
-        if not alive.any():
-            alive = np.ones(self.model.num_states, dtype=bool)
+        alive = [kept and ok for kept, ok in zip(self.surviving, self.consistent_states())]
+        if not any(alive):
+            alive = [True] * self.model.num_states
         self.surviving = alive
-        best = self.model.means[offered][:, alive].max(axis=1)
-        return int(offered[np.argmax(best)])
+        states = [s for s, ok in enumerate(alive) if ok]
+        arms = offered.tolist()
+        optimism = [max([self._means[arm][s] for s in states]) for arm in arms]
+        return arms[optimism.index(max(optimism))]
 
     def _learn(self, arm, reward, likelihoods) -> None:
         self.counts[arm] += 1
@@ -254,15 +246,8 @@ class _LinearBandit(Policy):
 
     counters = ("detector_resets",)
 
-    def __init__(
-        self,
-        model: RewardModel,
-        arm_features: np.ndarray,
-        rng=None,
-        ridge: float = 1.0,
-        window_size: int = 50,
-        threshold: float = 5.0,
-    ):
+    def __init__(self, model: RewardModel, arm_features: np.ndarray, rng=None, ridge: float = 1.0,
+                 window_size: int = 50, threshold: float = 5.0):
         super().__init__(rng)
         if arm_features is None:
             raise ValueError(f"{self.name} requires arm features")
@@ -273,7 +258,7 @@ class _LinearBandit(Policy):
         if not 0 < ridge < math.inf:
             raise ValueError(f"ridge must be finite and positive, got {ridge}")
         self.ridge = ridge
-        self.detector = ChangeDetectorState(window_size, threshold)
+        self.detector = ChangeDetectorState(window_size, threshold, (features.shape[1] + 1,))
         self.detector_resets = 0
         self._reset_regression()
 
@@ -293,7 +278,7 @@ class _LinearBandit(Policy):
         x = self.features[arm]
         self.a_matrix += np.outer(x, x)
         self.b_vector += reward * x
-        self.detector.push((x, reward))
+        self.detector.push(np.append(x, reward))
         if cd_linear_check(self.detector):
             self.detector_resets += 1
             self._reset_regression()

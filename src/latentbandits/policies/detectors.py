@@ -8,48 +8,59 @@ empirical feature covariance.  Both abstain until their window is full.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class ChangeDetectorState:
-    """Ring buffer of recent observations plus detection parameters.
+    """The last ``window_size`` observations plus detection parameters.
 
-    ``window`` holds plain rewards for the scalar detector or
-    ``(feature, reward)`` pairs for the linear one.  ``window_size`` must
-    be even so the window splits into equal halves.
+    An observation is a reward for the scalar detector, and a row
+    ``[*features, reward]`` of shape ``row_shape`` for the linear one.
+    They are kept in a doubled ring (slot i is written at i and at
+    i + window_size), so ``window``, oldest first, is always one
+    contiguous view.  ``window_size`` must be even so the window splits
+    into equal halves.
     """
 
     window_size: int
     threshold: float
-    window: deque = field(init=False)
+    row_shape: tuple = ()
 
     def __post_init__(self):
         if self.window_size % 2 != 0 or self.window_size <= 0:
             raise ValueError("window_size must be a positive even number")
-        self.window = deque(maxlen=self.window_size)
+        self._ring = np.empty((2 * self.window_size, *self.row_shape))
+        self.clear()
 
     @property
     def full(self) -> bool:
-        return len(self.window) == self.window_size
+        return self._size == self.window_size
+
+    @property
+    def window(self) -> np.ndarray:
+        end = self._head + self.window_size
+        return self._ring[end - self._size:end]
 
     def push(self, item) -> None:
-        self.window.append(item)
+        head = self._head
+        self._ring[head] = self._ring[head + self.window_size] = item
+        self._head = (head + 1) % self.window_size
+        self._size = min(self._size + 1, self.window_size)
 
     def clear(self) -> None:
-        self.window.clear()
+        self._head = self._size = 0
 
 
 def cd_scalar_check(state: ChangeDetectorState) -> bool:
     """True when the two half-window reward sums differ by more than b."""
     if not state.full:
         return False
-    half = state.window_size // 2
-    rewards = np.fromiter(state.window, dtype=float, count=state.window_size)
-    return bool(abs(rewards[half:].sum() - rewards[:half].sum()) > state.threshold)
+    # each half's pairwise sum, one row of the window at a time
+    old, new = np.add.reduce(state.window.reshape(2, -1), 1).tolist()
+    return abs(new - old) > state.threshold
 
 
 def cd_linear_check(state: ChangeDetectorState) -> bool:
@@ -63,8 +74,8 @@ def cd_linear_check(state: ChangeDetectorState) -> bool:
     if not state.full:
         return False
     half = state.window_size // 2
-    features = np.array([np.asarray(x, dtype=float) for x, _ in state.window])
-    rewards = np.array([float(r) for _, r in state.window])
+    window = state.window
+    features, rewards = np.ascontiguousarray(window[:, :-1]), np.ascontiguousarray(window[:, -1])
     w_old, *_ = np.linalg.lstsq(features[:half], rewards[:half], rcond=None)
     w_new, *_ = np.linalg.lstsq(features[half:], rewards[half:], rcond=None)
     covariance = features.T @ features

@@ -1,13 +1,17 @@
 """Reference oracle for the per-run step tables and per-step kernels.
 
-Copies of the scalar code that the tables replaced: the trajectory walk
-that drew every state with ``rng.choice(p=row)``, the per-state best-arm
-argmax, and mUCB's per-state consistency loop; EXP4S's step as it
-drew its arm with ``rng.choice`` and projected every update with the
-floor loop; cducb/cdts's choice as it scanned its counts for an
-unplayed state every step; and the harness's step loop as it summed
-each step's Python-float reward and regret into running totals.  The
-CDF walk, the best-arm tables, the broadcast mUCB, EXP4S, the warm-up
+Copies of the scalar and numpy code that the tables and the list-based
+baselines replaced: the trajectory walk that drew every state with
+``rng.choice(p=row)``, the per-state best-arm argmax, and mUCB's
+per-state consistency loop; EXP4S's step as it drew its arm with
+``rng.choice`` and projected every update with the numpy floor loop;
+cducb/cdts's choice as it scanned its counts for an unplayed state every
+step, their numpy picks (cdts drawing ``rng.normal(means, scales)``) and
+the scalar detector that read its deque window with ``np.fromiter``;
+and the harness's step loop as it summed each step's Python-float reward
+and regret into running totals.  ``StateModelBandit`` and ``MUCB`` step
+these copies on numpy arrays.  The CDF walk, the best-arm tables, the
+baselines' Python-float steps, the doubled-ring detector, the warm-up
 counter and the run record gathered after the step loop must reproduce
 them bit for bit; this module is imported by tests only and is not a
 test file.
@@ -16,6 +20,7 @@ test file.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -67,15 +72,16 @@ def generate_trajectory(model, kernel, prior, horizon, rng, schedule=None, arm_s
 def consistent_states(policy):
     """mUCB's surviving-state test, one state at a time."""
     model = policy.model
-    played = np.flatnonzero(policy.counts > 0)
+    counts, sums = np.asarray(policy.counts), np.asarray(policy.sums, dtype=float)
+    played = np.flatnonzero(counts > 0)
     alive = np.ones(model.num_states, dtype=bool)
     if played.size == 0:
         return alive
-    means = policy.sums[played] / policy.counts[played]
+    means = sums[played] / counts[played]
     log_t = math.log(max(policy.time, 2))
     for s in range(model.num_states):
         predicted = model.means[played, s]
-        radius = model.stds[played, s] * np.sqrt(log_t / policy.counts[played])
+        radius = model.stds[played, s] * np.sqrt(log_t / counts[played])
         alive[s] = bool(np.all(np.abs(means - predicted) <= radius))
     if not alive.any():
         alive[:] = True
@@ -88,13 +94,112 @@ def mucb_arm(model, offered, surviving):
     return int(offered[np.argmax(optimistic.max(axis=1))])
 
 
+class MUCB:
+    """mUCB on numpy arrays: the per-state consistency loop, sticky
+    elimination and the optimistic arm."""
+
+    def __init__(self, model):
+        self.model = model
+        self.time = 1
+        self.counts = np.zeros(model.num_arms, dtype=int)
+        self.sums = np.zeros(model.num_arms)
+        self.surviving = np.ones(model.num_states, dtype=bool)
+
+    def step(self, offered):
+        alive = self.surviving & consistent_states(self)
+        if not alive.any():
+            alive = np.ones(self.model.num_states, dtype=bool)
+        self.surviving = alive
+        return mucb_arm(self.model, offered, alive)
+
+    def observe(self, arm, reward):
+        self.counts[arm] += 1
+        self.sums[arm] += reward
+        self.time += 1
+
+
 def state_model_choose(policy, offered, best_arms):
     """cducb/cdts's ``_choose``: the first state unplayed since the last
     reset, else the policy's own pick."""
-    unplayed = np.flatnonzero(policy.counts == 0)
+    unplayed = np.flatnonzero(np.asarray(policy.counts) == 0)
     state = int(unplayed[0]) if unplayed.size else policy._pick_state()
     policy._last_meta = state
     return best_arms[state]
+
+
+def cducb_pick_state(self):
+    """CDUCB's ``_pick_state`` on numpy arrays."""
+    means = self.sums / self.counts
+    bonus = self._scale * np.sqrt(2.0 * math.log(max(self.time, 2)) / self.counts)
+    return int(np.argmax(means + bonus))
+
+
+def cdts_pick_state(self):
+    """CDTS's ``_pick_state`` on numpy arrays: ``rng.normal`` draws the samples."""
+    means = self.sums / self.counts
+    samples = self.rng.normal(means, self._scale / np.sqrt(self.counts))
+    return int(np.argmax(samples))
+
+
+class DequeDetector:
+    """The scalar detector's window as a deque."""
+
+    def __init__(self, window_size, threshold):
+        self.window_size = window_size
+        self.threshold = threshold
+        self.window = deque(maxlen=window_size)
+
+    @property
+    def full(self):
+        return len(self.window) == self.window_size
+
+    def push(self, item):
+        self.window.append(item)
+
+
+def cd_scalar_check(state):
+    """True when the two half-window reward sums differ by more than b."""
+    if not state.full:
+        return False
+    half = state.window_size // 2
+    rewards = np.fromiter(state.window, dtype=float, count=state.window_size)
+    return bool(abs(rewards[half:].sum() - rewards[:half].sum()) > state.threshold)
+
+
+class StateModelBandit:
+    """cducb (``pick_state=cducb_pick_state``) or cdts on numpy arrays:
+    per-state counts and sums, a deque detector per state, the unplayed
+    scan and a full reset on detection."""
+
+    def __init__(self, model, rng, pick_state, window_size=50, threshold=15.0):
+        self.model, self.rng, self.pick_state = model, rng, pick_state
+        self.window_size, self.threshold = window_size, threshold
+        self._scale = float(model.stds.max())
+        self.time = 1
+        self.detector_resets = 0
+        self._reset_stats()
+
+    def _reset_stats(self):
+        k = self.model.num_states
+        self.counts = np.zeros(k, dtype=int)
+        self.sums = np.zeros(k)
+        self.detectors = [DequeDetector(self.window_size, self.threshold) for _ in range(k)]
+
+    def step(self, best_arms):
+        unplayed = np.flatnonzero(self.counts == 0)
+        self._last_meta = int(unplayed[0]) if unplayed.size else self.pick_state(self)
+        return best_arms[self._last_meta]
+
+    def observe(self, reward):
+        meta = self._last_meta
+        self.counts[meta] += 1
+        self.sums[meta] += reward
+        detector = self.detectors[meta]
+        detector.push(reward)
+        if cd_scalar_check(detector):
+            self.detector_resets += 1
+            self._reset_stats()
+        self.time += 1
 
 
 def exp4s_mixture(model, weights, best_arms):

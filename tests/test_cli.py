@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import typing
+from dataclasses import replace
 
 import numpy as np
 import pmf_reference
@@ -266,6 +267,29 @@ class TestRun:
         assert (out / "traces" / "run_0000.jsonl").exists()
         assert (out / "run_meta.json").exists()
         assert "final mean regret" in capsys.readouterr().out
+
+    def test_summary_prints_each_policys_cost(self, tmp_path, capsys):
+        # detectors on a short window over planted switches, so resets count
+        config = get_recipe("two_state_fixed_200", horizon=400, num_runs=2)
+        config = replace(config, policies=tuple(
+            replace(spec, params={"window_size": 10, "threshold": 1.0}) if spec.name in ("cducb", "cdts") else spec
+            for spec in config.policies))
+        path = tmp_path / "config.json"
+        harness.save_config(config, path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        meta = json.loads((out / "run_meta.json").read_text())
+        for spec in config.policies:
+            name = spec.name
+            regret = next(k for k, line in enumerate(lines) if line.startswith(f"  final mean regret {name}:"))
+            seconds, *counts = lines[regret + 1].split(", ")
+            assert seconds == f"    policy seconds {sum(run[name] for run in meta['policy_seconds']):.3f}"
+            counters = {key: sum(run[name][key] for run in meta["policy_counters"])
+                        for key in meta["policy_counters"][0][name]}
+            assert dict(count.split(" ") for count in counts) == {key: str(v) for key, v in counters.items()}
+            if name in ("cducb", "cdts"):
+                assert counters["detector_resets"] > 0
 
     def test_flag_overrides(self, tmp_path):
         path = small_config_file(tmp_path, horizon=30, runs=2)

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -309,6 +310,44 @@ class TestRunExperiment:
         config = tiny_config(policies=("mts",), horizon=5, num_runs=1)
         with pytest.raises(ProtocolViolationError, match="step 1"):
             run_experiment(config)
+
+    @pytest.mark.parametrize("outside", ["catalogue", "slate"])
+    def test_unoffered_slate_arm_aborts_with_diagnostics(self, monkeypatch, outside):
+        from latentbandits import harness as harness_module
+        from latentbandits.policies.base import Policy
+
+        class Rogue(Policy):
+            name = "rogue"
+
+            def _choose(self, offered, best_arms):
+                if outside == "catalogue":
+                    return 3
+                return next(arm for arm in range(3) if arm not in offered)
+
+        monkeypatch.setattr(harness_module, "make_policy", lambda *args, **kwargs: Rogue())
+        config = tiny_config(policies=("mts",), horizon=5, num_runs=1, arm_set_size=2)
+        with pytest.raises(ProtocolViolationError, match=r"^run 0, policy 'mts', step 1: arm \d not offered$"):
+            run_experiment(config)
+
+    def test_catalogue_run_holds_no_table_of_the_catalogue(self):
+        # 1,000 items offered 20 at a time: each step finds its arm in its
+        # slate, so nothing of size [horizon, items] is built
+        horizon, items = 2000, 1000
+        rng = np.random.default_rng(0)
+        model = {"means": rng.normal(size=(items, 2)).tolist(), "stds": np.full((items, 2), 0.5).tolist()}
+        config = tiny_config(policies=("oracle", "uniform_random"), horizon=horizon, num_runs=1, model=model,
+                             arm_set_size=20)
+        tracemalloc.start()
+        try:
+            run = run_experiment(config).runs[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one [horizon, items] int64 table alone takes 16 MB
+        assert peak < horizon * items * 8
+        # the oracle's arm read its own mean: zero regret on every step
+        assert not run.cum_regret["oracle"].any()
+        assert (np.diff(run.cum_regret["uniform_random"]) >= 0).all()
 
 
 class TestBenchmarkHooks:

@@ -380,8 +380,9 @@ class TestRewardEstimator:
 
 class TestBatchingRecipe:
     """The stacked products the roll-out and PMF training rely on give the
-    bits of the per-row products; a numpy or BLAS upgrade that breaks this
-    fails here instead of moving results."""
+    bits of the per-row products, and cdts's block-drawn normals give
+    ``rng.normal``'s values; a numpy or BLAS upgrade that breaks this fails
+    here instead of moving results."""
 
     @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=100))
     @settings(max_examples=150, deadline=None)
@@ -431,6 +432,25 @@ class TestBatchingRecipe:
         expected = [filter_step(beliefs[r], kernel.matrix, liks[r]) for r in range(rows)]
         assert fallen == sum(degenerate for _, degenerate in expected)
         assert stack.rows.tobytes() == np.stack([probs for probs, _ in expected]).tobytes()
+
+    @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=64))
+    @settings(max_examples=150, deadline=None)
+    def test_block_drawn_normals_give_the_normal_draws(self, seed, n, block):
+        # cdts draws loc + scale * z from standard normals drawn a block at
+        # a time; rng.normal(locs, scales) draws the same z in the same order
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 30))
+        locs = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-3, 4, size=(rows, n))
+        scales = rng.uniform(0.0, 5.0, size=(rows, n))
+        draws, blocks = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        normals = []
+        for loc, scale in zip(locs, scales):
+            expected = draws.normal(loc, scale)
+            while len(normals) < n:
+                normals += blocks.standard_normal(block).tolist()
+            got = [mu + sigma * z for mu, sigma, z in zip(loc.tolist(), scale.tolist(), normals[:n])]
+            del normals[:n]
+            assert np.array(got).tobytes() == expected.tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,15 +1,18 @@
-"""The per-run step tables against the scalar code they replaced.
+"""The per-run step tables and the baselines' Python-float steps against
+the code they replaced.
 
 ``step_reference`` keeps the trajectory walk that drew each state with
 ``rng.choice``, the per-state best-arm argmax, mUCB's per-state
-consistency loop, EXP4S's ``rng.choice`` step, cducb/cdts's scan for an
-unplayed state and the harness's per-step running totals; the CDF walk,
-the best-arm tables, the rows handed to ``Policy.step``, the broadcast
-mUCB, EXP4S's CDF draw, the warm-up counter and each run's record must
-match them bit for bit.
+consistency loop, EXP4S's ``rng.choice`` step and numpy floor loop,
+cducb/cdts's scan for an unplayed state and their numpy picks, the
+deque-window scalar detector and the harness's per-step running totals;
+the CDF walk, the best-arm tables, the rows handed to ``Policy.step``,
+mUCB, cducb, cdts and EXP4S on Python floats, the doubled-ring detector,
+the warm-up counter and each run's record must match them bit for bit.
 """
 
 import functools
+import math
 import json
 import tempfile
 
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 
 from latentbandits import EnvironmentSpec, ExperimentConfig, PolicySpec, RewardModel, TransitionKernel, run_experiment
 from latentbandits.environments import generate_trajectory
-from latentbandits.policies import CDTS, CDUCB, EXP4S, MUCB, POLICIES, make_policy
+from latentbandits.policies import CDTS, CDUCB, EXP4S, MUCB, POLICIES, ChangeDetectorState, cd_scalar_check, make_policy
+from latentbandits.policies.baselines import _floor_project
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -149,12 +153,12 @@ class TestMUCB:
         truth = int(rng.integers(n))
         for _ in range(60):
             offered = random_offered(rng, model.num_arms)
-            expected_alive = policy.surviving & reference.consistent_states(policy)
+            expected_alive = np.asarray(policy.surviving) & reference.consistent_states(policy)
             if not expected_alive.any():
                 expected_alive[:] = True
-            assert policy.consistent_states().tolist() == reference.consistent_states(policy).tolist()
+            assert np.asarray(policy.consistent_states()).tolist() == reference.consistent_states(policy).tolist()
             arm = policy.step(offered)
-            assert policy.surviving.tolist() == expected_alive.tolist()
+            assert np.asarray(policy.surviving).tolist() == expected_alive.tolist()
             assert arm == reference.mucb_arm(model, offered, expected_alive)
             policy.observe(float(model.means[arm, truth] + model.stds[arm, truth] * rng.normal()))
 
@@ -176,11 +180,11 @@ class TestStateModelWarmUp:
             policy.observe(reward)
             scan.observe(reward)
         assert policy.detector_resets == scan.detector_resets >= 5
-        assert policy.counts.tolist() == scan.counts.tolist()
+        assert np.asarray(policy.counts).tolist() == np.asarray(scan.counts).tolist()
 
 
 class TestEXP4S:
-    @given(seeds, st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=12), st.booleans())
+    @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=2, max_value=12), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_same_arms_and_weights_as_the_choice_draw(self, seed, n, num_arms, slates):
         rng = np.random.default_rng(seed)
@@ -206,7 +210,7 @@ class TestEXP4S:
             weights = reference.exp4s_update(weights, advice, reward, arm, policy.learning_rate, policy.weight_floor)
             assert policy.weights.tobytes() == weights.tobytes()
 
-    @given(seeds, st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=12), st.booleans())
+    @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=2, max_value=12), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_draws_on_the_cdf_boundaries(self, seed, n, num_arms, slates):
         # a uniform equal to an entry of the choice CDF: an arm one bit
@@ -231,6 +235,165 @@ class TestEXP4S:
             policy.observe(reward)
             weights = reference.exp4s_update(weights, advice, reward, arm, policy.learning_rate, policy.weight_floor)
             assert policy.weights.tobytes() == weights.tobytes()
+
+
+class TestBaselineOracles:
+    """cducb, cdts, mUCB, EXP4S's floor projection and the scalar detector
+    on Python floats against their numpy oracles in ``step_reference``:
+    the arm of every step, and the counts, sums and surviving states after
+    it, for 2 to 20 states (so numpy's pairwise sums run past 8 terms)."""
+
+    @staticmethod
+    def drive_state_model(cls, seed, n, slated, listed, window_size, threshold, horizon=200):
+        rng = np.random.default_rng(seed)
+        num_arms = int(rng.integers(2, 12))
+        model = RewardModel(means=rng.normal(size=(num_arms, n)), stds=rng.uniform(0.05, 1.0, size=(num_arms, n)))
+        policy = cls(model, np.random.default_rng(seed), window_size, threshold)
+        pick = reference.cducb_pick_state if cls is CDUCB else reference.cdts_pick_state
+        oracle = reference.StateModelBandit(model, np.random.default_rng(seed), pick, window_size, threshold)
+        for t in range(horizon):
+            offered = random_offered(rng, num_arms) if slated else np.arange(num_arms)
+            best_arms = model.best_arms(offered)
+            best_arms = best_arms.tolist() if listed else best_arms
+            arm = policy.step(offered, best_arms)
+            assert arm == oracle.step(best_arms), t
+            # the level jumps by 4 every 60 steps: planted detector resets
+            reward = float(model.means[arm, 0] + 4.0 * (t // 60) + 0.3 * rng.normal())
+            policy.observe(reward)
+            oracle.observe(reward)
+            assert policy.counts == oracle.counts.tolist(), t
+            assert np.array(policy.sums).tobytes() == oracle.sums.tobytes(), t
+            assert policy.detector_resets == oracle.detector_resets, t
+        return policy
+
+    @pytest.mark.parametrize("cls", [CDUCB, CDTS])
+    @given(seeds, st.integers(min_value=2, max_value=20), st.booleans(), st.booleans(),
+           st.integers(min_value=1, max_value=20), st.floats(min_value=0.5, max_value=5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_state_model_bandits_equal_the_numpy_oracle(self, cls, seed, n, slated, listed, half, threshold):
+        self.drive_state_model(cls, seed, n, slated, listed, 2 * half, threshold)
+
+    @pytest.mark.parametrize("cls", [CDUCB, CDTS])
+    @pytest.mark.parametrize("n", [2, 8, 20])
+    def test_planted_resets_equal_the_numpy_oracle(self, cls, n):
+        policy = self.drive_state_model(cls, n, n, True, True, 4, 2.0, horizon=400)
+        assert policy.detector_resets >= 3
+
+    @pytest.mark.parametrize("cls", [CDUCB, CDTS])
+    @given(seeds, st.integers(min_value=2, max_value=20))
+    @settings(max_examples=100, deadline=None)
+    def test_picks_break_bit_level_ties_as_the_oracle(self, cls, seed, n):
+        # states whose oracle index (cducb) or sample (cdts) ties the best
+        # state's to the bit: a pick that rounds any other way moves
+        rng = np.random.default_rng(seed)
+        model = RewardModel(means=np.zeros((2, n)), stds=rng.uniform(0.1, 2.0, size=(2, n)))
+        policy = cls(model, np.random.default_rng(seed))
+        pick = reference.cducb_pick_state if cls is CDUCB else reference.cdts_pick_state
+        oracle = reference.StateModelBandit(model, np.random.default_rng(seed), pick)
+        counts = rng.integers(1, 100, size=n)
+        time = int(rng.integers(counts.sum(), 10 * counts.sum()))
+        # the oracle's arithmetic; cdts's normals are the first n of its stream
+        z = np.random.default_rng(seed).standard_normal(n)
+        if cls is CDUCB:
+            def values(sums):
+                return sums / counts + oracle._scale * np.sqrt(2.0 * math.log(max(time, 2)) / counts)
+        else:
+            def values(sums):
+                return sums / counts + oracle._scale / np.sqrt(counts) * z
+        sums = (rng.normal(size=n) - 100.0) * counts
+        best = int(rng.integers(n))
+        sums[best] = rng.normal() * counts[best]
+        target = values(sums)[best]
+        for j in np.flatnonzero(rng.random(n) < 0.5):
+            trial = sums.copy()
+            trial[j] = (target - values(np.zeros(n))[j]) * counts[j]
+            for _ in range(256):
+                value = values(trial)[j]
+                if value == target:
+                    sums = trial
+                    break
+                trial[j] = np.nextafter(trial[j], -np.inf if value > target else np.inf)
+        policy.counts, policy.sums, policy.time = counts.tolist(), sums.tolist(), time
+        oracle.counts, oracle.sums, oracle.time = counts, sums, time
+        assert policy._pick_state() == oracle.pick_state(oracle)
+
+    @given(seeds, st.integers(min_value=2, max_value=20), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_mucb_equals_the_numpy_oracle(self, seed, n, slated):
+        rng = np.random.default_rng(seed)
+        num_arms = int(rng.integers(2, 10))
+        # tied means half the time, so optimistic arms tie
+        model = tied_model(rng, num_arms, n) if rng.random() < 0.5 else RewardModel(
+            means=rng.normal(size=(num_arms, n)), stds=rng.uniform(0.1, 1.0, size=(num_arms, n)))
+        policy, oracle = MUCB(model, rng=np.random.default_rng(seed)), reference.MUCB(model)
+        truth = int(rng.integers(n))
+        # rewards off every state's model empty the consistent set
+        offset = float(rng.choice([0.0, 3.0]))
+        for t in range(150):
+            offered = random_offered(rng, num_arms) if slated else np.arange(num_arms)
+            arm = policy.step(offered)
+            assert arm == oracle.step(offered), t
+            assert policy.surviving == oracle.surviving.tolist(), t
+            reward = float(model.means[arm, truth] + offset + model.stds[arm, truth] * rng.normal())
+            policy.observe(reward)
+            oracle.observe(arm, reward)
+            assert policy.counts == oracle.counts.tolist(), t
+            assert np.array(policy.sums).tobytes() == oracle.sums.tobytes(), t
+
+    @given(seeds, st.integers(min_value=2, max_value=20))
+    @settings(max_examples=100, deadline=None)
+    def test_mucb_radius_boundary_as_the_oracle(self, seed, n):
+        # every played arm's mean sits on one state's radius to the bit
+        rng = np.random.default_rng(seed)
+        num_arms = int(rng.integers(2, 7))
+        model = RewardModel(means=rng.normal(size=(num_arms, n)), stds=rng.uniform(0.1, 1.0, size=(num_arms, n)))
+        policy, oracle = MUCB(model), reference.MUCB(model)
+        counts, sums = rng.integers(0, 50, size=num_arms), np.zeros(num_arms)
+        time, state = int(rng.integers(2, 5000)), int(rng.integers(n))
+        for arm in np.flatnonzero(counts):
+            mu = model.means[arm, state]
+            radius = model.stds[arm, state] * np.sqrt(math.log(time) / counts[arm])
+            total = (mu + rng.choice([-1.0, 1.0]) * radius) * counts[arm]
+            for _ in range(256):
+                mean = total / counts[arm]
+                if abs(mean - mu) == radius:
+                    break
+                total = np.nextafter(total, -np.inf if (abs(mean - mu) > radius) == (mean > mu) else np.inf)
+            sums[arm] = total
+        policy.counts, policy.sums, policy.time = counts.tolist(), sums.tolist(), time
+        oracle.counts, oracle.sums, oracle.time = counts, sums, time
+        assert policy.consistent_states() == reference.consistent_states(oracle).tolist()
+
+    @given(seeds, st.integers(min_value=2, max_value=20))
+    @settings(max_examples=300, deadline=None)
+    def test_floor_projection_equals_the_numpy_loop(self, seed, k):
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.full(k, rng.choice([0.05, 0.5, 5.0])))
+        floor = float(rng.choice([0.0, rng.uniform(0.0, 1.0 / k), 1.0 / k]))
+        assert _floor_project(weights.tolist(), floor).tobytes() == reference._floor_project(weights, floor).tobytes()
+
+    @given(seeds, st.integers(min_value=1, max_value=20))
+    @settings(max_examples=100, deadline=None)
+    def test_ring_window_equals_the_deque_window(self, seed, half):
+        rng = np.random.default_rng(seed)
+        state, oracle = ChangeDetectorState(2 * half, 1.0), reference.DequeDetector(2 * half, 1.0)
+        for _ in range(int(rng.integers(1, 10 * half))):
+            if rng.random() < 0.02:
+                state.clear()
+                oracle.window.clear()
+            # rewards over twelve decades, so the order of the sums shows
+            reward = float(rng.normal() * 10.0 ** rng.integers(-6, 7))
+            state.push(reward)
+            oracle.push(reward)
+            assert state.window.tolist() == list(oracle.window)
+            assert state.full == oracle.full
+            if oracle.full:
+                rewards = np.fromiter(oracle.window, dtype=float)
+                statistic = abs(rewards[half:].sum() - rewards[:half].sum())
+                # thresholds at the oracle's statistic and one bit below it
+                for threshold in (statistic, np.nextafter(statistic, -np.inf)):
+                    state.threshold = oracle.threshold = float(threshold)
+                    assert cd_scalar_check(state) == reference.cd_scalar_check(oracle)
 
 
 def bits(values):
