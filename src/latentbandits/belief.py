@@ -1,13 +1,13 @@
 """Bayesian belief filtering and closed-form arm statistics.
 
-Everything here is a pure function of immutable inputs.  The filter
-follows the likelihood-then-propagate order: the reward likelihood is
-attached to the pre-transition state, after which the kernel propagates
-the reweighted mass one step forward.  Policies call the raw-array
-cores ``filter_step`` and ``entropy_bits`` once per step (the roll-out
-filters a stack of beliefs with the same per-row arithmetic);
-``posterior_update`` and ``entropy`` validate around them, so both
-compute the same bits.
+The filter follows the likelihood-then-propagate order: the reward
+likelihood is attached to the pre-transition state, after which the
+kernel propagates the reweighted mass one step forward.  It is stated
+once, as :class:`BeliefStack`, which filters a stack of beliefs in
+place; a policy's belief is a one-row stack, the roll-out's hypotheses
+are the rows of another, and ``posterior_update`` wraps a one-row stack
+around a validated ``BeliefState``, so all of them compute the same
+bits.  Everything else here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -63,22 +63,61 @@ def likelihoods_from_log(log_liks: np.ndarray, out: np.ndarray | None = None) ->
     return np.exp(shifted, out=shifted)
 
 
-def filter_step(probs: np.ndarray, matrix: np.ndarray, likelihoods: np.ndarray) -> tuple[np.ndarray, bool]:
-    """:func:`posterior_update` on raw arrays: the new probabilities and
-    False, or, when the evidence is degenerate (zero or non-finite total
-    mass), the propagated probabilities and True.  A negative likelihood
-    or a result off the simplex raises ValueError: the checks of
-    :class:`BeliefState`, where a NaN fails the minimum and an inf the sum.
+class BeliefStack:
+    """Beliefs filtered together in place, one row per filter: the scaled
+    forward recursion (Rabiner 1989, section V.A).
+
+    ``filter`` weights each row by its likelihoods, propagates it through
+    the kernel and normalises it; a row whose total is zero or not finite
+    is propagated alone and counted as a fallback.  Each row goes through
+    its own gemv, ``(W[:, None, :] @ K)[:, 0]``, with the bits of the 1-D
+    ``W[r] @ K`` (a plain ``W @ K`` goes through gemm and does not), so a
+    row's bits do not depend on what else is stacked.  A result off the
+    simplex raises ValueError (the checks of :class:`BeliefState`);
+    negative likelihoods are the caller's to reject.  ``rows`` is
+    updated in place: a caller keeping a belief keeps a copy.
     """
-    if (likelihoods < 0).any():
-        raise ValueError("likelihoods must be non-negative")
-    propagated = (probs * likelihoods) @ matrix
-    total = propagated.sum()
-    degenerate = not 0.0 < total < math.inf
-    new = probs @ matrix if degenerate else propagated / total
-    if not (new.min() >= 0.0 and abs(new.sum() - 1.0) <= STOCHASTIC_ATOL):
-        raise ValueError(f"belief left the probability simplex: {new!r}")
-    return new, degenerate
+
+    def __init__(self, rows, matrix: np.ndarray):
+        self.rows = np.array(rows, dtype=float, ndmin=2)
+        self.matrix = matrix
+        count, size = self.rows.shape
+        self._stacked = self.rows[:, None, :]
+        self._weighted = np.empty((count, 1, size))
+        self._propagated = np.empty((count, 1, size))
+        self._totals = np.empty((count, 1, 1))
+        self._propagated_rows, self._masses = self._propagated[:, 0], self._totals[:, 0, 0]
+        self._sums = np.empty(count)
+        self._expected = np.empty((count, 1, 1))
+
+    def filter(self, likelihoods: np.ndarray) -> int:
+        """One filter step of every row, with likelihoods shaped [rows, 1,
+        states] (or [states], shared by every row); returns the number of
+        rows that fell back to propagation."""
+        stacked, propagated, totals = self._stacked, self._propagated, self._totals
+        np.matmul(np.multiply(stacked, likelihoods, out=self._weighted), self.matrix, out=propagated)
+        masses = np.add.reduce(self._propagated_rows, 1, None, self._masses).tolist()
+        fallen = 0
+        # a NaN or an infinity makes the sum non-finite
+        if 0.0 < min(masses) and sum(masses) < math.inf:
+            np.divide(propagated, totals, out=stacked)
+        else:
+            kept = np.array([0.0 < mass < math.inf for mass in masses])
+            fallen = kept.size - int(kept.sum())
+            propagated_only = stacked[~kept] @ self.matrix
+            np.divide(propagated, totals, out=stacked, where=kept[:, None, None])
+            stacked[~kept] = propagated_only
+        rows = self.rows
+        sums = np.add.reduce(rows, 1, None, self._sums).tolist()
+        # on Python floats; a row with a NaN fails its sum, so the minimum may skip the NaN
+        if not (min(rows.ravel().tolist()) >= 0.0 and all(abs(total - 1.0) <= STOCHASTIC_ATOL for total in sums)):
+            raise ValueError(f"belief left the probability simplex: {rows!r}")
+        return fallen
+
+    def expect(self, values: np.ndarray) -> list:
+        """Each row's expectation of its own row of ``values``, shaped
+        [rows, states, 1], with the bits of the 1-D ``rows[r] @ values[r]``."""
+        return np.matmul(self._stacked, values, out=self._expected).ravel().tolist()
 
 
 def entropy_bits(probs: np.ndarray) -> float:
@@ -92,6 +131,7 @@ def posterior_update(belief: BeliefState, kernel: TransitionKernel, likelihoods)
 
     The new mass of state s' is proportional to
     ``sum_s belief[s] * likelihood[s] * kernel[s, s']``.  Raises
+    ValueError on a negative likelihood, and
     :class:`DegenerateEvidenceError` when every state ends up with zero
     mass; the caller chooses the fallback (policies reset to the
     transition-propagated prior).
@@ -99,10 +139,12 @@ def posterior_update(belief: BeliefState, kernel: TransitionKernel, likelihoods)
     liks = np.asarray(likelihoods, dtype=float)
     if liks.shape != belief.probs.shape:
         raise ValueError("likelihoods must have one entry per state")
-    probs, degenerate = filter_step(belief.probs, kernel.matrix, liks)
-    if degenerate:
+    if (liks < 0).any():
+        raise ValueError("likelihoods must be non-negative")
+    stack = BeliefStack(belief.probs, kernel.matrix)
+    if stack.filter(liks):
         raise DegenerateEvidenceError("posterior update produced zero mass in every state")
-    return BeliefState(probs)
+    return BeliefState(stack.rows[0])
 
 
 def propagate(belief: BeliefState, kernel: TransitionKernel) -> BeliefState:

@@ -186,7 +186,7 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
         kernel = TransitionKernel.identity(model.num_states)
     elif "matrix" in kernel_doc:
         try:
-            kernel = TransitionKernel(np.asarray(kernel_doc["matrix"], dtype=float))
+            kernel = TransitionKernel(kernel_doc["matrix"])
         except ValueError as exc:
             raise ConfigError(f"invalid kernel matrix: {exc}") from exc
     elif "graph" in kernel_doc:
@@ -433,7 +433,7 @@ def _run_policies(
             played.append(column)
             flags.append(policy.last_info_play)
             if beliefs is not None:
-                beliefs.append(policy.belief_probs)
+                beliefs.append(None if rows is None else policy.belief_probs.copy())  # a live row
         name = spec.name
         plays = steps, np.array(played)
         # running sums in step order; adding 0.0 turns a leading -0.0 into

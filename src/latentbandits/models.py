@@ -28,7 +28,8 @@ class DegenerateEvidenceError(ValueError):
 
 
 def _as_prob_vector(values, name: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=float)
+    # a copy, so the vector neither aliases nor freezes the caller's array
+    vec = np.array(values, dtype=float)
     if vec.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
@@ -115,7 +116,7 @@ class TransitionKernel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
+        matrix = np.array(self.matrix, dtype=float)  # a copy, as RewardModel's tables are
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
@@ -221,7 +222,7 @@ def model_from_dict(doc: dict) -> tuple[RewardModel, TransitionKernel | None]:
     model = RewardModel(means=means, stds=stds)
     kernel = None
     if doc.get("transition") is not None:
-        kernel = TransitionKernel(np.asarray(doc["transition"], dtype=float))
+        kernel = TransitionKernel(doc["transition"])
     return model, kernel
 
 

@@ -27,6 +27,7 @@ from .explore import (
     ExploreCommit,
     ExploreThenPS,
     belief_forecast_two_state,
+    check_tau_forecast,
     explore_commit_sample_size,
     explore_then_ps_tau,
 )
@@ -57,14 +58,15 @@ POLICIES = {
     "uniform_random": UniformRandom,
 }
 POLICY_NAMES = tuple(POLICIES)
-# registry name -> {param: what computes it when the config leaves it
-# out}.  It takes the experiment quantities and params its signature
-# names and depends on nothing that changes from run to run, so an
-# experiment computes it once for all its runs (see experiment_params).
+# registry name -> {param: (what computes it when the config leaves it
+# out, what checks that it can be computed without computing it)}.  Both
+# take the experiment quantities and params their signatures name; the
+# first depends on nothing that changes from run to run, so an experiment
+# computes it once for all its runs (see experiment_params).
 PARAM_DEFAULTS = {
     "explore_then_ps": {
         # looked up at call time, so the name can be wrapped after import
-        "tau": lambda model, info_arm, horizon: explore_then_ps_tau(model, info_arm, horizon),
+        "tau": (lambda model, info_arm, horizon: explore_then_ps_tau(model, info_arm, horizon), check_tau_forecast),
     },
 }
 _EXPERIMENT_QUANTITIES = ("model", "kernel", "prior", "horizon", "rng", "arm_features")
@@ -83,8 +85,8 @@ def check_policy_params(name: str, params: dict, env, horizon: int) -> None:
     and ``horizon``.
 
     The policy is built once, with a throwaway generator; a param that
-    ``PARAM_DEFAULTS`` computes and the config leaves out or null is
-    given a placeholder 0, so no forecast runs.
+    ``PARAM_DEFAULTS`` computes and the config leaves out or null has its
+    precondition checked and is given a placeholder 0, so no forecast runs.
     """
     factory = POLICIES[name]
     # the modules postpone their annotations, so they are resolved here
@@ -96,7 +98,10 @@ def check_policy_params(name: str, params: dict, env, horizon: int) -> None:
         check_type(key, value, hints[key] | None if key in computed else hints[key])
     quantities = dict(zip(_EXPERIMENT_QUANTITIES, (env.model, env.kernel, env.prior, horizon,
                                                    np.random.default_rng(0), env.arm_features)))
-    _build(factory, quantities, {**params, **{key: 0 for key in computed if params.get(key) is None}})
+    left_out = [key for key in computed if params.get(key) is None]
+    for _, precondition in (computed[key] for key in left_out):
+        precondition(**_quantities_for(precondition, {**quantities, **params}))
+    _build(factory, quantities, {**params, **dict.fromkeys(left_out, 0)})
 
 
 def _build(factory, quantities: dict, params: dict) -> Policy:
@@ -108,7 +113,7 @@ def experiment_params(name: str, params: dict | None, model: RewardModel, horizo
     """``params`` with the missing entries of ``PARAM_DEFAULTS[name]``
     computed from the experiment's model and horizon."""
     params = dict(params or {})
-    for key, default in PARAM_DEFAULTS.get(name, {}).items():
+    for key, (default, _) in PARAM_DEFAULTS.get(name, {}).items():
         if params.get(key) is None:
             params[key] = default(**_quantities_for(default, {"model": model, "horizon": horizon, **params}))
     return params

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 # posterior_update stays a name of this module for the benchmark's probes
-from ..belief import filter_step, likelihoods_from_log, posterior_update, reward_log_likelihoods  # noqa: F401
+from ..belief import BeliefStack, likelihoods_from_log, posterior_update, reward_log_likelihoods  # noqa: F401
 from ..models import BeliefState, RewardModel, TransitionKernel
 
 
@@ -25,7 +25,7 @@ class Policy:
 
     name = "policy"
     wants_true_state = False
-    # raw belief vector, for policies that filter one
+    # raw belief vector, for policies that filter one: a live row that observe overwrites
     belief_probs: np.ndarray | None = None
     # names of the integer attributes that run_meta.json records per run
     counters: tuple = ()
@@ -40,7 +40,7 @@ class Policy:
 
     @property
     def belief(self) -> BeliefState | None:
-        """The belief as a validated value, or None for policies without one."""
+        """A validated snapshot of the belief, or None for policies without one."""
         return None if self.belief_probs is None else BeliefState(self.belief_probs)
 
     def step(self, offered_arms, best_arms=None) -> int:
@@ -72,13 +72,15 @@ class Policy:
 class BeliefPolicy(Policy):
     """Shared machinery for policies that filter a belief state.
 
-    The update attaches the observed reward's likelihood to the
-    pre-transition state and then propagates through the kernel.  If the
-    evidence is degenerate (all posterior mass underflows) the belief is
-    reset to the transition-propagated prior, and
-    ``degenerate_fallbacks`` counts it.  The belief is held as a raw
-    vector, ``belief_probs``, and validated only where ``belief`` hands
-    it out.
+    The belief is a one-row :class:`~latentbandits.belief.BeliefStack`,
+    the filter the roll-outs run too: the update attaches the observed
+    reward's likelihood to the pre-transition state and then propagates
+    through the kernel.  If the evidence is degenerate (all posterior
+    mass underflows) the belief is reset to the transition-propagated
+    prior, and ``degenerate_fallbacks`` counts it.  A negative likelihood
+    raises ValueError here, at the ``observe`` boundary.  The stack's row
+    is ``belief_probs``, updated in place and validated only where
+    ``belief`` hands out a snapshot.
     """
 
     counters = ("degenerate_fallbacks",)
@@ -93,10 +95,16 @@ class BeliefPolicy(Policy):
         super().__init__(rng)
         self.model = model
         self.kernel = kernel
-        self.prior = BeliefState(np.asarray(prior, dtype=float))
-        self.belief_probs = self.prior.probs
+        self.prior = BeliefState(prior)
+        if not model.num_states == kernel.num_states == self.prior.num_states:
+            raise ValueError(f"the model, the kernel and the prior must have the same number of states, "
+                             f"got {model.num_states}, {kernel.num_states} and {self.prior.num_states}")
+        self._beliefs = BeliefStack(self.prior.probs, kernel.matrix)
+        self.belief_probs = self._beliefs.rows[0]
         self.degenerate_fallbacks = 0
 
     def _learn(self, arm: int, reward: float, likelihoods) -> None:
-        self.belief_probs, degenerate = filter_step(self.belief_probs, self.kernel.matrix, likelihoods)
-        self.degenerate_fallbacks += degenerate
+        # on Python floats; a NaN passes, and the filter counts it as degenerate evidence
+        if any(value < 0.0 for value in likelihoods.tolist()):
+            raise ValueError("likelihoods must be non-negative")
+        self.degenerate_fallbacks += self._beliefs.filter(likelihoods)

@@ -215,6 +215,15 @@ def _ps_regret(start, first_step: int, horizon: int, ps_gap, likelihoods) -> np.
 _PRUNE_MARGIN = 1e-9
 
 
+def check_tau_forecast(model: RewardModel, horizon: int) -> None:
+    """ValueError unless :func:`explore_then_ps_tau` is defined for
+    ``model`` and ``horizon``; checked without forecasting."""
+    if model.num_states != 2:
+        raise ValueError("explore_then_ps_tau is defined for two-state models only")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+
+
 def explore_then_ps_tau(model: RewardModel, info_arm: int, horizon: int) -> int:
     """Probe budget minimizing forecast explore cost plus filtering regret.
 
@@ -233,11 +242,7 @@ def explore_then_ps_tau(model: RewardModel, info_arm: int, horizon: int) -> int:
     0..K at or below the line are scored.  Ties break toward the smaller
     budget.
     """
-    if model.num_states != 2:
-        raise ValueError("explore_then_ps_tau is defined for two-state models only")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-
+    check_tau_forecast(model, horizon)
     states = np.arange(2)
     best = model.best_arms()
     explore_cost = model.means[best, states] - model.means[info_arm, states]

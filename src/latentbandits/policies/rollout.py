@@ -12,20 +12,13 @@ keeps the estimator free of sampling noise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # posterior_update stays a name of this module for the benchmark's probes
-from ..belief import entropy_bits, expected_dwell_time, posterior_update  # noqa: F401
-from ..models import (
-    STOCHASTIC_ATOL,
-    BeliefState,
-    DegenerateEvidenceError,
-    RewardModel,
-    TransitionKernel,
-)
+from ..belief import BeliefStack, entropy_bits, expected_dwell_time, posterior_update  # noqa: F401
+from ..models import BeliefState, DegenerateEvidenceError, RewardModel, TransitionKernel
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -106,62 +99,6 @@ def rollout_info_likelihood(
     return np.divide(rows, totals, out=np.zeros_like(rows), where=evidence)
 
 
-class _BeliefStack:
-    """Beliefs filtered together, one row per trajectory.
-
-    ``filter`` is :func:`~latentbandits.belief.filter_step` on every row
-    at once, in place.  Each row goes through its own gemv,
-    ``(W[:, None, :] @ K)[:, 0]``, which gives the bits of the 1-D
-    ``W[r] @ K`` (a plain ``W @ K`` goes through gemm and does not).  The
-    simplex check runs once over the stack, its minimum and its row
-    sums.  Negative likelihoods are the caller's to reject.  The work
-    arrays are allocated once.
-    """
-
-    def __init__(self, rows: np.ndarray, matrix: np.ndarray):
-        self.rows = np.array(rows, dtype=float)
-        self.matrix = matrix
-        count, size = self.rows.shape
-        self._stacked = self.rows[:, None, :]
-        self._weighted = np.empty((count, 1, size))
-        self._propagated = np.empty((count, 1, size))
-        self._totals = np.empty((count, 1, 1))
-        self._sums = np.empty(count)
-        self._expected = np.empty((count, 1, 1))
-
-    def filter(self, likelihoods: np.ndarray) -> int:
-        """One filter step of every row, with likelihoods shaped [rows, 1,
-        states]; returns the number of rows that fell back to propagation."""
-        stacked, propagated, totals = self._stacked, self._propagated, self._totals
-        np.matmul(np.multiply(stacked, likelihoods, out=self._weighted), self.matrix, out=propagated)
-        masses = np.add.reduce(propagated, axis=2, out=totals[:, :, 0]).ravel().tolist()
-        fallen = 0
-        # a NaN or an infinity makes the sum non-finite
-        if 0.0 < min(masses) and sum(masses) < math.inf:
-            np.divide(propagated, totals, out=stacked)
-        else:
-            kept = np.array([0.0 < mass < math.inf for mass in masses])
-            fallen = kept.size - int(kept.sum())
-            propagated_only = stacked[~kept] @ self.matrix
-            np.divide(propagated, totals, out=stacked, where=kept[:, None, None])
-            stacked[~kept] = propagated_only
-        rows = self.rows
-        sums = np.add.reduce(rows, axis=1, out=self._sums).tolist()
-        # a NaN fails the minimum, so the row sums are plain numbers
-        if not (
-            rows.min() >= 0.0
-            and abs(max(sums) - 1.0) <= STOCHASTIC_ATOL
-            and abs(min(sums) - 1.0) <= STOCHASTIC_ATOL
-        ):
-            raise ValueError(f"belief left the probability simplex: {rows!r}")
-        return fallen
-
-    def expect(self, values: np.ndarray) -> list:
-        """Each row's expectation of its own row of ``values``, shaped
-        [rows, states, 1], with the bits of the 1-D ``rows[r] @ values[r]``."""
-        return np.matmul(self._stacked, values, out=self._expected).ravel().tolist()
-
-
 def reward_estimator(
     belief: BeliefState,
     model: RewardModel,
@@ -216,9 +153,9 @@ def reward_estimator(
     payoff = np.tile(model.means[greedy][:, hypotheses].T, (2, 1))[:, :, None]
 
     # rows [0, H): the probe trajectories; rows [H, 2H): greedy only
-    probe = _BeliefStack(np.tile(probs, (count, 1)), kernel.matrix)
+    probe = BeliefStack(np.tile(probs, (count, 1)), kernel.matrix)
     fallbacks = probe.filter(info_rows[:, None, :])
-    beliefs = _BeliefStack(np.concatenate([probe.rows, np.tile(probs, (count, 1))]), kernel.matrix)
+    beliefs = BeliefStack(np.concatenate([probe.rows, np.tile(probs, (count, 1))]), kernel.matrix)
     likelihoods = np.tile(greedy_rows, (2, 1))[:, None, :]
     # Python floats, added as the scalar loop added them
     rewards_ig = [-r_u] * count

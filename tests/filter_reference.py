@@ -5,7 +5,7 @@ roll-out evidence rows and the ``reward_estimator`` loop as they stood
 while every step built a validated ``BeliefState`` and the roll-out
 walked one hypothesis at a time, and of the scalar likelihood row
 (``reward_log_likelihoods`` and ``likelihoods_from_log``) as it stood
-while every filter step built its own.  The raw-array filter step, the
+while every filter step built its own.  The belief stack, the
 policies, the per-run evidence table and the stacked roll-out must
 reproduce them bit for bit; this module is imported by tests only and
 is not a test file.

@@ -53,8 +53,10 @@ def pmf_train(
     val_ratings = table.ratings[val_idx]
 
     def validation_rmse() -> float:
-        predictions = np.einsum("ij,ij->i", U[val_users], V[val_items])
-        return float(np.sqrt(np.mean((predictions - val_ratings) ** 2)))
+        # huge factors or ratings overflow to a non-finite RMSE, which an epoch reports as divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            predictions = np.einsum("ij,ij->i", U[val_users], V[val_items])
+            return float(np.sqrt(np.mean((predictions - val_ratings) ** 2)))
 
     best = FactorModel(U=U.copy(), V=V.copy(), d=d, validation_rmse=validation_rmse())
     best.best_rmse_history.append(best.validation_rmse)

@@ -70,6 +70,15 @@ def with_features(features, policy, **params):
     return edit
 
 
+def on_five_states(policy, **params):
+    """A config edit that moves the config onto the five-state benchmark's
+    environment and adds ``policy`` with ``params``."""
+    def edit(doc):
+        doc["environment"] = get_recipe("five_state_full").to_dict()["environment"]
+        doc["policies"].append({"name": policy, "params": params})
+    return edit
+
+
 # params with which each policy validates; the others need none
 VALID_PARAMS = {"explore_commit": {"info_arm": 2, "n_e": 5}, "explore_then_ps": {"info_arm": 2, "tau": 3}}
 
@@ -170,6 +179,8 @@ class TestValidate:
         set_params("exp4s", learning_rate=10**400),
         set_params("cducb", threshold=float("nan")),
         lambda doc: doc["policies"].append({"name": "agemts", "params": {"entropy_threshold": float("nan")}}),
+        on_five_states("explore_then_ps", info_arm=4),
+        on_five_states("explore_then_ps", info_arm=4, tau=None),
     ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
             "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features",
             "explore_commit_info_arm_7", "explore_commit_info_arm_-1", "explore_then_ps_info_arm_7",
@@ -188,7 +199,8 @@ class TestValidate:
             "graph_edge_outside_states", "features_not_numbers", "features_one_dimensional",
             "features_not_finite", "exp4s_learning_rate_nan", "exp4s_weight_floor_nan",
             "exp4s_negative_learning_rate", "exp4s_negative_weight_floor", "exp4s_learning_rate_past_floats",
-            "cducb_threshold_nan", "agemts_threshold_nan"])
+            "cducb_threshold_nan", "agemts_threshold_nan", "explore_then_ps_forecast_on_five_states",
+            "explore_then_ps_null_forecast_on_five_states"])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, monkeypatch, edit):
         monkeypatch.chdir(tmp_path)  # where an edit writes its model file
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
@@ -225,6 +237,13 @@ class TestValidate:
         doc["policies"][0]["params"][param] = value
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
+
+    def test_explicit_tau_on_five_states_is_valid(self, tmp_path):
+        doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()
+        on_five_states("explore_then_ps", info_arm=4, tau=3)(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
 
     def test_forecast_param_accepts_null(self, tmp_path):
         doc = get_recipe("two_state_explore_strategies", horizon=10, num_runs=2).to_dict()

@@ -165,8 +165,10 @@ class TestMUCB:
             rng = np.random.default_rng(seed)
             true_state = seed % 2
             policy = MUCB(two_state, rng=np.random.default_rng(seed + 1000))
+            # the best-arm row, passed as the harness passes it, so step does not recompute it
+            best_arms = two_state.best_arms(ARMS3)
             for _ in range(2000):
-                arm = policy.step(ARMS3)
+                arm = policy.step(ARMS3, best_arms)
                 reward = float(rng.normal(
                     two_state.means[arm, true_state], two_state.stds[arm, true_state]))
                 policy.observe(reward)

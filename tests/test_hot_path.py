@@ -3,8 +3,9 @@
 ``filter_reference`` keeps the filter, entropy, likelihood row and
 roll-out as they were while every step built a ``BeliefState`` and its
 own likelihood row and the roll-out walked one hypothesis at a time; the
-raw path, the per-run evidence table and the stacked roll-out must match
-them bit for bit, the stacked products they rely on must match the
+belief stack (with one row, as a policy's belief, and with many, as the
+roll-out's), the per-run evidence table and the stacked roll-out must
+match them bit for bit, the stacked products they rely on must match the
 per-row products, mTS's bisected state draw must be numpy's
 ``searchsorted`` draw, and the column-wise trace and CSV writer must match
 ``json.dumps`` and the record-at-a-time writer of ``output_reference``
@@ -25,9 +26,9 @@ from hypothesis import strategies as st
 
 from latentbandits import BeliefState, DegenerateEvidenceError, RewardModel, TransitionKernel
 from latentbandits.belief import (
+    BeliefStack,
     entropy,
     entropy_bits,
-    filter_step,
     likelihoods_from_log,
     posterior_update,
     reward_log_likelihoods,
@@ -44,7 +45,6 @@ from latentbandits.harness import (
     emit_outputs,
 )
 from latentbandits.policies import AGEmTS, MTS, reward_estimator, rollout_info_likelihood, rollout_likelihood_matrix
-from latentbandits.policies.rollout import _BeliefStack
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 # log10 of the reward standard deviations: 1e-3 to 1e3
@@ -91,55 +91,85 @@ def reference_step(belief, kernel, liks):
         return reference.propagate(belief, kernel).probs, True
 
 
+def random_liks(rng, model, rows):
+    """One likelihood row per stack row, each of a random reward."""
+    return np.stack([likelihoods_from_log(reward_log_likelihoods(model, *random_reward(rng, model)))
+                     for _ in range(rows)])
+
+
 class TestFilterStep:
-    @given(seeds, std_exponents, st.integers(min_value=2, max_value=6))
+    @given(seeds, std_exponents, st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=12))
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_the_validated_filter(self, seed, exponent, n):
+    def test_bit_identical_to_the_validated_filter(self, seed, exponent, n, rows):
         rng = np.random.default_rng(seed)
-        model, kernel, belief = random_model(rng, n, exponent), random_kernel(rng, n), random_belief(rng, n)
-        arm, reward = random_reward(rng, model)
-        liks = likelihoods_from_log(reward_log_likelihoods(model, arm, reward))
-        expected, expected_degenerate = reference_step(belief, kernel, liks)
-        probs, degenerate = filter_step(belief.probs, kernel.matrix, liks)
-        assert degenerate == expected_degenerate
-        assert probs.tobytes() == expected.tobytes()
-        assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-12
-        if degenerate:
-            with pytest.raises(DegenerateEvidenceError):
-                posterior_update(belief, kernel, liks)
-        else:
-            assert posterior_update(belief, kernel, liks).probs.tobytes() == expected.tobytes()
+        model, kernel = random_model(rng, n, exponent), random_kernel(rng, n)
+        beliefs = [random_belief(rng, n) for _ in range(rows)]
+        liks = random_liks(rng, model, rows)
+        expected = [reference_step(belief, kernel, row) for belief, row in zip(beliefs, liks)]
+        stack = BeliefStack(np.stack([belief.probs for belief in beliefs]), kernel.matrix)
+        assert stack.filter(liks[:, None, :]) == sum(degenerate for _, degenerate in expected)
+        assert stack.rows.tobytes() == np.stack([probs for probs, _ in expected]).tobytes()
+        assert stack.rows.min() >= 0.0 and (np.abs(stack.rows.sum(axis=1) - 1.0) <= 1e-12).all()
+        # a policy's belief: one row, its likelihoods shared
+        single = BeliefStack(beliefs[0].probs, kernel.matrix)
+        assert single.filter(liks[0]) == expected[0][1]
+        assert single.rows[0].tobytes() == expected[0][0].tobytes()
+        for belief, row, (probs, degenerate) in zip(beliefs, liks, expected):
+            if degenerate:
+                with pytest.raises(DegenerateEvidenceError):
+                    posterior_update(belief, kernel, row)
+            else:
+                assert posterior_update(belief, kernel, row).probs.tobytes() == probs.tobytes()
 
     @given(seeds, st.integers(min_value=2, max_value=5))
     @settings(max_examples=200, deadline=None)
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_same_accept_reject_set_on_raw_likelihoods(self, seed, n):
         rng = np.random.default_rng(seed)
-        kernel, belief = random_kernel(rng, n), random_belief(rng, n)
+        model, kernel, belief = random_model(rng, n, 0.0), random_kernel(rng, n), random_belief(rng, n)
         specials = np.array([0.0, -1.0, math.nan, math.inf, 1e-300, 1e300])
         liks = np.where(rng.random(n) < 0.3, rng.choice(specials, size=n), rng.uniform(0.0, 2.0, size=n))
+        policy = MTS(model, kernel, belief.probs, rng=np.random.default_rng(seed))
+        policy.step(np.arange(model.num_arms))
         try:
-            expected = reference_step(belief, kernel, liks)
+            probs, degenerate = reference_step(belief, kernel, liks)
         except ValueError:
             with pytest.raises(ValueError):
-                filter_step(belief.probs, kernel.matrix, liks)
+                policy.observe(0.0, liks)
+            with pytest.raises(ValueError):
+                posterior_update(belief, kernel, liks)
             return
-        probs, degenerate = filter_step(belief.probs, kernel.matrix, liks)
-        assert degenerate == expected[1]
-        assert probs.tobytes() == expected[0].tobytes()
+        policy.observe(0.0, liks)
+        assert policy.degenerate_fallbacks == degenerate
+        assert policy.belief_probs.tobytes() == probs.tobytes()
+        if degenerate:
+            with pytest.raises(DegenerateEvidenceError):
+                posterior_update(belief, kernel, liks)
+        else:
+            assert posterior_update(belief, kernel, liks).probs.tobytes() == probs.tobytes()
 
     def test_result_off_the_simplex_raises(self):
         # not a stochastic matrix: the propagation fallback leaves the simplex
         with pytest.raises(ValueError, match="simplex"):
-            filter_step(np.array([0.5, 0.5]), np.full((2, 2), 1.0), np.zeros(2))
+            BeliefStack(np.array([0.5, 0.5]), np.full((2, 2), 1.0)).filter(np.zeros(2))
         with pytest.raises(ValueError, match="simplex"):
-            filter_step(np.array([0.5, 0.5]), np.array([[1.0, -0.5], [0.0, 1.0]]), np.array([1.0, 0.0]))
+            BeliefStack(np.array([0.5, 0.5]), np.array([[1.0, -0.5], [0.0, 1.0]])).filter(np.array([1.0, 0.0]))
+        # a NaN after a state with mass: the minimum skips it, its row's sum does not
+        with pytest.raises(ValueError, match="simplex"):
+            BeliefStack(np.array([0.5, 0.5]), np.array([[1.0, math.nan], [0.0, 1.0]])).filter(np.zeros(2))
+        # one row off the simplex fails the whole stack
+        stack = BeliefStack(np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]]), np.array([[1.0, -0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="simplex"):
+            stack.filter(np.array([[[0.0, 1.0]], [[1.0, 0.0]], [[0.0, 1.0]]]))
 
     def test_zero_evidence_falls_back_to_propagation(self):
         kernel = np.array([[0.9, 0.1], [0.2, 0.8]])
-        probs, degenerate = filter_step(np.array([1.0, 0.0]), kernel, np.array([0.0, 1.0]))
-        assert degenerate
-        assert probs.tolist() == [0.9, 0.1]
+        stack = BeliefStack(np.array([1.0, 0.0]), kernel)
+        assert stack.filter(np.array([0.0, 1.0])) == 1
+        assert stack.rows[0].tolist() == [0.9, 0.1]
+        stack = BeliefStack(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]), kernel)
+        assert stack.filter(np.array([[[0.0, 1.0]], [[1.0, 1.0]], [[1.0, 0.0]]])) == 2
+        assert stack.rows[0].tolist() == [0.9, 0.1] and stack.rows[2].tolist() == [0.2, 0.8]
 
     @given(seeds, st.integers(min_value=2, max_value=6))
     @settings(max_examples=100, deadline=None)
@@ -419,19 +449,24 @@ class TestBatchingRecipe:
 
     @given(seeds, std_exponents, st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=12))
     @settings(max_examples=150, deadline=None)
-    def test_belief_stack_filters_as_filter_step(self, seed, exponent, n, rows):
+    def test_belief_stack_filters_as_the_validated_filter(self, seed, exponent, n, rows):
+        # every row keeps the bits of the scalar filter and of its own
+        # one-row stack, whatever else is stacked
         rng = np.random.default_rng(seed)
         model, kernel = random_model(rng, n, exponent), random_kernel(rng, n)
         beliefs = np.stack([random_belief(rng, n).probs for _ in range(rows)])
-        liks = np.stack([likelihoods_from_log(reward_log_likelihoods(model, *random_reward(rng, model)))
-                         for _ in range(rows)])
+        liks = random_liks(rng, model, rows)
         # rows without evidence, as a probe row can be
         liks[rng.random(rows) < 0.2] = 0.0
-        stack = _BeliefStack(beliefs, kernel.matrix)
+        stack = BeliefStack(beliefs, kernel.matrix)
         fallen = stack.filter(liks[:, None, :])
-        expected = [filter_step(beliefs[r], kernel.matrix, liks[r]) for r in range(rows)]
+        expected = [reference_step(BeliefState(beliefs[r]), kernel, liks[r]) for r in range(rows)]
         assert fallen == sum(degenerate for _, degenerate in expected)
         assert stack.rows.tobytes() == np.stack([probs for probs, _ in expected]).tobytes()
+        for r in range(rows):
+            single = BeliefStack(beliefs[r], kernel.matrix)
+            assert single.filter(liks[r]) == expected[r][1]
+            assert single.rows.tobytes() == stack.rows[r].tobytes()
 
     @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=64))
     @settings(max_examples=150, deadline=None)

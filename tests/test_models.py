@@ -65,6 +65,14 @@ class TestTransitionKernel:
         kernel = TransitionKernel.identity(3)
         assert np.array_equal(kernel.matrix, np.eye(3))
 
+    def test_copies_the_callers_matrix(self):
+        matrix = np.array([[0.9, 0.1], [0.2, 0.8]])
+        kernel = TransitionKernel(matrix)
+        matrix[0] = [0.5, 0.5]
+        assert kernel.matrix.tolist() == [[0.9, 0.1], [0.2, 0.8]]
+        with pytest.raises(ValueError):
+            kernel.matrix[0, 0] = 0.5
+
 
 class TestBeliefState:
     def test_must_sum_to_one(self):
@@ -77,6 +85,14 @@ class TestBeliefState:
 
     def test_argmax_tie_breaks_low(self):
         assert BeliefState([0.5, 0.5]).argmax() == 0
+
+    def test_copies_the_callers_array(self):
+        probs = np.array([0.5, 0.5])
+        belief = BeliefState(probs)
+        probs[0] = 0.9
+        assert belief.probs.tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError):
+            belief.probs[0] = 0.9
 
 
 class TestInfoArmStats:

@@ -62,6 +62,32 @@ class TestMTS:
             policy.observe(float(env_rng.normal(two_state.means[arm, 0], two_state.stds[arm, 0])))
         assert policy.belief.probs[0] > 0.9
 
+    def test_leaves_the_callers_prior_writable(self, two_state, identity2, rng):
+        prior = np.array([0.5, 0.5])
+        policy = MTS(two_state, identity2, prior, rng=rng)
+        prior[0] = 0.9
+        assert policy.prior.probs.tolist() == [0.5, 0.5]
+        assert policy.belief_probs.tolist() == [0.5, 0.5]
+
+    def test_belief_is_a_snapshot_of_the_live_row(self, two_state, identity2, rng):
+        policy = MTS(two_state, identity2, [0.5, 0.5], rng=rng)
+        row, snapshot = policy.belief_probs, policy.belief
+        policy.step(ALL_ARMS3)
+        policy.observe(2.0)
+        assert policy.belief_probs is row and row.tolist() != [0.5, 0.5]
+        assert snapshot.probs.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("kernel,prior", [
+        (TransitionKernel(np.eye(2)), [1.0]),
+        (TransitionKernel(np.eye(3)), [0.5, 0.5]),
+        (TransitionKernel(np.eye(2)), [0.2, 0.3, 0.5]),
+    ], ids=["one_entry_prior", "three_state_kernel", "three_entry_prior"])
+    @pytest.mark.parametrize("cls", [MTS, AGEmTS])
+    def test_rejects_state_counts_that_differ(self, two_state, rng, cls, kernel, prior):
+        extra = {"horizon": 10} if cls is AGEmTS else {}
+        with pytest.raises(ValueError, match="same number of states"):
+            cls(two_state, kernel, prior, rng=rng, **extra)
+
     def test_time_advances_by_one_per_step(self, two_state, identity2, rng):
         policy = MTS(two_state, identity2, [0.5, 0.5], rng=rng)
         for expected in range(1, 10):
