@@ -111,7 +111,7 @@ class BeliefStack:
         sums = np.add.reduce(rows, 1, None, self._sums).tolist()
         # on Python floats; a row with a NaN fails its sum, so the minimum may skip the NaN
         if not (min(rows.ravel().tolist()) >= 0.0 and all(abs(total - 1.0) <= STOCHASTIC_ATOL for total in sums)):
-            raise ValueError(f"belief left the probability simplex: {rows!r}")
+            raise ValueError(f"belief left the probability simplex: {rows!r}, row sums {sums}")
         return fallen
 
     def expect(self, values: np.ndarray) -> list:

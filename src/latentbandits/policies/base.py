@@ -77,10 +77,10 @@ class BeliefPolicy(Policy):
     reward's likelihood to the pre-transition state and then propagates
     through the kernel.  If the evidence is degenerate (all posterior
     mass underflows) the belief is reset to the transition-propagated
-    prior, and ``degenerate_fallbacks`` counts it.  A negative likelihood
-    raises ValueError here, at the ``observe`` boundary.  The stack's row
-    is ``belief_probs``, updated in place and validated only where
-    ``belief`` hands out a snapshot.
+    prior, and ``degenerate_fallbacks`` counts it.  A likelihood row
+    without one non-negative entry per state raises ValueError at the
+    ``observe`` boundary.  The stack's row is ``belief_probs``, updated
+    in place and validated only where ``belief`` hands out a snapshot.
     """
 
     counters = ("degenerate_fallbacks",)
@@ -104,7 +104,9 @@ class BeliefPolicy(Policy):
         self.degenerate_fallbacks = 0
 
     def _learn(self, arm: int, reward: float, likelihoods) -> None:
+        if not isinstance(likelihoods, np.ndarray):
+            likelihoods = np.array(likelihoods, dtype=float)
         # on Python floats; a NaN passes, and the filter counts it as degenerate evidence
-        if any(value < 0.0 for value in likelihoods.tolist()):
-            raise ValueError("likelihoods must be non-negative")
+        if likelihoods.shape != self.belief_probs.shape or any(value < 0.0 for value in likelihoods.tolist()):
+            raise ValueError(f"likelihoods must be one non-negative entry per state, got {likelihoods!r}")
         self.degenerate_fallbacks += self._beliefs.filter(likelihoods)

@@ -210,8 +210,8 @@ def _ps_regret(start, first_step: int, horizon: int, ps_gap, likelihoods) -> np.
     return regret
 
 
-# relative slack on the pruning bound, far above the rounding that can
-# separate the zero budget's total here from a full scan's
+# relative slack on the seeded pruning bound, far above any rounding that
+# could separate a total here from a full scan's or lift a probe cost over it
 _PRUNE_MARGIN = 1e-9
 
 
@@ -236,11 +236,11 @@ def explore_then_ps_tau(model: RewardModel, info_arm: int, horizon: int) -> int:
 
     Not every budget is forecast.  The filtering regret is never
     negative, so the objective at tau is at least the explore cost alone,
-    tau * (cost_0 + cost_1) / 2.  The zero budget is scored first; a
-    budget whose lower bound exceeds that total by more than the relative
-    margin ``_PRUNE_MARGIN`` can neither tie nor win, so only the budgets
-    0..K at or below the line are scored.  Ties break toward the smaller
-    budget.
+    tau * (cost_0 + cost_1) / 2.  Budgets 0 and 1 are scored first, in one
+    pass; a budget whose lower bound exceeds the smaller of their totals
+    by more than the relative margin ``_PRUNE_MARGIN`` can neither tie nor
+    win, so only the budgets 0..K at or below that line are scored, those
+    past 1 in a second pass.  Ties break toward the smaller budget.
     """
     check_tau_forecast(model, horizon)
     states = np.arange(2)
@@ -249,26 +249,24 @@ def explore_then_ps_tau(model: RewardModel, info_arm: int, horizon: int) -> int:
     ps_gap = model.means[best, states] - model.means[best[::-1], states]
     arms = np.stack([best, best[::-1]], axis=1)[:, None, :]
     likelihoods = _quadrature_likelihoods(model, arms, states[:, None, None])
-
-    zero_budget = _ps_regret(np.full((2, 1), 0.5), 0, horizon, ps_gap, likelihoods)[:, 0]
-    totals = [0.5 * zero_budget[0] + 0.5 * zero_budget[1]]
-
-    # the explore costs are never negative, so the survivors are a prefix
     taus = np.arange(horizon + 1)
+
+    def objective(first, probe_paths):
+        ps_regret = _ps_regret(probe_paths, first, horizon, ps_gap, likelihoods)
+        budgets = taus[first : first + ps_regret.shape[1]]
+        return 0.5 * (budgets * explore_cost[0] + ps_regret[0]) + 0.5 * (budgets * explore_cost[1] + ps_regret[1])
+
+    # the belief after 0 and 1 probe plays: budget tau takes over at step tau
+    seeds = np.array([belief_forecast_two_state(0.5, model, 1, true_state=s, arm=info_arm) for s in (0, 1)])
+    totals = list(objective(0, seeds))
+    # the explore costs are never negative, so the survivors are a prefix
     lower_bound = 0.5 * (taus * explore_cost[0]) + 0.5 * (taus * explore_cost[1])
-    last = int(np.count_nonzero(lower_bound <= totals[0] * (1.0 + _PRUNE_MARGIN))) - 1
-    if last > 0:
-        # belief after tau probe plays, for every surviving tau at once
-        probe_paths = [
-            belief_forecast_two_state(0.5, model, last, true_state=s, arm=info_arm)
-            for s in (0, 1)
-        ]
-        ps_regret = _ps_regret(np.array(probe_paths)[:, 1:], 1, horizon, ps_gap, likelihoods)
-        budgets = taus[1 : last + 1]
-        totals.extend(
-            0.5 * (budgets * explore_cost[0] + ps_regret[0])
-            + 0.5 * (budgets * explore_cost[1] + ps_regret[1])
-        )
+    last = int(np.count_nonzero(lower_bound <= min(totals) * (1.0 + _PRUNE_MARGIN))) - 1
+    if last > 1:
+        # each probe path continued from tau = 1 to the last survivor
+        paths = [belief_forecast_two_state(p, model, last - 1, true_state=s, arm=info_arm)
+                 for s, p in enumerate(seeds[:, 1])]
+        totals.extend(objective(2, np.array(paths)[:, 1:]))
     return int(np.argmin(totals))
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latentbandits import RewardModel
+from latentbandits import RewardModel, two_state_model
 from latentbandits.policies import (
     ExploreCommit,
     ExploreThenPS,
@@ -13,7 +13,8 @@ from latentbandits.policies import (
     explore_commit_sample_size,
     explore_then_ps_tau,
 )
-from latentbandits.policies.explore import _quadrature_likelihoods
+from latentbandits.policies import explore
+from latentbandits.policies.explore import _expected_posterior, _quadrature_likelihoods
 
 ARMS3 = np.arange(3)
 
@@ -240,13 +241,28 @@ def two_state_models(draw):
 
 TIGHT = RewardModel(means=[[2.1, 1.5], [1.6, 2.1], [1.7, 1.5]],
                     stds=[[0.5, 0.5], [0.5, 0.5], [1e-3, 1e-3]])
+# the probe matches the best arm in both states: no budget is pruned
+FREE = RewardModel(means=[[2.1, 2.05], [2.05, 2.1], [2.1, 2.1]],
+                   stds=[[0.5, 0.5], [0.5, 0.5], [0.05, 0.05]])
+COSTLY = RewardModel(means=[[2.1, 2.05], [2.05, 2.1], [-9.9, -10.1]],
+                     stds=[[0.5, 0.5], [0.5, 0.5], [0.05, 0.05]])
+# a probe two steps of which beat one at horizon 300
+TWO_PROBES = RewardModel(means=[[2.1, 1.5], [1.6, 2.1], [2.0, 1.9]],
+                         stds=[[0.5, 0.5], [0.5, 0.5], [0.1, 0.1]])
 
 
 class TestBudgetSearchMatchesFullScan:
     """The bound-pruned search against the full scan it replaced."""
 
     @given(two_state_models(), st.integers(min_value=1, max_value=400))
-    @example((TIGHT, 2), 400)
+    @example((COSTLY, 2), 300)  # optimum 0
+    @example((TIGHT, 2), 400)  # optimum 1, from the seed pass alone
+    @example((TWO_PROBES, 2), 300)  # optimum 2, from the second pass
+    @example((FREE, 2), 300)  # optimum 300: every budget survives
+    @example((FREE, 2), 1)  # horizon 1: the one-probe budget never filters
+    @example((TIGHT, 2), 1)
+    @example((FREE, 2), 2)  # horizon 2: the second pass starts at the horizon
+    @example((TIGHT, 2), 2)
     @example((RewardModel(means=[[2.1, 2.0], [1.9, 1.8], [1.7, 1.5]], stds=np.full((3, 2), 0.5)), 2), 300)
     @example((RewardModel(means=[[2.1, 1.5], [1.6, 2.1], [2.2, 1.5]], stds=np.full((3, 2), 0.5)), 2), 300)
     @settings(max_examples=40, deadline=None)
@@ -278,7 +294,95 @@ class TestBudgetSearchMatchesFullScan:
     @pytest.mark.parametrize("probe_std", [0.01, 0.05])
     @pytest.mark.parametrize("horizon", [1, 2, 300])
     def test_presets_match(self, probe_std, horizon):
-        from latentbandits import two_state_model
-
         model = two_state_model(probe_std=probe_std)
         assert explore_then_ps_tau(model, 2, horizon) == reference.explore_then_ps_tau(model, 2, horizon)
+
+
+def recorded_passes(model, info_arm, horizon):
+    """The search's budget and, per ``_ps_regret`` pass, its start
+    columns, first step, regret and forecast inputs."""
+    ps_regret, passes = explore._ps_regret, []
+
+    def recorded(start, first_step, horizon, ps_gap, likelihoods):
+        regret = ps_regret(start, first_step, horizon, ps_gap, likelihoods)
+        passes.append((np.array(start), first_step, regret, ps_gap, likelihoods))
+        return regret
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explore, "_ps_regret", recorded)
+        tau = explore_then_ps_tau(model, info_arm, horizon)
+    return tau, passes
+
+
+def objective(model, info_arm, first, ps_regret):
+    """The totals of the budgets from ``first`` on, given their regret."""
+    states = np.arange(2)
+    explore_cost = model.means[model.best_arms(), states] - model.means[info_arm, states]
+    budgets = np.arange(first, first + ps_regret.shape[1])
+    return 0.5 * (budgets * explore_cost[0] + ps_regret[0]) + 0.5 * (budgets * explore_cost[1] + ps_regret[1])
+
+
+class TestSeededBudgetSearch:
+    """Budgets 0 and 1 are forecast in one pass and bound the rest.  The
+    seeded totals are a full scan's because each column's regret has the
+    same bits in any stack: its per-state core is a [2, 64] @ [64] gemv
+    whatever the stack's width or the column's position."""
+
+    @given(two_state_models(), st.integers(min_value=1, max_value=120))
+    @example((FREE, 2), 40)
+    @example((TWO_PROBES, 2), 2)
+    @settings(max_examples=30, deadline=None)
+    def test_columns_are_independent_of_the_stack(self, model_and_probe, horizon):
+        model, info_arm = model_and_probe
+        tau, passes = recorded_passes(model, info_arm, horizon)
+        _, _, _, ps_gap, likelihoods = passes[0]
+        assert [(first, start.shape[1]) for start, first, *_ in passes][:1] == [(0, 2)]
+        assert [first for _, first, *_ in passes[1:]] in ([], [2])
+
+        # every budget's probe path, and every budget in one stack
+        paths = np.array([belief_forecast_two_state(0.5, model, horizon, true_state=s, arm=info_arm) for s in (0, 1)])
+        full = explore._ps_regret(paths, 0, horizon, ps_gap, likelihoods)
+        for start, first, regret, _, _ in passes:
+            columns = slice(first, first + start.shape[1])
+            assert start.tobytes() == paths[:, columns].tobytes()
+            assert regret.tobytes() == full[:, columns].tobytes()
+        stacks = [(0, paths[:, :2]), (2, paths[:, 2:])] + [(b, paths[:, b : b + 1]) for b in range(horizon + 1)]
+        for first, start in stacks:
+            regret = explore._ps_regret(start, first, horizon, ps_gap, likelihoods)
+            assert regret.tobytes() == full[:, first : first + start.shape[1]].tobytes()
+
+        # the seeded totals are the full scan's prefix, and the pruned budgets cannot win
+        seeded = np.concatenate([objective(model, info_arm, first, regret) for _, first, regret, *_ in passes])
+        scan = objective(model, info_arm, 0, full)
+        assert seeded.tobytes() == scan[: seeded.size].tobytes()
+        assert tau == int(np.argmin(seeded)) == int(np.argmin(scan))
+
+    @given(two_state_models(), st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_posterior_core_is_independent_of_width_and_position(self, model_and_probe, beliefs, data):
+        model, _ = model_and_probe
+        best, states = model.best_arms(), np.arange(2)
+        arms = np.stack([best, best[::-1]], axis=1)[:, None, :]
+        likelihoods = _quadrature_likelihoods(model, arms, states[:, None, None])
+        stack = np.array([beliefs, beliefs[::-1]])[..., None]
+        column = data.draw(st.integers(min_value=0, max_value=len(beliefs) - 1))
+        alone = _expected_posterior(stack[:, column : column + 1], likelihoods)
+        assert alone.tobytes() == _expected_posterior(stack, likelihoods)[:, column : column + 1].tobytes()
+
+    @pytest.mark.parametrize("model,horizon,passes,tau", [
+        (two_state_model(probe_std=0.05), 300, [(0, 2)], 1),
+        (two_state_model(probe_std=0.05), 1000, [(0, 2), (2, 2)], 2),
+        (COSTLY, 300, [(0, 2)], 0),
+        (TIGHT, 400, [(0, 2)], 1),
+        (TWO_PROBES, 300, [(0, 2), (2, 13)], 2),
+        (FREE, 300, [(0, 2), (2, 299)], 300),
+        (FREE, 1, [(0, 2)], 1),
+        (FREE, 2, [(0, 2), (2, 1)], 2),
+    ], ids=["loose_300", "loose_1000", "costly", "tight", "two_probes", "free_300", "free_1", "free_2"])
+    def test_passes_and_budgets(self, model, horizon, passes, tau):
+        # on the loose preset the zero-budget bound alone kept 11 of 301
+        # and 22 of 1,001 budgets
+        found, recorded = recorded_passes(model, 2, horizon)
+        assert [(first, start.shape[1]) for start, first, *_ in recorded] == passes
+        assert found == tau

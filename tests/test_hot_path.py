@@ -162,6 +162,20 @@ class TestFilterStep:
         with pytest.raises(ValueError, match="simplex"):
             stack.filter(np.array([[[0.0, 1.0]], [[1.0, 0.0]], [[0.0, 1.0]]]))
 
+    def test_near_stochastic_kernel_drifts_off_the_simplex(self, two_state):
+        # each kernel row sums to 1 + 9e-13, inside the kernel's tolerance, and
+        # the propagation fallback does not renormalise: two zero-evidence
+        # steps carry the belief's sum 1.8e-12 from 1, which the message shows
+        kernel = TransitionKernel(np.array([[0.5, 0.5 + 9e-13], [0.5 + 9e-13, 0.5]]))
+        policy = MTS(two_state, kernel, [0.5, 0.5], rng=np.random.default_rng(0))
+        policy.step(np.arange(3))
+        policy.observe(2.0, np.zeros(2))
+        assert policy.degenerate_fallbacks == 1
+        assert policy.belief_probs.tolist() == [0.50000000000045, 0.50000000000045]
+        policy.step(np.arange(3))
+        with pytest.raises(ValueError, match=r"array\(\[\[0\.5, 0\.5\]\]\), row sums \[1\.0000000000018\]"):
+            policy.observe(2.0, np.zeros(2))
+
     def test_zero_evidence_falls_back_to_propagation(self):
         kernel = np.array([[0.9, 0.1], [0.2, 0.8]])
         stack = BeliefStack(np.array([1.0, 0.0]), kernel)

@@ -88,6 +88,27 @@ class TestMTS:
         with pytest.raises(ValueError, match="same number of states"):
             cls(two_state, kernel, prior, rng=rng, **extra)
 
+    @pytest.mark.parametrize("likelihoods", [
+        np.array([0.5]), np.array([0.5, 0.5, 0.5]), np.array([[0.5, 0.5]]), [0.5], [0.5, 0.5, 0.5],
+    ], ids=["one_entry", "three_entries", "one_by_two", "one_entry_list", "three_entry_list"])
+    @pytest.mark.parametrize("cls", [MTS, AGEmTS])
+    def test_observe_rejects_a_row_not_one_entry_per_state(self, two_state, identity2, rng, cls, likelihoods):
+        extra = {"horizon": 10} if cls is AGEmTS else {}
+        policy = cls(two_state, identity2, [0.3, 0.7], rng=rng, **extra)
+        policy.step(ALL_ARMS3)
+        with pytest.raises(ValueError, match="one non-negative entry per state"):
+            policy.observe(2.0, likelihoods)
+        assert policy.belief_probs.tolist() == [0.3, 0.7]
+
+    def test_observe_takes_a_list_row(self, two_state, identity2):
+        from_list, from_array = (MTS(two_state, identity2, [0.3, 0.7], rng=np.random.default_rng(5))
+                                 for _ in range(2))
+        for policy, likelihoods in ((from_list, [0.2, 0.9]), (from_array, np.array([0.2, 0.9]))):
+            policy.step(ALL_ARMS3)
+            policy.observe(2.0, likelihoods)
+        assert from_list.belief_probs.tobytes() == from_array.belief_probs.tobytes()
+        assert from_list.belief_probs.tolist() != [0.3, 0.7]
+
     def test_time_advances_by_one_per_step(self, two_state, identity2, rng):
         policy = MTS(two_state, identity2, [0.5, 0.5], rng=rng)
         for expected in range(1, 10):
