@@ -193,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("config", help="config JSON path or recipe name")
         cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--runs", type=int, default=None)
-        cmd.add_argument("--horizon", type=int, default=None)
+        if name != "build-model":
+            cmd.add_argument("--runs", type=int, default=None)
+            cmd.add_argument("--horizon", type=int, default=None)
         cmd.add_argument("--out-dir", default=None)
         cmd.set_defaults(handler=handler)
     return parser

@@ -263,7 +263,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int =
     return labels, centroids, history
 
 
-def kmeans_users(model: FactorModel, k: int, seed: int, return_history: bool = False):
+def kmeans_users(model: FactorModel, k: int, seed: int):
     """Cluster the user factor vectors with Lloyd iterations.
 
     Seeding is greedy farthest-point from a seeded initial pick; empty
@@ -273,10 +273,7 @@ def kmeans_users(model: FactorModel, k: int, seed: int, return_history: bool = F
     if k > model.U.shape[0]:
         raise ValueError("cannot make more clusters than users")
     rng = np.random.default_rng(seed)
-    labels, _, history = _lloyd(model.U, k, rng)
-    if return_history:
-        return labels, history
-    return labels
+    return _lloyd(model.U, k, rng)[0]
 
 
 def sample_super_user(model: FactorModel, clusters: np.ndarray, pairing, seed: int) -> SuperUser:

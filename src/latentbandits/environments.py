@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TypedConfig, check_type
+from .config import ConfigError, TypedConfig, check_type
 from .models import RewardModel, TransitionKernel, _as_prob_vector
 
 GRAPH_KINDS = ("fully_connected", "skip_chain", "two_branch", "custom")
@@ -56,8 +56,8 @@ class TransitionGraphSpec(TypedConfig):
             self.num_states < 5 or self.num_states % 2 == 0
         ):
             raise ValueError(f"{self.kind} graphs need an odd number of states >= 5")
-        if self.kind == "custom" and self.edges is None:
-            raise ValueError("custom graphs require an explicit edge list")
+        if (self.kind == "custom") != (self.edges is not None):
+            raise ConfigError(f"custom graphs, and only they, take an edge list, got {self.kind} edges {self.edges}")
         if self.edges is not None:
             edges = tuple((check_type("an edge source", a, int), check_type("an edge target", b, int))
                           for a, b in self.edges)

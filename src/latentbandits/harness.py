@@ -148,16 +148,31 @@ class ResolvedEnvironment:
     graph: TransitionGraphSpec | None = None
 
 
+# each environment source: its key -> every key a spec from it takes
+_MODEL_SOURCES = {"preset": {"preset"}, "file": {"file"}, "means": {"means", "stds"}}
+_KERNEL_SOURCES = {"identity": {"identity"}, "matrix": {"matrix"}, "graph": {"graph"}}
+
+
+def _source(what: str, doc: dict, sources: dict) -> str:
+    """The one source ``doc`` names; ConfigError unless it names one and only that source's keys."""
+    named = [key for key in sources if key in doc]
+    if len(named) != 1 or set(doc) - sources[named[0]]:
+        spellings = " or ".join("/".join(sorted(keys)) for keys in sources.values())
+        raise ConfigError(f"{what} must give {spellings} and no other key, got {sorted(doc)}")
+    return named[0]
+
+
 def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
     """Materialize model, kernel and prior from an environment spec."""
     model_doc = spec.model
     arm_features = None
-    if "preset" in model_doc:
+    model_source = _source("model", model_doc, _MODEL_SOURCES)
+    if model_source == "preset":
         name = model_doc["preset"]
         if name not in PRESETS:
             raise ConfigError(f"unknown model preset {name!r}")
         model = PRESETS[name]()
-    elif "file" in model_doc:
+    elif model_source == "file":
         try:
             with open(model_doc["file"], "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
@@ -169,7 +184,7 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
                 arm_features = np.asarray(doc["features"], dtype=float)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid model file: {exc}") from exc
-    elif "means" in model_doc:
+    else:
         try:
             model = RewardModel(
                 means=np.asarray(model_doc["means"], dtype=float),
@@ -177,26 +192,25 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
             )
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid inline model: {exc}") from exc
-    else:
-        raise ConfigError("model must specify 'preset', 'file' or 'means'/'stds'")
 
     kernel_doc = spec.kernel
     graph = None
-    if kernel_doc.get("identity"):
+    kernel_source = _source("kernel", kernel_doc, _KERNEL_SOURCES)
+    if kernel_source == "identity":
+        if kernel_doc["identity"] is not True:
+            raise ConfigError(f"kernel 'identity' must be true, got {kernel_doc['identity']!r}")
         kernel = TransitionKernel.identity(model.num_states)
-    elif "matrix" in kernel_doc:
+    elif kernel_source == "matrix":
         try:
             kernel = TransitionKernel(kernel_doc["matrix"])
         except ValueError as exc:
             raise ConfigError(f"invalid kernel matrix: {exc}") from exc
-    elif "graph" in kernel_doc:
+    else:
         try:
             graph = TransitionGraphSpec.from_dict(kernel_doc["graph"])
             kernel = build_transition_kernel(graph)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid graph spec: {exc}") from exc
-    else:
-        raise ConfigError("kernel must specify 'identity', 'matrix' or 'graph'")
     if kernel.num_states != model.num_states:
         raise ConfigError("kernel and model disagree on the number of states")
 
@@ -205,7 +219,8 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
             raise ConfigError(f"unknown prior {spec.prior!r}")
         prior = np.full(model.num_states, 1.0 / model.num_states)
     elif isinstance(spec.prior, dict):
-        point = check_type("prior point", spec.prior.get("point"), int)
+        _source("prior", spec.prior, {"point": {"point"}})
+        point = check_type("prior point", spec.prior["point"], int)
         if not 0 <= point < model.num_states:
             raise ConfigError(f"prior point must be a state in [0, {model.num_states}), got {point}")
         prior = np.zeros(model.num_states)

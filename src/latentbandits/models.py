@@ -101,10 +101,6 @@ class RewardModel:
         arms = np.asarray(arms, dtype=int)
         return np.take_along_axis(arms, self.means[arms].argmax(axis=-2), axis=-1)
 
-    def best_arm(self, state: int, arms=None) -> int:
-        """Index of the highest-mean arm in ``state``; see ``best_arms``."""
-        return int(self.best_arms(arms)[state])
-
 
 @dataclass(frozen=True)
 class TransitionKernel:

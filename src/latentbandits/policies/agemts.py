@@ -30,7 +30,7 @@ class AGEmTS(BeliefPolicy):
         kernel: TransitionKernel,
         prior,
         horizon: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
         entropy_threshold: float = 1.0,
     ):
         super().__init__(model, kernel, prior, rng)

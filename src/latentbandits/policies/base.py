@@ -1,10 +1,10 @@
 """Common policy interface.
 
-Every agent exposes ``step(offered_arms, best_arms=None) -> arm``
-followed by ``observe(reward, likelihoods=None)``.  ``best_arms[s]`` is
-state s's best offered arm and ``likelihoods[s]`` the reward's scaled
-likelihood in state s: the harness passes each step's row of tables it
-builds once per run, and a policy computes a row a caller leaves out.
+Every agent exposes ``step(offered_arms, best_arms) -> arm`` followed
+by ``observe(reward, likelihoods)``.  ``best_arms[s]`` is state s's best
+offered arm and ``likelihoods[s]`` the reward's scaled likelihood in
+state s: the harness passes each step's row of tables it builds once per
+run, and None as the likelihood row of a policy without a belief.
 A policy instance serves one run and is single-threaded: it owns its
 mutable belief or statistics and consumes randomness only through the
 generator injected at construction, so identical seeds yield identical
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 # posterior_update stays a name of this module for the benchmark's probes
-from ..belief import BeliefStack, likelihoods_from_log, posterior_update, reward_log_likelihoods  # noqa: F401
+from ..belief import BeliefStack, posterior_update  # noqa: F401
 from ..models import BeliefState, RewardModel, TransitionKernel
 
 
@@ -29,11 +29,9 @@ class Policy:
     belief_probs: np.ndarray | None = None
     # names of the integer attributes that run_meta.json records per run
     counters: tuple = ()
-    # the reward model, for policies that act on one
-    model: RewardModel | None = None
 
-    def __init__(self, rng: np.random.Generator | None = None):
-        self.rng = rng if rng is not None else np.random.default_rng()
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
         self.time = 1
         self._pending: int | None = None
         self.last_info_play = False
@@ -43,22 +41,16 @@ class Policy:
         """A validated snapshot of the belief, or None for policies without one."""
         return None if self.belief_probs is None else BeliefState(self.belief_probs)
 
-    def step(self, offered_arms, best_arms=None) -> int:
-        offered = np.asarray(offered_arms, dtype=int)
-        if best_arms is None and self.model is not None:
-            best_arms = self.model.best_arms(offered)
+    def step(self, offered_arms, best_arms) -> int:
         self.last_info_play = False
-        arm = self._pending = int(self._choose(offered, best_arms))
+        arm = self._pending = int(self._choose(np.asarray(offered_arms, dtype=int), best_arms))
         return arm
 
-    def observe(self, reward: float, likelihoods=None) -> None:
+    def observe(self, reward: float, likelihoods) -> None:
         if self._pending is None:
             raise RuntimeError("observe() called before step()")
         arm, self._pending = self._pending, None
-        reward = float(reward)
-        if likelihoods is None and self.belief_probs is not None:
-            likelihoods = likelihoods_from_log(reward_log_likelihoods(self.model, arm, reward))
-        self._learn(arm, reward, likelihoods)
+        self._learn(arm, float(reward), likelihoods)
         self.time += 1
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:
@@ -90,7 +82,7 @@ class BeliefPolicy(Policy):
         model: RewardModel,
         kernel: TransitionKernel,
         prior,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ):
         super().__init__(rng)
         self.model = model
@@ -104,9 +96,8 @@ class BeliefPolicy(Policy):
         self.degenerate_fallbacks = 0
 
     def _learn(self, arm: int, reward: float, likelihoods) -> None:
-        if not isinstance(likelihoods, np.ndarray):
-            likelihoods = np.array(likelihoods, dtype=float)
+        row = likelihoods if isinstance(likelihoods, np.ndarray) else np.array(likelihoods, dtype=float)
         # on Python floats; a NaN passes, and the filter counts it as degenerate evidence
-        if likelihoods.shape != self.belief_probs.shape or any(value < 0.0 for value in likelihoods.tolist()):
+        if row.shape != self.belief_probs.shape or any(value < 0.0 for value in row.tolist()):
             raise ValueError(f"likelihoods must be one non-negative entry per state, got {likelihoods!r}")
-        self.degenerate_fallbacks += self._beliefs.filter(likelihoods)
+        self.degenerate_fallbacks += self._beliefs.filter(row)

@@ -26,7 +26,7 @@ class _StateModelBandit(Policy):
 
     counters = ("detector_resets",)
 
-    def __init__(self, model: RewardModel, rng=None, window_size: int = 50, threshold: float = 15.0):
+    def __init__(self, model: RewardModel, rng, window_size: int = 50, threshold: float = 15.0):
         super().__init__(rng)
         self.model = model
         self._scale = float(model.stds.max())
@@ -155,7 +155,7 @@ class EXP4S(Policy):
 
     name = "exp4s"
 
-    def __init__(self, model: RewardModel, horizon: int, rng=None, learning_rate: float | None = None,
+    def __init__(self, model: RewardModel, horizon: int, rng, learning_rate: float | None = None,
                  weight_floor: float | None = None):
         super().__init__(rng)
         self.model = model
@@ -205,7 +205,7 @@ class MUCB(Policy):
 
     name = "mucb"
 
-    def __init__(self, model: RewardModel, rng=None):
+    def __init__(self, model: RewardModel, rng):
         super().__init__(rng)
         self.model = model
         self.counts = [0] * model.num_arms
@@ -246,7 +246,7 @@ class _LinearBandit(Policy):
 
     counters = ("detector_resets",)
 
-    def __init__(self, model: RewardModel, arm_features: np.ndarray, rng=None, ridge: float = 1.0,
+    def __init__(self, model: RewardModel, arm_features: np.ndarray, rng, ridge: float = 1.0,
                  window_size: int = 50, threshold: float = 5.0):
         super().__init__(rng)
         if arm_features is None:
@@ -287,7 +287,7 @@ class _LinearBandit(Policy):
 class CDLinUCB(_LinearBandit):
     name = "cd_linucb"
 
-    def __init__(self, model, arm_features, rng=None, ridge: float = 1.0, window_size: int = 50,
+    def __init__(self, model, arm_features, rng, ridge: float = 1.0, window_size: int = 50,
                  threshold: float = 5.0, alpha: float = 1.0):
         super().__init__(model, arm_features, rng, ridge, window_size, threshold)
         self.alpha = alpha
@@ -302,7 +302,7 @@ class CDLinUCB(_LinearBandit):
 class CDLinTS(_LinearBandit):
     name = "cd_lints"
 
-    def __init__(self, model, arm_features, rng=None, ridge: float = 1.0, window_size: int = 50,
+    def __init__(self, model, arm_features, rng, ridge: float = 1.0, window_size: int = 50,
                  threshold: float = 5.0, scale: float = 1.0):
         super().__init__(model, arm_features, rng, ridge, window_size, threshold)
         self.scale = scale
@@ -320,7 +320,7 @@ class OraclePolicy(Policy):
     name = "oracle"
     wants_true_state = True
 
-    def __init__(self, model: RewardModel, rng=None):
+    def __init__(self, model: RewardModel, rng):
         super().__init__(rng)
         self.model = model
         self.true_state = 0

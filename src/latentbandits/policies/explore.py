@@ -61,7 +61,7 @@ class ExploreCommit(BeliefPolicy):
 
     name = "explore_commit"
 
-    def __init__(self, model, kernel, prior, info_arm: int, n_e: int | None = None, rng=None,
+    def __init__(self, model, kernel, prior, info_arm: int, rng, n_e: int | None = None,
                  delta: float | None = None, std1: float | None = None, std2: float | None = None,
                  z_alpha: float = 1.96, z_beta: float = 0.84):
         super().__init__(model, kernel, prior, rng)
@@ -279,7 +279,7 @@ class ExploreThenPS(MTS):
 
     name = "explore_then_ps"
 
-    def __init__(self, model, kernel, prior, info_arm: int, tau: int, rng=None):
+    def __init__(self, model, kernel, prior, info_arm: int, tau: int, rng):
         super().__init__(model, kernel, prior, rng)
         _check_probe_budget(model, info_arm, "tau", tau)
         self.info_arm = int(info_arm)

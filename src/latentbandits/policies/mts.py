@@ -10,6 +10,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 
+import numpy as np
+
 from .base import BeliefPolicy
 
 

@@ -49,7 +49,7 @@ def rollout_likelihood_matrix(
     model: RewardModel,
     hypotheses: np.ndarray,
     probs: np.ndarray,
-    best_arms=None,
+    best_arms,
 ) -> np.ndarray:
     """Pseudo-likelihood rows for greedy play, one per hypothetical state.
 
@@ -60,10 +60,8 @@ def rollout_likelihood_matrix(
     ``probs``.  States indistinguishable through the greedy arms yield a
     flat row.  The belief states are added in index order, so every row
     equals the one built for its hypothesis alone.  ``best_arms[s]`` is
-    state s's greedy arm, by default its best arm of all.
+    state s's greedy arm.
     """
-    if best_arms is None:
-        best_arms = model.best_arms()
     hypotheses = np.asarray(hypotheses, dtype=int)
     rows = np.zeros((hypotheses.size, model.num_states))
     for s, weight in enumerate(probs):
@@ -107,8 +105,8 @@ def reward_estimator(
     info_arm: int,
     r_u: float,
     horizon_cap: int,
-    best_arms=None,
-    entropy_threshold: float = 1.0,
+    best_arms,
+    entropy_threshold: float,
 ) -> RolloutResult:
     """Compare probe-then-greedy against pure greedy filtering.
 
@@ -121,8 +119,7 @@ def reward_estimator(
     ``num_states - 1`` hypotheses.  A hypothesis the belief rules out
     entirely (zero mass, e.g. an unreachable start state) contributes
     zero to both strategies rather than polluting the comparison.
-    ``best_arms[s]`` is state s's greedy arm among the offered arms, by
-    default its best arm of all.
+    ``best_arms[s]`` is state s's greedy arm among the offered arms.
 
     Every hypothesis advances at once: the H probe trajectories and the
     H greedy-only ones are the rows of one ``[2H, S]`` belief stack,
@@ -141,14 +138,12 @@ def reward_estimator(
     scale = model.num_states - 1
     if count == 0:
         return RolloutResult(0.0, 0.0, t_exp)
-    greedy = model.best_arms() if best_arms is None else np.asarray(best_arms)
+    greedy = np.asarray(best_arms)
 
     # pseudo-evidence rows are frozen at the decision-time belief; with a
     # zero probe row every filter step falls back to propagation
     info_rows = rollout_info_likelihood(model, info_arm, hypotheses, probs)
     greedy_rows = rollout_likelihood_matrix(model, hypotheses, probs, greedy)
-    if (info_rows < 0).any() or (greedy_rows < 0).any():
-        raise ValueError("likelihoods must be non-negative")
     # row h: mean reward of each state's greedy arm if hypothesis h is the truth
     payoff = np.tile(model.means[greedy][:, hypotheses].T, (2, 1))[:, :, None]
 

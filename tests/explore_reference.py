@@ -70,8 +70,8 @@ def belief_forecast_two_state(
     if true_state not in (0, 1):
         raise ValueError("true_state must be 0 or 1")
 
-    best_true = model.best_arm(true_state)
-    best_other = model.best_arm(1 - true_state)
+    best_true = int(np.argmax(model.means[:, true_state]))
+    best_other = int(np.argmax(model.means[:, 1 - true_state]))
 
     trajectory = np.empty(steps + 1)
     trajectory[0] = p0
@@ -109,8 +109,8 @@ def explore_then_ps_tau(
     totals = np.zeros(horizon + 1)
     for true_state in (0, 1):
         other = 1 - true_state
-        best_true = model.best_arm(true_state)
-        best_other = model.best_arm(other)
+        best_true = int(np.argmax(model.means[:, true_state]))
+        best_other = int(np.argmax(model.means[:, other]))
         explore_cost = (
             model.means[best_true, true_state]
             - model.means[info_arm, true_state]

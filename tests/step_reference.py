@@ -23,6 +23,7 @@ import math
 from collections import deque
 
 import numpy as np
+from policy_rows import likelihoods
 
 from latentbandits.environments import Trajectory, sample_arm_set
 from latentbandits.harness import _run_kernel
@@ -275,10 +276,10 @@ def run_policies(config, run_index):
         for state, offered, draw in zip(trajectory.states.tolist(), trajectory.arm_sets, trajectory.noise.tolist()):
             if policy.wants_true_state:
                 policy.set_true_state(state)
-            arm = policy.step(offered)
+            arm = policy.step(offered, model.best_arms(offered))
             mean = means[arm][state]
             reward = mean + stds[arm][state] * draw
-            policy.observe(reward)
+            policy.observe(reward, None if policy.belief_probs is None else likelihoods(model, arm, reward))
             optimal = means[best_arm(model, state, offered)][state]
             total += optimal - mean
             total_realized += optimal - reward

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from policy_rows import likelihoods
 from scipy import integrate
 
 import latentbandits as lb
@@ -227,13 +228,14 @@ def test_criterion_5_explore_then_ps():
     etps = ExploreThenPS(costly, identity, [0.5, 0.5], info_arm=2, tau=0,
                          rng=np.random.default_rng(77))
     env_rng = np.random.default_rng(78)
+    best_arms = costly.best_arms()
     for _ in range(1000):
-        arm_a = mts.step(np.arange(3))
-        arm_b = etps.step(np.arange(3))
+        arm_a = mts.step(np.arange(3), best_arms)
+        arm_b = etps.step(np.arange(3), best_arms)
         assert arm_a == arm_b
         reward = float(env_rng.normal(costly.means[arm_a, 0], costly.stds[arm_a, 0]))
-        mts.observe(reward)
-        etps.observe(reward)
+        mts.observe(reward, likelihoods(costly, arm_a, reward))
+        etps.observe(reward, likelihoods(costly, arm_b, reward))
 
     # (b) benchmark probe: explore first, then beat both alternatives
     tau = explore_then_ps_tau(lb.two_state_model(probe_std=0.05), 2, 1000)

@@ -210,6 +210,23 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("field,spec", [
+        ("model", {"preset": "two_state", "means": [[1.0, 0.0]] * 3}),
+        ("model", {"preset": "two_state", "typo": 1}),
+        ("kernel", {"identity": True, "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+        ("kernel", {"identity": False, "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+        ("prior", {"point": 0, "x": 1}),
+        ("kernel", {"graph": {"kind": "fully_connected", "num_states": 2, "edges": [[0, 1], [1, 0]]}}),
+    ], ids=["model_preset_and_means", "model_unknown_key", "kernel_identity_and_matrix",
+            "kernel_identity_false_and_matrix", "prior_unknown_key", "graph_edges_not_custom"])
+    def test_environment_spec_keys_are_config_errors(self, tmp_path, capsys, field, spec):
+        doc = get_recipe("two_state_stationary", horizon=10, num_runs=2).to_dict()
+        doc["environment"][field] = spec
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_every_config_param_is_annotated(self, name):
         hints = _config_hints(name)
@@ -396,6 +413,15 @@ class TestBuildModel:
         for graph in ("full", "skip", "branch"):
             run_config = load_config(out / f"movielens_{graph}.json")
             run_config.validate()
+
+    @pytest.mark.parametrize("flag", ["--runs", "--horizon"])
+    def test_run_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        config_path = tmp_path / "dataset.json"
+        config_path.write_text("{}")
+        with pytest.raises(SystemExit) as exited:
+            main(["build-model", str(config_path), flag, "3"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [
         {"d": "x"},

@@ -137,7 +137,7 @@ class TestExp4sUpdate:
 class TestMUCB:
     def test_no_data_plays_global_optimist(self, two_state):
         policy = MUCB(two_state, rng=np.random.default_rng(0))
-        assert policy.step(ARMS3) == 0  # 2.1 tops both states, arm 0 first
+        assert policy.step(ARMS3, two_state.best_arms()) == 0  # 2.1 tops both states, arm 0 first
         assert np.asarray(policy.surviving).all()
 
     def test_single_survivor_plays_its_best_arm(self, two_state):
@@ -147,7 +147,7 @@ class TestMUCB:
         policy.counts[2] = 50
         policy.sums[2] = 50 * 1.5
         policy.time = 51
-        assert policy.step(ARMS3) == 1
+        assert policy.step(ARMS3, two_state.best_arms()) == 1
 
     def test_empty_consistent_set_resets(self, two_state):
         policy = MUCB(two_state, rng=np.random.default_rng(0))
@@ -165,13 +165,12 @@ class TestMUCB:
             rng = np.random.default_rng(seed)
             true_state = seed % 2
             policy = MUCB(two_state, rng=np.random.default_rng(seed + 1000))
-            # the best-arm row, passed as the harness passes it, so step does not recompute it
             best_arms = two_state.best_arms(ARMS3)
             for _ in range(2000):
                 arm = policy.step(ARMS3, best_arms)
                 reward = float(rng.normal(
                     two_state.means[arm, true_state], two_state.stds[arm, true_state]))
-                policy.observe(reward)
+                policy.observe(reward, None)
             if policy.surviving[true_state] and not policy.surviving[1 - true_state]:
                 wins += 1
         assert wins >= 0.9 * seeds
@@ -179,9 +178,10 @@ class TestMUCB:
 
 class TestRestartBandits:
     def drive(self, policy, means, stds, rng, steps):
+        best_arms = policy.model.best_arms(ARMS3)
         for _ in range(steps):
-            arm = policy.step(ARMS3)
-            policy.observe(float(rng.normal(means[arm], stds[arm])))
+            arm = policy.step(ARMS3, best_arms)
+            policy.observe(float(rng.normal(means[arm], stds[arm])), None)
 
     def test_cducb_prefers_better_state_model(self, two_state):
         policy = CDUCB(two_state, rng=np.random.default_rng(0), threshold=50.0)
@@ -218,12 +218,13 @@ class TestLinearBandits:
                           alpha=0.5, threshold=100.0)
         env_rng = np.random.default_rng(2)
         offered = np.arange(6)
+        best_arms = model.best_arms(offered)
         for _ in range(400):
-            arm = policy.step(offered)
+            arm = policy.step(offered, best_arms)
             reward = float(features[arm] @ w_true + env_rng.normal(0, 0.05))
-            policy.observe(reward)
+            policy.observe(reward, None)
         best = int(np.argmax(features @ w_true))
-        assert policy.step(offered) == best
+        assert policy.step(offered, best_arms) == best
 
     def test_lints_stays_in_offered_set(self):
         rng = np.random.default_rng(0)
@@ -232,31 +233,32 @@ class TestLinearBandits:
         policy = CDLinTS(model, features, rng=np.random.default_rng(3), threshold=100.0)
         for _ in range(50):
             offered = np.sort(rng.choice(5, size=3, replace=False))
-            arm = policy.step(offered)
+            arm = policy.step(offered, model.best_arms(offered))
             assert arm in offered
-            policy.observe(0.5)
+            policy.observe(0.5, None)
 
     @pytest.mark.parametrize("cls", [CDLinUCB, CDLinTS])
     @pytest.mark.parametrize("ridge", [0.0, -1.0, float("inf"), float("nan")])
     def test_ridge_must_be_finite_and_positive(self, two_state, cls, ridge):
         with pytest.raises(ValueError, match="ridge must be finite and positive"):
-            cls(two_state, np.eye(3), ridge=ridge)
+            cls(two_state, np.eye(3), np.random.default_rng(0), ridge=ridge)
 
 
 def test_oracle_plays_true_state_best_arm(two_state):
     policy = OraclePolicy(two_state, rng=np.random.default_rng(0))
     policy.set_true_state(1)
-    assert policy.step(ARMS3) == 1
-    policy.observe(2.0)
+    assert policy.step(ARMS3, two_state.best_arms()) == 1
+    policy.observe(2.0, None)
     policy.set_true_state(0)
-    assert policy.step(ARMS3) == 0
+    assert policy.step(ARMS3, two_state.best_arms()) == 0
 
 
 def test_uniform_random_covers_offered(rng):
     policy = UniformRandom(rng=np.random.default_rng(0))
     seen = set()
     for _ in range(200):
-        arm = policy.step(np.array([1, 3, 4]))
+        # a uniform draw acts on neither row
+        arm = policy.step(np.array([1, 3, 4]), None)
         seen.add(arm)
-        policy.observe(0.0)
+        policy.observe(0.0, None)
     assert seen == {1, 3, 4}

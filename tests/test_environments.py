@@ -116,7 +116,7 @@ class TestEnvStep:
             def _choose(self, offered, best_arms):
                 return 2
 
-        monkeypatch.setattr(harness, "make_policy", lambda *args, **kwargs: AlwaysArmTwo())
+        monkeypatch.setattr(harness, "make_policy", lambda *args, **kwargs: AlwaysArmTwo(rng=np.random.default_rng(0)))
         config = _config({"preset": "two_state"}, ["mts"], 50, arm_set_size=2)
         with pytest.raises(ProtocolViolationError, match="arm 2 not offered"):
             run_experiment(config)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from policy_rows import likelihoods
 
 from latentbandits import RewardModel, two_state_model
 from latentbandits.policies import (
@@ -49,10 +50,10 @@ class TestSampleSize:
 class TestExploreCommit:
     def run_probe_phase(self, policy, rewards):
         for reward in rewards:
-            arm = policy.step(ARMS3)
+            arm = policy.step(ARMS3, policy.model.best_arms())
             assert arm == 2
             assert policy.last_info_play
-            policy.observe(reward)
+            policy.observe(reward, likelihoods(policy.model, arm, reward))
 
     def test_commits_to_nearest_mean_state(self, two_state_loose, identity2):
         policy = ExploreCommit(
@@ -61,7 +62,7 @@ class TestExploreCommit:
         )
         # probe means are 1.7 (state 0) and 1.5 (state 1)
         self.run_probe_phase(policy, [1.69])
-        assert policy.step(ARMS3) == 0  # state 0's best arm
+        assert policy.step(ARMS3, two_state_loose.best_arms()) == 0  # state 0's best arm
 
     def test_midway_average_commits_to_lower_state(self, two_state_loose, identity2):
         policy = ExploreCommit(
@@ -69,14 +70,14 @@ class TestExploreCommit:
             rng=np.random.default_rng(0),
         )
         self.run_probe_phase(policy, [1.7, 1.5])  # mean exactly 1.6
-        assert policy.step(ARMS3) == 0
+        assert policy.step(ARMS3, two_state_loose.best_arms()) == 0
 
     def test_zero_budget_commits_from_prior(self, two_state_loose, identity2):
         policy = ExploreCommit(
             two_state_loose, identity2, [0.2, 0.8], info_arm=2, n_e=0,
             rng=np.random.default_rng(0),
         )
-        assert policy.step(ARMS3) == 1  # prior argmax is state 1
+        assert policy.step(ARMS3, two_state_loose.best_arms()) == 1  # prior argmax is state 1
 
     def test_committed_forever(self, two_state_loose, identity2, rng):
         policy = ExploreCommit(
@@ -85,11 +86,12 @@ class TestExploreCommit:
         )
         self.run_probe_phase(policy, [1.51])
         for _ in range(30):
-            assert policy.step(ARMS3) == 1
-            policy.observe(float(rng.normal(2.1, 0.5)))
+            assert policy.step(ARMS3, two_state_loose.best_arms()) == 1
+            reward = float(rng.normal(2.1, 0.5))
+            policy.observe(reward, likelihoods(two_state_loose, 1, reward))
 
     def test_z_test_budget_is_the_sample_size(self, two_state_loose, identity2):
-        policy = ExploreCommit(two_state_loose, identity2, [0.5, 0.5], info_arm=2,
+        policy = ExploreCommit(two_state_loose, identity2, [0.5, 0.5], info_arm=2, rng=np.random.default_rng(0),
                                delta=0.2, std1=0.5, std2=0.5)
         assert policy.n_e == explore_commit_sample_size(0.2, 0.5, 0.5, 1.96, 0.84) == 49
 
@@ -105,13 +107,13 @@ class TestProbeBudgetConstructors:
     ], ids=["info_arm_3", "info_arm_-1", "negative_budget"])
     def test_out_of_range_params_rejected(self, two_state, identity2, cls, budget, info_arm, value, message):
         with pytest.raises(ValueError, match=message.format(budget=budget)):
-            cls(two_state, identity2, [0.5, 0.5], info_arm=info_arm, **{budget: value})
+            cls(two_state, identity2, [0.5, 0.5], info_arm=info_arm, rng=np.random.default_rng(0), **{budget: value})
 
     @pytest.mark.parametrize("triple", [{}, {"delta": 0.2}, {"delta": 0.2, "std1": 0.5},
                                         {"std1": 0.5, "std2": 0.5}])
     def test_incomplete_z_test_triple_rejected(self, two_state, identity2, triple):
         with pytest.raises(ValueError, match="needs n_e, or all of delta, std1 and std2"):
-            ExploreCommit(two_state, identity2, [0.5, 0.5], info_arm=2, **triple)
+            ExploreCommit(two_state, identity2, [0.5, 0.5], info_arm=2, rng=np.random.default_rng(0), **triple)
 
 
 class TestBeliefForecast:
@@ -195,13 +197,14 @@ class TestExploreThenPSPolicy:
             rng=np.random.default_rng(21),
         )
         env_rng = np.random.default_rng(22)
+        best_arms = two_state.best_arms()
         for _ in range(200):
-            arm_a = mts.step(ARMS3)
-            arm_b = etps.step(ARMS3)
+            arm_a = mts.step(ARMS3, best_arms)
+            arm_b = etps.step(ARMS3, best_arms)
             assert arm_a == arm_b
             reward = float(env_rng.normal(two_state.means[arm_a, 0], two_state.stds[arm_a, 0]))
-            mts.observe(reward)
-            etps.observe(reward)
+            mts.observe(reward, likelihoods(two_state, arm_a, reward))
+            etps.observe(reward, likelihoods(two_state, arm_b, reward))
 
     def test_probes_through_budget_then_filters(self, two_state, identity2, rng):
         policy = ExploreThenPS(
@@ -209,10 +212,11 @@ class TestExploreThenPSPolicy:
             rng=np.random.default_rng(2),
         )
         for _ in range(3):
-            assert policy.step(ARMS3) == 2
-            policy.observe(float(rng.normal(1.7, 0.01)))
+            assert policy.step(ARMS3, two_state.best_arms()) == 2
+            reward = float(rng.normal(1.7, 0.01))
+            policy.observe(reward, likelihoods(two_state, 2, reward))
         assert policy.belief.probs[0] > 0.999
-        assert policy.step(ARMS3) == 0
+        assert policy.step(ARMS3, two_state.best_arms()) == 0
 
 
 @st.composite

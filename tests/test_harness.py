@@ -324,7 +324,7 @@ class TestRunExperiment:
                     return 3
                 return next(arm for arm in range(3) if arm not in offered)
 
-        monkeypatch.setattr(harness_module, "make_policy", lambda *args, **kwargs: Rogue())
+        monkeypatch.setattr(harness_module, "make_policy", lambda *args, **kwargs: Rogue(rng=np.random.default_rng(0)))
         config = tiny_config(policies=("mts",), horizon=5, num_runs=1, arm_set_size=2)
         with pytest.raises(ProtocolViolationError, match=r"^run 0, policy 'mts', step 1: arm \d not offered$"):
             run_experiment(config)

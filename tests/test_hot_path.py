@@ -21,6 +21,7 @@ import filter_reference as reference
 import numpy as np
 import output_reference
 import pytest
+from policy_rows import likelihoods
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,7 +131,7 @@ class TestFilterStep:
         specials = np.array([0.0, -1.0, math.nan, math.inf, 1e-300, 1e300])
         liks = np.where(rng.random(n) < 0.3, rng.choice(specials, size=n), rng.uniform(0.0, 2.0, size=n))
         policy = MTS(model, kernel, belief.probs, rng=np.random.default_rng(seed))
-        policy.step(np.arange(model.num_arms))
+        policy.step(np.arange(model.num_arms), model.best_arms())
         try:
             probs, degenerate = reference_step(belief, kernel, liks)
         except ValueError:
@@ -168,11 +169,11 @@ class TestFilterStep:
         # steps carry the belief's sum 1.8e-12 from 1, which the message shows
         kernel = TransitionKernel(np.array([[0.5, 0.5 + 9e-13], [0.5 + 9e-13, 0.5]]))
         policy = MTS(two_state, kernel, [0.5, 0.5], rng=np.random.default_rng(0))
-        policy.step(np.arange(3))
+        policy.step(np.arange(3), two_state.best_arms())
         policy.observe(2.0, np.zeros(2))
         assert policy.degenerate_fallbacks == 1
         assert policy.belief_probs.tolist() == [0.50000000000045, 0.50000000000045]
-        policy.step(np.arange(3))
+        policy.step(np.arange(3), two_state.best_arms())
         with pytest.raises(ValueError, match=r"array\(\[\[0\.5, 0\.5\]\]\), row sums \[1\.0000000000018\]"):
             policy.observe(2.0, np.zeros(2))
 
@@ -203,9 +204,9 @@ class TestPolicies:
             policy = cls(model, kernel, prior.probs, rng=np.random.default_rng(seed), **extra)
             expected, fallbacks = prior, 0
             for _ in range(20):
-                arm = policy.step(np.arange(model.num_arms))
+                arm = policy.step(np.arange(model.num_arms), model.best_arms())
                 _, reward = random_reward(rng, model)
-                policy.observe(reward)
+                policy.observe(reward, likelihoods(model, arm, reward))
                 liks = reference.likelihoods_from_log(reference.reward_log_likelihoods(model, arm, reward))
                 probs, degenerate = reference_step(expected, kernel, liks)
                 expected, fallbacks = BeliefState(probs), fallbacks + degenerate
@@ -217,9 +218,10 @@ class TestPolicies:
         model = RewardModel(means=[[0.0, 1.0], [1.0, 0.0]], stds=np.full((2, 2), 0.01))
         policy = MTS(model, identity2, [1.0, 0.0], rng=np.random.default_rng(0))
         for _ in range(3):
-            arm = policy.step([0, 1])
+            arm = policy.step([0, 1], model.best_arms())
             # state 1's reward, 100 sigmas from state 0's: the evidence underflows
-            policy.observe(model.means[arm, 1])
+            reward = model.means[arm, 1]
+            policy.observe(reward, likelihoods(model, arm, reward))
         assert policy.degenerate_fallbacks == 3
         assert policy.belief.probs.tolist() == [1.0, 0.0]
 
@@ -299,7 +301,7 @@ class TestStateDraw:
         probs[rng.integers(n)] += 1.0
         probs /= probs.sum()
         model = RewardModel(means=np.zeros((2, n)), stds=np.ones((2, n)))
-        policy = MTS(model, TransitionKernel.identity(n), probs)
+        policy = MTS(model, TransitionKernel.identity(n), probs, rng=np.random.default_rng(seed))
         cdf = np.cumsum(probs)
         # every CDF entry exactly, the float just below each, and a random draw
         for u in [0.0, rng.random(), *cdf.tolist(), *np.nextafter(cdf, 0.0).tolist()]:
@@ -329,7 +331,7 @@ def without_probe_evidence(rng, model, probs):
     anchor = int(np.argmax(probs))
     hypothesis = int(rng.choice([s for s in range(n) if s != anchor]))
     # only the hypothesis's column changes, so the anchor keeps its greedy arm
-    greedy = model.best_arm(anchor)
+    greedy = int(model.best_arms()[anchor])
     info = int((greedy + 1 + rng.integers(model.num_arms - 1)) % model.num_arms)
     means, stds = model.means.copy(), model.stds.copy()
     stds[info] = 1e-3
@@ -349,7 +351,7 @@ class TestRewardEstimator:
     def test_bit_identical_to_the_validated_roll_out(self, seed, exponent, n, plant, eager):
         rng = np.random.default_rng(seed)
         model, kernel, belief = random_model(rng, n, exponent), random_kernel(rng, n), rollout_belief(rng, n)
-        greedy = model.best_arm(belief.argmax())
+        greedy = int(model.best_arms()[belief.argmax()])
         info = int((greedy + 1 + rng.integers(model.num_arms - 1)) % model.num_arms)
         if plant:
             probs = rng.dirichlet(np.full(n, 0.5))
@@ -382,8 +384,8 @@ class TestRewardEstimator:
         for h, row in zip([1, 2], rollout_info_likelihood(model, info, [1, 2], belief.probs)):
             assert row.sum() == (0.0 if h == hypothesis else pytest.approx(1.0))
         args = (belief, model, TransitionKernel.identity(3), greedy, info, 0.5, 10)
-        result = reward_estimator(*args)
-        expected = reference.reward_estimator(*args)
+        result = reward_estimator(*args, model.best_arms(), 1.0)
+        expected = reference.reward_estimator(*args, entropy_threshold=1.0)
         assert (result.reward_ig, result.reward_ps, result.horizon_used, result.degenerate_fallbacks) == expected
         assert result.degenerate_fallbacks >= 1
 
@@ -418,7 +420,7 @@ class TestRewardEstimator:
         # for the hypothesis (state 1) has underflowed to zero
         model = RewardModel(means=[[2.0, 1.0], [1.0, 2.0]], stds=np.full((2, 2), 0.01))
         flip = TransitionKernel([[0.0, 1.0], [1.0, 0.0]])
-        result = reward_estimator(BeliefState([0.5, 0.5]), model, flip, 0, 1, 1.0, 5)
+        result = reward_estimator(BeliefState([0.5, 0.5]), model, flip, 0, 1, 1.0, 5, model.best_arms(), 1.0)
         assert result.degenerate_fallbacks == 1
 
 

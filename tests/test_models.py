@@ -42,8 +42,8 @@ class TestRewardModel:
             RewardModel(means=means, stds=stds)
 
     def test_best_arm_restricts_to_offered(self, five_state):
-        full = five_state.best_arm(1)
-        restricted = five_state.best_arm(1, arms=[2, 4])
+        full = five_state.best_arms()[1]
+        restricted = five_state.best_arms(arms=[2, 4])[1]
         assert full == 0
         assert restricted == 2
 

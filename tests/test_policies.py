@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from policy_rows import likelihoods as likelihood_row
 from scipy.stats import norm
 
 from latentbandits import BeliefState, RewardModel, TransitionKernel
@@ -29,14 +30,15 @@ class TestMTS:
     def test_degenerate_belief_plays_that_state(self, two_state, identity2, rng):
         policy = MTS(two_state, identity2, [1.0, 0.0], rng=rng)
         for _ in range(25):
-            assert policy.step(ALL_ARMS3) == 0
+            assert policy.step(ALL_ARMS3, two_state.best_arms()) == 0
             policy._pending = None  # skip observe; belief untouched
 
     def test_uniform_belief_samples_arms_evenly(self, two_state, identity2):
         policy = MTS(two_state, identity2, [0.5, 0.5], rng=np.random.default_rng(0))
         counts = np.zeros(3, dtype=int)
+        best_arms = two_state.best_arms()
         for _ in range(100_000):
-            counts[policy.step(ALL_ARMS3)] += 1
+            counts[policy.step(ALL_ARMS3, best_arms)] += 1
             policy._pending = None
         freq = counts / counts.sum()
         assert freq[0] == pytest.approx(0.5, abs=0.01)
@@ -50,16 +52,18 @@ class TestMTS:
         )
         policy = MTS(model, identity2, [0.7, 0.3], rng=rng)
         for _ in range(20):
-            policy.step(np.arange(2))
-            policy.observe(float(rng.normal(1.0, 0.3)))
+            arm = policy.step(np.arange(2), model.best_arms())
+            reward = float(rng.normal(1.0, 0.3))
+            policy.observe(reward, likelihood_row(model, arm, reward))
             np.testing.assert_allclose(policy.belief.probs, [0.7, 0.3], atol=1e-12)
 
     def test_belief_filters_toward_truth(self, two_state, identity2):
         policy = MTS(two_state, identity2, [0.5, 0.5], rng=np.random.default_rng(3))
         env_rng = np.random.default_rng(4)
         for _ in range(400):
-            arm = policy.step(ALL_ARMS3)
-            policy.observe(float(env_rng.normal(two_state.means[arm, 0], two_state.stds[arm, 0])))
+            arm = policy.step(ALL_ARMS3, two_state.best_arms())
+            reward = float(env_rng.normal(two_state.means[arm, 0], two_state.stds[arm, 0]))
+            policy.observe(reward, likelihood_row(two_state, arm, reward))
         assert policy.belief.probs[0] > 0.9
 
     def test_leaves_the_callers_prior_writable(self, two_state, identity2, rng):
@@ -72,8 +76,8 @@ class TestMTS:
     def test_belief_is_a_snapshot_of_the_live_row(self, two_state, identity2, rng):
         policy = MTS(two_state, identity2, [0.5, 0.5], rng=rng)
         row, snapshot = policy.belief_probs, policy.belief
-        policy.step(ALL_ARMS3)
-        policy.observe(2.0)
+        arm = policy.step(ALL_ARMS3, two_state.best_arms())
+        policy.observe(2.0, likelihood_row(two_state, arm, 2.0))
         assert policy.belief_probs is row and row.tolist() != [0.5, 0.5]
         assert snapshot.probs.tolist() == [0.5, 0.5]
 
@@ -89,13 +93,13 @@ class TestMTS:
             cls(two_state, kernel, prior, rng=rng, **extra)
 
     @pytest.mark.parametrize("likelihoods", [
-        np.array([0.5]), np.array([0.5, 0.5, 0.5]), np.array([[0.5, 0.5]]), [0.5], [0.5, 0.5, 0.5],
-    ], ids=["one_entry", "three_entries", "one_by_two", "one_entry_list", "three_entry_list"])
+        np.array([0.5]), np.array([0.5, 0.5, 0.5]), np.array([[0.5, 0.5]]), [0.5], [0.5, 0.5, 0.5], None,
+    ], ids=["one_entry", "three_entries", "one_by_two", "one_entry_list", "three_entry_list", "none"])
     @pytest.mark.parametrize("cls", [MTS, AGEmTS])
     def test_observe_rejects_a_row_not_one_entry_per_state(self, two_state, identity2, rng, cls, likelihoods):
         extra = {"horizon": 10} if cls is AGEmTS else {}
         policy = cls(two_state, identity2, [0.3, 0.7], rng=rng, **extra)
-        policy.step(ALL_ARMS3)
+        policy.step(ALL_ARMS3, two_state.best_arms())
         with pytest.raises(ValueError, match="one non-negative entry per state"):
             policy.observe(2.0, likelihoods)
         assert policy.belief_probs.tolist() == [0.3, 0.7]
@@ -104,7 +108,7 @@ class TestMTS:
         from_list, from_array = (MTS(two_state, identity2, [0.3, 0.7], rng=np.random.default_rng(5))
                                  for _ in range(2))
         for policy, likelihoods in ((from_list, [0.2, 0.9]), (from_array, np.array([0.2, 0.9]))):
-            policy.step(ALL_ARMS3)
+            policy.step(ALL_ARMS3, two_state.best_arms())
             policy.observe(2.0, likelihoods)
         assert from_list.belief_probs.tobytes() == from_array.belief_probs.tobytes()
         assert from_list.belief_probs.tolist() != [0.3, 0.7]
@@ -113,8 +117,8 @@ class TestMTS:
         policy = MTS(two_state, identity2, [0.5, 0.5], rng=rng)
         for expected in range(1, 10):
             assert policy.time == expected
-            policy.step(ALL_ARMS3)
-            policy.observe(2.0)
+            arm = policy.step(ALL_ARMS3, two_state.best_arms())
+            policy.observe(2.0, likelihood_row(two_state, arm, 2.0))
 
 
 class TestRolloutLikelihoodMatrix:
@@ -122,20 +126,20 @@ class TestRolloutLikelihoodMatrix:
         model = RewardModel(
             means=[[1.5, 1.5], [0.8, 0.8]], stds=[[0.4, 0.4], [0.4, 0.4]]
         )
-        row = rollout_likelihood_matrix(model, [1], np.array([0.3, 0.7]))[0]
+        row = rollout_likelihood_matrix(model, [1], np.array([0.3, 0.7]), model.best_arms())[0]
         np.testing.assert_allclose(row, [0.5, 0.5], atol=1e-12)
 
     def test_disjoint_means_concentrate_on_hypothetical_state(self):
         model = RewardModel(
             means=[[10.0, -10.0], [9.0, -9.0]], stds=np.full((2, 2), 0.1)
         )
-        row = rollout_likelihood_matrix(model, [1], np.array([0.5, 0.5]))[0]
+        row = rollout_likelihood_matrix(model, [1], np.array([0.5, 0.5]), model.best_arms())[0]
         assert row[1] > 1 - 1e-12
 
     def test_matches_naive_reimplementation(self, five_state):
         belief = BeliefState(np.full(5, 0.2))
         for s_hyp in range(5):
-            row = rollout_likelihood_matrix(five_state, [s_hyp], belief.probs)[0]
+            row = rollout_likelihood_matrix(five_state, [s_hyp], belief.probs, five_state.best_arms())[0]
             expected = np.zeros(5)
             for s in range(5):
                 arm = int(np.argmax(five_state.means[:, s]))
@@ -171,14 +175,15 @@ class TestRewardEstimator:
         model = flat_probe_model()
         result = reward_estimator(
             BeliefState([0.5, 0.5]), model, identity2,
-            greedy_arm=0, info_arm=2, r_u=0.6, horizon_cap=500,
+            greedy_arm=0, info_arm=2, r_u=0.6, horizon_cap=500, best_arms=model.best_arms(), entropy_threshold=1.0,
         )
         assert result.reward_ig <= result.reward_ps
 
     def test_benchmark_probe_clears_the_bar(self, two_state, identity2):
         result = reward_estimator(
             BeliefState([0.5, 0.5]), two_state, identity2,
-            greedy_arm=0, info_arm=2, r_u=0.6, horizon_cap=2000,
+            greedy_arm=0, info_arm=2, r_u=0.6, horizon_cap=2000, best_arms=two_state.best_arms(),
+            entropy_threshold=1.0,
         )
         assert result.reward_ig - result.reward_ps > 0.6
 
@@ -186,7 +191,8 @@ class TestRewardEstimator:
         horizon = 400
         estimate = reward_estimator(
             BeliefState([0.5, 0.5]), two_state, identity2,
-            greedy_arm=0, info_arm=2, r_u=0.6, horizon_cap=horizon,
+            greedy_arm=0, info_arm=2, r_u=0.6, horizon_cap=horizon, best_arms=two_state.best_arms(),
+            entropy_threshold=1.0,
         )
         mc_ig, mc_ps = _mc_two_policy_rewards(two_state, horizon, n_runs=10_000)
         assert (estimate.reward_ig > estimate.reward_ps) == (mc_ig > mc_ps)
@@ -200,11 +206,12 @@ class TestRewardEstimator:
         r_u = 1.0
         result = reward_estimator(
             belief, model, identity2, greedy_arm=0, info_arm=2, r_u=r_u, horizon_cap=1,
+            best_arms=model.best_arms(), entropy_threshold=1.0,
         )
         assert result.horizon_used == 1
         # recompute by the definition: one probe update, then one greedy step
         info_row = rollout_info_likelihood(model, 2, [1], belief.probs)[0]
-        greedy_row = rollout_likelihood_matrix(model, [1], belief.probs)[0]
+        greedy_row = rollout_likelihood_matrix(model, [1], belief.probs, model.best_arms())[0]
         payoff = np.array([model.means[0, 1], model.means[1, 1]])
         p_ig = belief.probs * info_row
         p_ig = p_ig / p_ig.sum()
@@ -221,18 +228,19 @@ class TestRewardEstimator:
         model = RewardModel(means=means, stds=stds)
         kernel = TransitionKernel.identity(3)
         belief = BeliefState([0.2, 0.5, 0.3])
-        base = reward_estimator(belief, model, kernel, 0, 1, 0.5, 50)
+        base = reward_estimator(belief, model, kernel, 0, 1, 0.5, 50, model.best_arms(), 1.0)
         # relabel the two non-anchor states; the averaged result cannot move
         perm = [0, 2, 1]
         permuted_model = RewardModel(means=means[:, :, perm], stds=stds[:, :, perm])
         permuted_belief = BeliefState(belief.probs[perm])
-        swapped = reward_estimator(permuted_belief, permuted_model, kernel, 0, 1, 0.5, 50)
+        swapped = reward_estimator(permuted_belief, permuted_model, kernel, 0, 1, 0.5, 50,
+                                   permuted_model.best_arms(), 1.0)
         assert base.reward_ig == pytest.approx(swapped.reward_ig, abs=1e-9)
         assert base.reward_ps == pytest.approx(swapped.reward_ps, abs=1e-9)
 
     def test_same_arm_rejected(self, two_state, identity2):
         with pytest.raises(ValueError):
-            reward_estimator(BeliefState([0.5, 0.5]), two_state, identity2, 2, 2, 0.6, 10)
+            reward_estimator(BeliefState([0.5, 0.5]), two_state, identity2, 2, 2, 0.6, 10, two_state.best_arms(), 1.0)
 
 
 def _mc_two_policy_rewards(model, horizon, n_runs, seed=99, true_state=1):
@@ -271,14 +279,14 @@ class TestAGEmTS:
 
     def test_low_entropy_skips_rollout(self, two_state, identity2):
         policy = self.make(two_state, identity2, [0.9, 0.1])
-        arm = policy.step(ALL_ARMS3)
+        arm = policy.step(ALL_ARMS3, two_state.best_arms())
         assert arm == 0
         assert policy.rollouts_run == 0
         assert not policy.last_info_play
 
     def test_uniform_prior_probes_first(self, two_state, identity2):
         policy = self.make(two_state, identity2, [0.5, 0.5])
-        assert policy.step(ALL_ARMS3) == 2
+        assert policy.step(ALL_ARMS3, two_state.best_arms()) == 2
         assert policy.last_info_play
         assert policy.rollouts_run == 1
 
@@ -289,7 +297,7 @@ class TestAGEmTS:
             stds=[[0.01, 0.01], [0.5, 0.5], [0.5, 0.5]],
         )
         policy = self.make(model, identity2, [0.5, 0.5])
-        arm = policy.step(ALL_ARMS3)
+        arm = policy.step(ALL_ARMS3, model.best_arms())
         assert arm == 0
         assert policy.rollouts_run == 0
 
@@ -299,11 +307,11 @@ class TestAGEmTS:
         state = 0
         for _ in range(500):
             h = entropy(policy.belief)
-            arm = policy.step(ALL_ARMS3)
+            arm = policy.step(ALL_ARMS3, two_state.best_arms())
             if h < 1.0:
                 assert arm != 2
-            policy.observe(float(env_rng.normal(
-                two_state.means[arm, state], two_state.stds[arm, state])))
+            reward = float(env_rng.normal(two_state.means[arm, state], two_state.stds[arm, state]))
+            policy.observe(reward, likelihood_row(two_state, arm, reward))
             if env_rng.random() < 0.005:
                 state = 1 - state
 
@@ -312,20 +320,20 @@ class TestAGEmTS:
         policy = self.make(model, identity2, [0.5, 0.5], horizon=300, seed=7)
         reference = self.make(model, identity2, [0.5, 0.5], horizon=300, seed=7)
         env_rng = np.random.default_rng(13)
+        best_arms = model.best_arms()
         for _ in range(300):
-            arm = policy.step(ALL_ARMS3)
+            arm = policy.step(ALL_ARMS3, best_arms)
             # reference greedy choice: best arm of the argmax state
-            expected = model.best_arm(reference.belief.argmax(), ALL_ARMS3)
-            assert arm == expected
+            assert arm == best_arms[reference.belief.argmax()]
             reward = float(env_rng.normal(model.means[arm, 0], model.stds[arm, 0]))
-            policy.observe(reward)
-            reference.step(ALL_ARMS3)
-            reference.observe(reward)
+            policy.observe(reward, likelihood_row(model, arm, reward))
+            reference_arm = reference.step(ALL_ARMS3, best_arms)
+            reference.observe(reward, likelihood_row(model, reference_arm, reward))
 
     def test_entropy_threshold_knob(self, two_state, identity2):
         eager = self.make(two_state, identity2, [0.77, 0.23], entropy_threshold=0.5)
         assert entropy(eager.belief) < 1.0
-        eager.step(ALL_ARMS3)
+        eager.step(ALL_ARMS3, two_state.best_arms())
         assert eager.rollouts_run == 1
 
     def test_arm_always_in_offered_set(self, five_state, rng):
@@ -333,9 +341,10 @@ class TestAGEmTS:
         policy = self.make(five_state, kernel, np.full(5, 0.2), horizon=50, seed=2)
         for _ in range(50):
             offered = np.sort(rng.choice(5, size=3, replace=False))
-            arm = policy.step(offered)
+            arm = policy.step(offered, five_state.best_arms(offered))
             assert arm in offered
-            policy.observe(float(rng.normal(2.0, 0.5)))
+            reward = float(rng.normal(2.0, 0.5))
+            policy.observe(reward, likelihood_row(five_state, arm, reward))
 
 
 class TestPolicyRegistry:
@@ -349,9 +358,9 @@ class TestPolicyRegistry:
         )
         if policy.wants_true_state:
             policy.set_true_state(0)
-        arm = policy.step(ALL_ARMS3)
+        arm = policy.step(ALL_ARMS3, two_state.best_arms())
         assert arm in ALL_ARMS3
-        policy.observe(1.9)
+        policy.observe(1.9, likelihood_row(two_state, arm, 1.9) if policy.belief_probs is not None else None)
 
     def test_unknown_name_rejected(self, two_state, identity2):
         with pytest.raises(ValueError, match="unknown policy"):
