@@ -72,22 +72,24 @@ class BeliefStack:
     is propagated alone and counted as a fallback.  Each row goes through
     its own gemv, ``(W[:, None, :] @ K)[:, 0]``, with the bits of the 1-D
     ``W[r] @ K`` (a plain ``W @ K`` goes through gemm and does not), so a
-    row's bits do not depend on what else is stacked.  A result off the
-    simplex raises ValueError (the checks of :class:`BeliefState`);
-    negative likelihoods are the caller's to reject.  ``rows`` is
-    updated in place: a caller keeping a belief keeps a copy.
+    row's bits do not depend on what else is stacked (through the identity:
+    the product plus 0.0, as the gemv turns -0.0 into +0.0).  Rows off the
+    simplex raise ValueError as they enter, after a fallback, and after any
+    step through a matrix not a stochastic kernel (negative likelihoods are
+    the caller's to reject).  ``rows`` is updated in place.
     """
 
     def __init__(self, rows, matrix: np.ndarray):
-        self.rows = np.array(rows, dtype=float, ndmin=2)
+        self.rows = _on_simplex(np.array(rows, dtype=float, ndmin=2))
         self.matrix = matrix
         count, size = self.rows.shape
+        self._stochastic = bool(matrix.min() >= 0.0 and (abs(matrix.sum(1) - 1.0) <= STOCHASTIC_ATOL).all())
+        self._identity = self._stochastic and bool((matrix == np.eye(size)).all())
         self._stacked = self.rows[:, None, :]
         self._weighted = np.empty((count, 1, size))
         self._propagated = np.empty((count, 1, size))
         self._totals = np.empty((count, 1, 1))
         self._propagated_rows, self._masses = self._propagated[:, 0], self._totals[:, 0, 0]
-        self._sums = np.empty(count)
         self._expected = np.empty((count, 1, 1))
 
     def filter(self, likelihoods: np.ndarray) -> int:
@@ -95,29 +97,36 @@ class BeliefStack:
         states] (or [states], shared by every row); returns the number of
         rows that fell back to propagation."""
         stacked, propagated, totals = self._stacked, self._propagated, self._totals
-        np.matmul(np.multiply(stacked, likelihoods, out=self._weighted), self.matrix, out=propagated)
+        if self._identity:
+            np.add(np.multiply(stacked, likelihoods, out=propagated), 0.0, out=propagated)
+        else:
+            np.matmul(np.multiply(stacked, likelihoods, out=self._weighted), self.matrix, out=propagated)
         masses = np.add.reduce(self._propagated_rows, 1, None, self._masses).tolist()
         fallen = 0
         # a NaN or an infinity makes the sum non-finite
         if 0.0 < min(masses) and sum(masses) < math.inf:
             np.divide(propagated, totals, out=stacked)
         else:
-            kept = np.array([0.0 < mass < math.inf for mass in masses])
-            fallen = kept.size - int(kept.sum())
-            propagated_only = stacked[~kept] @ self.matrix
-            np.divide(propagated, totals, out=stacked, where=kept[:, None, None])
-            stacked[~kept] = propagated_only
-        rows = self.rows
-        sums = np.add.reduce(rows, 1, None, self._sums).tolist()
-        # on Python floats; a row with a NaN fails its sum, so the minimum may skip the NaN
-        if not (min(rows.ravel().tolist()) >= 0.0 and all(abs(total - 1.0) <= STOCHASTIC_ATOL for total in sums)):
-            raise ValueError(f"belief left the probability simplex: {rows!r}, row sums {sums}")
+            dropped = np.array([not 0.0 < mass < math.inf for mass in masses])
+            fallen = int(dropped.sum())
+            np.divide(propagated, totals, out=stacked, where=~dropped[:, None, None])
+            self.rows[dropped] = _on_simplex((stacked[dropped] @ self.matrix)[:, 0])
+        if not self._stochastic:
+            _on_simplex(self.rows)
         return fallen
 
     def expect(self, values: np.ndarray) -> list:
         """Each row's expectation of its own row of ``values``, shaped
         [rows, states, 1], with the bits of the 1-D ``rows[r] @ values[r]``."""
         return np.matmul(self._stacked, values, out=self._expected).ravel().tolist()
+
+
+def _on_simplex(rows: np.ndarray) -> np.ndarray:
+    """``rows``, after a ValueError unless all are on the simplex (a NaN fails its sum if the minimum skips it)."""
+    sums = np.add.reduce(rows, 1).tolist()
+    if not (min(rows.ravel().tolist()) >= 0.0 and all(abs(total - 1.0) <= STOCHASTIC_ATOL for total in sums)):
+        raise ValueError(f"belief left the probability simplex: {rows!r}, row sums {sums}")
+    return rows
 
 
 def entropy_bits(probs: np.ndarray) -> float:

@@ -49,8 +49,8 @@ class Policy:
     def observe(self, reward: float, likelihoods) -> None:
         if self._pending is None:
             raise RuntimeError("observe() called before step()")
-        arm, self._pending = self._pending, None
-        self._learn(arm, float(reward), likelihoods)
+        self._learn(self._pending, float(reward), likelihoods)
+        self._pending = None
         self.time += 1
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:

@@ -91,9 +91,9 @@ class ExploreCommit(BeliefPolicy):
         return best_arms[self._committed_state]
 
     def _learn(self, arm, reward, likelihoods) -> None:
+        super()._learn(arm, reward, likelihoods)
         if arm == self.info_arm and self._committed_state is None:
             self._probe_rewards.append(reward)
-        super()._learn(arm, reward, likelihoods)
 
 
 # Gauss-Hermite rule for expectations over the reward noise; 64 nodes keep
@@ -101,6 +101,7 @@ class ExploreCommit(BeliefPolicy):
 # held to
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
 _GH_WEIGHTS = _GH_WEIGHTS / _GH_WEIGHTS.sum()
+_clip = (getattr(np, "_core", None) or np.core).umath.clip  # np.clip's ufunc, without its wrapper
 
 
 def _quadrature_likelihoods(model: RewardModel, arm, true_state):
@@ -123,24 +124,24 @@ def _quadrature_likelihoods(model: RewardModel, arm, true_state):
     return lik_t, lik_o
 
 
-def _expected_posterior(p, likelihoods):
+def _expected_posterior(p, likelihoods, positive=False):
     """E over reward noise of the one-step posterior P(true state).
 
     ``p`` may be a scalar or an array of current beliefs that broadcasts
-    against ``likelihoods`` (from ``_quadrature_likelihoods``) without
-    its node axis, so this is the mean one-step Bayes update an agent
-    playing that arm would experience, noise included.  At rewards where
-    both likelihoods underflow the belief is left unchanged.
+    against ``likelihoods`` (from ``_quadrature_likelihoods``) without its
+    node axis: the mean one-step Bayes update of an agent playing that arm,
+    noise included.  Where both likelihoods underflow the belief is kept,
+    unless the caller passes ``positive``: that no denominator is zero.
     """
     lik_t, lik_o = likelihoods
     p = np.asarray(p, dtype=float)
     num = p[..., None] * lik_t
     den = num + (1.0 - p[..., None]) * lik_o
-    if (den > 0).all():
+    if positive or (den > 0).all():
         post = num / den
     else:
         post = np.where(den > 0, num / np.where(den > 0, den, 1.0), p[..., None])
-    return np.clip(post @ _GH_WEIGHTS, 0.0, 1.0)
+    return _clip(post @ _GH_WEIGHTS, 0.0, 1.0)
 
 
 def belief_forecast_two_state(
@@ -192,22 +193,24 @@ def belief_forecast_two_state(
 def _ps_regret(start, first_step: int, horizon: int, ps_gap, likelihoods) -> np.ndarray:
     """Forecast posterior-sampling regret of the continuations in ``start``.
 
-    ``start`` has one row of beliefs per true state.  Continuation i
-    takes over with belief ``start[:, i]`` at step ``first_step + i`` and
-    accumulates (1 - P_t) times the row's ``ps_gap`` per step up to the
-    horizon.  ``likelihoods`` holds, per true state, those of its best
-    arm and of the other state's best arm, shaped [state, 1, arm, node].
-    All continuations run at once: at step t the active ones are a
-    prefix of each row.
+    ``start`` has one row of beliefs per true state.  Continuation i takes
+    over with belief ``start[:, i]`` at step ``first_step + i`` and adds
+    (1 - P_t) times its row's ``ps_gap`` ([state, 1]) at every step up to
+    the horizon, all at once: at step t the active ones are a prefix of
+    each row.  ``likelihoods`` holds, per true state, those of its best arm
+    and of the other state's best arm, shaped [state, 1, arm, node]; no
+    denominator is zero unless one nears underflow, as max(p, 1 - p) >= 1/2.
     """
     p = np.array(start, dtype=float)
-    regret = np.zeros_like(p)
-    for t in range(first_step, horizon):
-        active = p[:, : t - first_step + 1]
-        regret[:, : active.shape[1]] += (1.0 - active) * ps_gap[:, None]
-        expected = _expected_posterior(active[..., None], likelihoods)
-        active[:] = active * expected[..., 0] + (1.0 - active) * expected[..., 1]
-    return regret
+    positive = min(lik.min() for lik in likelihoods) >= 4.0 * np.finfo(float).tiny
+    terms = np.zeros((max(horizon - first_step, 0),) + p.shape)
+    for step in range(horizon - first_step):
+        active = p[:, : step + 1]
+        rest = 1.0 - active
+        np.multiply(rest, ps_gap, out=terms[step, :, : active.shape[1]])
+        expected = _expected_posterior(active[..., None], likelihoods, positive)
+        active[:] = active * expected[..., 0] + rest * expected[..., 1]
+    return np.add.reduce(terms, 0)  # in step order, as a running total adds
 
 
 # relative slack on the seeded pruning bound, far above any rounding that
@@ -246,7 +249,7 @@ def explore_then_ps_tau(model: RewardModel, info_arm: int, horizon: int) -> int:
     states = np.arange(2)
     best = model.best_arms()
     explore_cost = model.means[best, states] - model.means[info_arm, states]
-    ps_gap = model.means[best, states] - model.means[best[::-1], states]
+    ps_gap = (model.means[best, states] - model.means[best[::-1], states])[:, None]
     arms = np.stack([best, best[::-1]], axis=1)[:, None, :]
     likelihoods = _quadrature_likelihoods(model, arms, states[:, None, None])
     taus = np.arange(horizon + 1)

@@ -1,10 +1,11 @@
 """Reference oracle for the explore-then-PS budget search.
 
-A copy, indexed [arm, state], of the full-scan ``explore_then_ps_tau``, the
-per-call ``_expected_posterior`` and the ``belief_forecast_two_state``
-loop as they stood before the bound-pruned search replaced them.  The
-library's search must return the same budget, and its forecast the same
-bits; this module is imported by tests only and is not a test file.
+A copy, indexed [arm, state], of the full-scan ``explore_then_ps_tau``
+(its totals as ``full_scan_totals``), the per-call ``_expected_posterior``
+and the ``belief_forecast_two_state`` loop as they stood before the
+bound-pruned search replaced them.  The library's search must return the
+same budget, and its forecast the same bits; this module is imported by
+tests only and is not a test file.
 """
 
 from __future__ import annotations
@@ -93,13 +94,21 @@ def explore_then_ps_tau(
 ) -> int:
     """Probe budget minimizing forecast explore cost plus filtering regret.
 
-    Evaluates every budget tau in [0, horizon]: tau plays of the probe arm
-    cost tau times the per-step probe regret, after which the forecast
-    posterior-sampling regret accumulates (1 - P_t) times the cross-state
-    best-arm gap for the remaining steps.  The objective is a simple
-    average over both possible true states, and tau = 0 encodes falling
-    back to pure posterior sampling.  Ties break toward the smaller
+    Evaluates every budget tau in [0, horizon] (``full_scan_totals``) and
+    returns the one with the least total.  Ties break toward the smaller
     budget.
+    """
+    return int(np.argmin(full_scan_totals(model, info_arm, horizon)))
+
+
+def full_scan_totals(model: RewardModel, info_arm: int, horizon: int) -> np.ndarray:
+    """The objective of every budget tau in [0, horizon].
+
+    tau plays of the probe arm cost tau times the per-step probe regret,
+    after which the forecast posterior-sampling regret accumulates
+    (1 - P_t) times the cross-state best-arm gap for the remaining steps.
+    The objective is a simple average over both possible true states, and
+    tau = 0 encodes falling back to pure posterior sampling.
     """
     if model.num_states != 2:
         raise ValueError("explore_then_ps_tau is defined for two-state models only")
@@ -138,4 +147,4 @@ def explore_then_ps_tau(
                 pa, model, best_true, true_state
             ) + (1.0 - pa) * _expected_posterior(pa, model, best_other, true_state)
         totals += 0.5 * (taus * explore_cost + ps_regret)
-    return int(np.argmin(totals))
+    return totals

@@ -18,6 +18,7 @@ from latentbandits.policies import explore
 from latentbandits.policies.explore import _expected_posterior, _quadrature_likelihoods
 
 ARMS3 = np.arange(3)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestSampleSize:
@@ -250,6 +251,9 @@ FREE = RewardModel(means=[[2.1, 2.05], [2.05, 2.1], [2.1, 2.1]],
                    stds=[[0.5, 0.5], [0.5, 0.5], [0.05, 0.05]])
 COSTLY = RewardModel(means=[[2.1, 2.05], [2.05, 2.1], [-9.9, -10.1]],
                      stds=[[0.5, 0.5], [0.5, 0.5], [0.05, 0.05]])
+# tight best arms: the forecast's quadrature likelihoods underflow to zero
+TIGHT_BEST = RewardModel(means=[[2.1, 1.5], [1.6, 2.1], [1.7, 1.5]],
+                         stds=[[1e-3, 1e-3], [1e-3, 1e-3], [0.5, 0.5]])
 # a probe two steps of which beat one at horizon 300
 TWO_PROBES = RewardModel(means=[[2.1, 1.5], [1.6, 2.1], [2.0, 1.9]],
                          stds=[[0.5, 0.5], [0.5, 0.5], [0.1, 0.1]])
@@ -373,6 +377,59 @@ class TestSeededBudgetSearch:
         column = data.draw(st.integers(min_value=0, max_value=len(beliefs) - 1))
         alone = _expected_posterior(stack[:, column : column + 1], likelihoods)
         assert alone.tobytes() == _expected_posterior(stack, likelihoods)[:, column : column + 1].tobytes()
+
+    @pytest.mark.parametrize("model,horizon,positive", [
+        (two_state_model(probe_std=0.05), 300, True),
+        (TWO_PROBES, 300, True),
+        (FREE, 300, True),
+        (TIGHT_BEST, 300, False),
+        (TIGHT_BEST, 2, False),
+    ], ids=["loose", "two_probes", "free", "tight_best_300", "tight_best_2"])
+    def test_both_branches_of_the_positivity_check_match_the_full_scan(self, model, horizon, positive):
+        # the likelihoods are checked once per forecast: with none near
+        # underflow no step checks its denominators, and where one underflows
+        # every step does; either way the regret has the bits of checking
+        # every step, and the budget is the full scan's
+        paths = np.array([belief_forecast_two_state(0.5, model, horizon, true_state=s, arm=2) for s in (0, 1)])
+        seen, expected_posterior = [], explore._expected_posterior
+
+        def recorded(p, liks, positive=False):
+            if np.ndim(p) == 3:  # a _ps_regret step, not a probe-path forecast
+                seen.append(positive)
+            return expected_posterior(p, liks, positive)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(explore, "_expected_posterior", recorded)
+            tau, passes = recorded_passes(model, 2, horizon)
+            _, _, _, ps_gap, likelihoods = passes[0]
+            regret = explore._ps_regret(paths, 0, horizon, ps_gap, likelihoods)
+            patch.setattr(explore, "_expected_posterior", lambda p, liks, positive=False: expected_posterior(p, liks))
+            checked = explore._ps_regret(paths, 0, horizon, ps_gap, likelihoods)
+        assert set(seen) == {positive}
+        assert (min(lik.min() for lik in likelihoods) == 0.0) == (not positive)
+        assert regret.tobytes() == checked.tobytes()
+        assert tau == reference.explore_then_ps_tau(model, 2, horizon)
+        if not positive:
+            # the underflowing model also keeps the full scan's totals bit for bit
+            totals = reference.full_scan_totals(model, 2, horizon)
+            assert objective(model, 2, 0, regret).tobytes() == totals.tobytes()
+
+    @given(st.integers(min_value=0, max_value=400), st.integers(min_value=1, max_value=64), seeds)
+    @example(300, 2, 0)  # the seed pass at H = 300
+    @example(298, 299, 0)  # a second pass that keeps every budget
+    @example(0, 1, 0)  # a pass that starts at the horizon
+    @settings(max_examples=60, deadline=None)
+    def test_leading_axis_sum_is_the_running_total(self, steps, width, seed):
+        # _ps_regret keeps each step's [state, continuation] regret and sums
+        # over the step axis after the loop; column i is zero until step i
+        rng = np.random.default_rng(seed)
+        terms = rng.uniform(0.0, 3.0, size=(steps, 2, width)) * 10.0 ** rng.integers(-300, 3, size=(steps, 2, width))
+        for step in range(min(steps, width)):
+            terms[step, :, step + 1 :] = 0.0
+        running = np.zeros((2, width))
+        for step in range(steps):
+            running[:, : step + 1] += terms[step, :, : step + 1]
+        assert np.add.reduce(terms, 0).tobytes() == running.tobytes()
 
     @pytest.mark.parametrize("model,horizon,passes,tau", [
         (two_state_model(probe_std=0.05), 300, [(0, 2)], 1),

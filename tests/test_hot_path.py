@@ -177,6 +177,41 @@ class TestFilterStep:
         with pytest.raises(ValueError, match=r"array\(\[\[0\.5, 0\.5\]\]\), row sums \[1\.0000000000018\]"):
             policy.observe(2.0, np.zeros(2))
 
+    @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=16),
+           st.sampled_from(["identity", "dense", "sparse", "near_stochastic"]))
+    @settings(max_examples=60, deadline=None)
+    def test_normalised_rows_stay_on_the_simplex(self, seed, n, rows, kind):
+        # the invariant that lets a stack through a stochastic kernel check
+        # only the rows that enter and the fallback rows: from rows on the
+        # simplex and non-negative likelihoods, a normalised row lands back
+        # on it, over long runs with stretches of all-zero evidence and with
+        # likelihoods from 1 down to subnormals
+        rng = np.random.default_rng(seed)
+        concentration = 0.1 if kind == "sparse" else 1.0
+        kernel = np.eye(n) if kind == "identity" else rng.dirichlet(np.full(n, concentration), size=n)
+        if kind == "near_stochastic":
+            # rows within about 1e-14 of summing to 1: five fallback steps in
+            # a row stay well inside the 1e-12 tolerance
+            kernel *= 1.0 + rng.uniform(-1e-14, 1e-14, size=(n, 1))
+        beliefs = np.stack([random_belief(rng, n).probs for _ in range(rows)])
+        for corrupt in (-1e-3, math.nan, 1e-9):
+            entered = beliefs.copy()
+            entered[rng.integers(rows), rng.integers(n)] += corrupt
+            with pytest.raises(ValueError, match="simplex"):
+                BeliefStack(entered, kernel)
+        stack, zero_steps, fallen = BeliefStack(beliefs, kernel), 0, 0
+        for _ in range(400):
+            if zero_steps == 0 and rng.random() < 0.05:
+                zero_steps = int(rng.integers(1, 6))
+            if zero_steps:
+                zero_steps -= 1
+                liks = np.zeros((rows, 1, n))
+            else:
+                liks = 10.0 ** rng.uniform(-320.0, 0.0, size=(rows, 1, n)) * (rng.random((rows, 1, n)) < 0.8)
+            fallen += stack.filter(liks)
+            assert stack.rows.min() >= 0.0 and (np.abs(stack.rows.sum(axis=1) - 1.0) <= 1e-12).all()
+        assert fallen > 0
+
     def test_zero_evidence_falls_back_to_propagation(self):
         kernel = np.array([[0.9, 0.1], [0.2, 0.8]])
         stack = BeliefStack(np.array([1.0, 0.0]), kernel)
@@ -483,6 +518,33 @@ class TestBatchingRecipe:
             single = BeliefStack(beliefs[r], kernel.matrix)
             assert single.filter(liks[r]) == expected[r][1]
             assert single.rows.tobytes() == stack.rows[r].tobytes()
+
+    @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=30))
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_identity_step_is_the_gemv(self, seed, n, rows):
+        # through the identity the stack adds 0.0 to the weighted rows in
+        # place of the gemv: the same bits on every finite row, zeros, -0.0
+        # and subnormals included, as the gemv's +0.0 terms turn -0.0 into
+        # +0.0 and adding 0.0 does too
+        rng = np.random.default_rng(seed)
+        specials = np.array([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0])
+        pick = rng.random((rows, n)) < 0.5
+        weighted = np.where(pick, rng.choice(specials, size=(rows, n)), rng.uniform(0.0, 2.0, size=(rows, n)))
+        weighted[rng.random(rows) < 0.2] = -0.0
+        assert (weighted + 0.0).tobytes() == (weighted[:, None, :] @ np.eye(n))[:, 0].tobytes()
+        # the whole step against the validated filter's gemv, fallback rows
+        # (no mass, an infinity or a NaN) and -0.0 belief entries included
+        beliefs = np.stack([random_belief(rng, n).probs for _ in range(rows)])
+        beliefs[beliefs == 0.0] = -0.0
+        liks = np.where(pick, rng.choice(np.append(specials, [math.inf, math.nan]), size=(rows, n)),
+                        rng.uniform(0.0, 2.0, size=(rows, n)))
+        liks[rng.random(rows) < 0.2] = 0.0
+        stack = BeliefStack(beliefs, np.eye(n))
+        fallen = stack.filter(liks[:, None, :])
+        expected = [reference_step(BeliefState(beliefs[r]), TransitionKernel.identity(n), liks[r]) for r in range(rows)]
+        assert fallen == sum(degenerate for _, degenerate in expected)
+        assert stack.rows.tobytes() == np.stack([probs for probs, _ in expected]).tobytes()
 
     @given(seeds, st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=64))
     @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ from latentbandits.belief import entropy
 from latentbandits.policies import (
     AGEmTS,
     MTS,
+    ExploreCommit,
     RolloutResult,
     make_policy,
     reward_estimator,
@@ -94,15 +95,20 @@ class TestMTS:
 
     @pytest.mark.parametrize("likelihoods", [
         np.array([0.5]), np.array([0.5, 0.5, 0.5]), np.array([[0.5, 0.5]]), [0.5], [0.5, 0.5, 0.5], None,
-    ], ids=["one_entry", "three_entries", "one_by_two", "one_entry_list", "three_entry_list", "none"])
-    @pytest.mark.parametrize("cls", [MTS, AGEmTS])
+        np.array([0.5, -0.5]),
+    ], ids=["one_entry", "three_entries", "one_by_two", "one_entry_list", "three_entry_list", "none", "negative"])
+    @pytest.mark.parametrize("cls", [MTS, AGEmTS, ExploreCommit])
     def test_observe_rejects_a_row_not_one_entry_per_state(self, two_state, identity2, rng, cls, likelihoods):
-        extra = {"horizon": 10} if cls is AGEmTS else {}
+        extra = {MTS: {}, AGEmTS: {"horizon": 10}, ExploreCommit: {"info_arm": 2, "n_e": 2}}[cls]
         policy = cls(two_state, identity2, [0.3, 0.7], rng=rng, **extra)
-        policy.step(ALL_ARMS3, two_state.best_arms())
+        arm = policy.step(ALL_ARMS3, two_state.best_arms())
         with pytest.raises(ValueError, match="one non-negative entry per state"):
-            policy.observe(2.0, likelihoods)
+            policy.observe(1.9, likelihoods)
         assert policy.belief_probs.tolist() == [0.3, 0.7]
+        # a rejected observe is a no-op: nothing recorded, the step still pending
+        assert policy.time == 1 and getattr(policy, "_probe_rewards", []) == []
+        policy.observe(1.9, likelihood_row(two_state, arm, 1.9))
+        assert policy.time == 2 and getattr(policy, "_probe_rewards", [1.9]) == [1.9]
 
     def test_observe_takes_a_list_row(self, two_state, identity2):
         from_list, from_array = (MTS(two_state, identity2, [0.3, 0.7], rng=np.random.default_rng(5))
