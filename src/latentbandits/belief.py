@@ -135,6 +135,27 @@ def entropy_bits(probs: np.ndarray) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
+# how far below the threshold the entropy bound must fall, against rounding of about 1e-15
+ENTROPY_SLACK = 1e-9
+
+
+def entropy_reaches(probs: np.ndarray, threshold: float) -> bool:
+    """``entropy_bits(probs) >= threshold`` for a non-negative row, without
+    the entropy where Fano's bound (Cover & Thomas 2006, section 2.10) is
+    below ``threshold - ENTROPY_SLACK``: ``h(top) + h(rest) + rest log2(S - 1)``
+    with ``h(x) = -x log2 x``, ``top`` the largest entry and ``rest`` the sum
+    of the others (a NaN entry makes the bound NaN, which skips nothing)."""
+    values = probs.tolist()
+    top = max(values)
+    rest = sum(values) - top
+    bound = rest * math.log2(len(values) - 1 or 1)
+    if top > 0.0:
+        bound -= top * math.log2(top)
+    if rest > 0.0:
+        bound -= rest * math.log2(rest)
+    return not bound < threshold - ENTROPY_SLACK and entropy_bits(probs) >= threshold
+
+
 def posterior_update(belief: BeliefState, kernel: TransitionKernel, likelihoods) -> BeliefState:
     """One Bayes-rule filter step.
 

@@ -339,9 +339,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     Run r uses seed ``base_seed + r`` to generate its shared trajectory,
     and policy i of run r draws its own randomness from the stream
     ``(base_seed, r, i)``; identical configs therefore produce identical
-    traces byte for byte.  A policy choosing an arm outside the offered
-    set aborts the run with a ProtocolViolationError naming the run,
-    policy and step.
+    traces byte for byte.  Its AGEmTS share one roll-out memo, so
+    ``policy_seconds`` charges a roll-out to the first run that needs it.
+    A policy choosing an arm outside the offered set aborts the run with
+    a ProtocolViolationError naming the run, policy and step.
     """
     env = config.validate()
     # per-experiment params (a forecast tau) are computed once for all runs
@@ -355,6 +356,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     results = ExperimentResults(config=config, runs=[])
     # the evidence table and its scratch, reused so no run faults in pages of its size
     buffers = np.empty((2, config.horizon, env.arm_set_size or env.model.num_arms, env.model.num_states))
+    rollout_memo = {}
     for r in range(config.num_runs):
         start = time.perf_counter()
         # each policy's recorded columns; rebinding drops the last run's before this run allocates
@@ -370,7 +372,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
             schedule=env.schedule,
             arm_set_size=env.arm_set_size,
         )
-        run = _run_policies(config, env, params, kernel, trajectory, r, trace, buffers)
+        run = _run_policies(config, env, params, kernel, trajectory, r, trace, buffers, rollout_memo)
         if trace_dir:
             with open(os.path.join(trace_dir, f"run_{r:04d}.jsonl"), "w", encoding="utf-8") as handle:
                 for lines in _trace_lines(r, trajectory.states.tolist(), trace):
@@ -392,6 +394,7 @@ def _run_policies(
     run_index: int,
     trace: list | None,
     buffers: np.ndarray,
+    rollout_memo: dict,
 ) -> RunResult:
     model = env.model
     horizon = config.horizon
@@ -423,6 +426,7 @@ def _run_policies(
             rng,
             params=params[i],
             arm_features=env.arm_features,
+            rollout_memo=rollout_memo,
         )
         if evidence is None and policy.belief_probs is not None:
             # built for the first belief policy, timed in no policy's seconds

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import inspect
 import typing
 
@@ -69,12 +70,16 @@ PARAM_DEFAULTS = {
         "tau": (lambda model, info_arm, horizon: explore_then_ps_tau(model, info_arm, horizon), check_tau_forecast),
     },
 }
-_EXPERIMENT_QUANTITIES = ("model", "kernel", "prior", "horizon", "rng", "arm_features")
+# rollout_memo: the roll-out results AGEmTS shares within one experiment
+_EXPERIMENT_QUANTITIES = ("model", "kernel", "prior", "horizon", "rng", "arm_features", "rollout_memo")
+# reflection once per factory; the modules postpone their annotations, so they are resolved here
+_parameter_names = functools.cache(lambda factory: frozenset(inspect.signature(factory).parameters))
+_type_hints = functools.cache(lambda factory: typing.get_type_hints(factory.__init__))
 
 
 def _quantities_for(factory, quantities: dict) -> dict:
     """The entries of ``quantities`` that ``factory`` takes, by parameter name."""
-    wanted = inspect.signature(factory).parameters
+    wanted = _parameter_names(factory)
     return {key: value for key, value in quantities.items() if key in wanted}
 
 
@@ -84,20 +89,19 @@ def check_policy_params(name: str, params: dict, env, horizon: int) -> None:
     annotated type and the policy builds on the resolved environment ``env``
     and ``horizon``.
 
-    The policy is built once, with a throwaway generator; a param that
+    The policy is built once, on a throwaway generator and memo; a param that
     ``PARAM_DEFAULTS`` computes and the config leaves out or null has its
     precondition checked and is given a placeholder 0, so no forecast runs.
     """
     factory = POLICIES[name]
-    # the modules postpone their annotations, so they are resolved here
-    hints = typing.get_type_hints(factory.__init__)
+    hints = _type_hints(factory)
     computed = PARAM_DEFAULTS.get(name, {})
     for key, value in params.items():
         if key in _EXPERIMENT_QUANTITIES or key not in hints:
             raise TypeError(f"{name} takes no param {key!r}")
         check_type(key, value, hints[key] | None if key in computed else hints[key])
     quantities = dict(zip(_EXPERIMENT_QUANTITIES, (env.model, env.kernel, env.prior, horizon,
-                                                   np.random.default_rng(0), env.arm_features)))
+                                                   np.random.default_rng(0), env.arm_features, {})))
     left_out = [key for key in computed if params.get(key) is None]
     for _, precondition in (computed[key] for key in left_out):
         precondition(**_quantities_for(precondition, {**quantities, **params}))
@@ -128,16 +132,17 @@ def make_policy(
     rng: np.random.Generator,
     params: dict | None = None,
     arm_features: np.ndarray | None = None,
+    rollout_memo: dict | None = None,
 ) -> Policy:
     """Build a policy from its registry name and a parameter map.
 
     This is the construction path used by experiment configs.  The
     policy class receives the experiment quantities its signature names
-    (model, kernel, prior, horizon, rng, arm_features) plus ``params``
-    as keywords, with ``experiment_params`` filling in any missing
-    default; an experiment passes them already filled in.
+    (model, kernel, prior, horizon, rng, arm_features, rollout_memo)
+    plus ``params`` as keywords, with ``experiment_params`` filling in
+    any missing default; an experiment passes them already filled in.
     """
     if name not in POLICIES:
         raise ValueError(f"unknown policy name {name!r}")
-    quantities = dict(zip(_EXPERIMENT_QUANTITIES, (model, kernel, prior, horizon, rng, arm_features)))
+    quantities = dict(zip(_EXPERIMENT_QUANTITIES, (model, kernel, prior, horizon, rng, arm_features, rollout_memo)))
     return _build(POLICIES[name], quantities, experiment_params(name, params, model, horizon))

@@ -7,14 +7,16 @@ by mean pairwise divergence over squared mean reward gap, and if the best
 probe arm differs from the greedy arm it runs the roll-out estimator.
 The probe is played only when the estimated gain is positive and exceeds
 the worst-case single-step regret, which keeps the agent conservative
-about paying for information.
+about paying for information.  A roll-out draws no randomness, so its
+result is kept in ``rollout_memo`` under the bits of its inputs, the model
+aside: agents share a memo only within one model (the harness's experiment).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..belief import best_info_arm, entropy_bits, single_step_regret_bound
+from ..belief import best_info_arm, entropy_reaches, single_step_regret_bound
 from ..models import BeliefState, RewardModel, TransitionKernel
 from .base import BeliefPolicy
 from .rollout import reward_estimator
@@ -32,6 +34,7 @@ class AGEmTS(BeliefPolicy):
         horizon: int,
         rng: np.random.Generator,
         entropy_threshold: float = 1.0,
+        rollout_memo: dict | None = None,
     ):
         super().__init__(model, kernel, prior, rng)
         if horizon < 1:
@@ -43,27 +46,24 @@ class AGEmTS(BeliefPolicy):
         self.info_plays = 0
         # roll-out filter steps that fell back to propagation
         self.rollout_fallbacks = 0
+        self.rollout_memo = {} if rollout_memo is None else rollout_memo
+        self._memo_tag = (kernel.matrix.tobytes(), np.array([self.r_u, self.entropy_threshold]).tobytes())
 
     def _choose(self, offered: np.ndarray, best_arms) -> int:
         probs = self.belief_probs
         arm = best_arms[int(probs.argmax())]
-        if entropy_bits(probs) < self.entropy_threshold:
+        if not entropy_reaches(probs, self.entropy_threshold):
             return arm
         info_arm, _ = best_info_arm(self.model, arms=offered)
         if info_arm == arm:
             return arm
         remaining = max(1, self.horizon - self.time + 1)
-        result = reward_estimator(
-            BeliefState(probs),
-            self.model,
-            self.kernel,
-            greedy_arm=arm,
-            info_arm=info_arm,
-            r_u=self.r_u,
-            horizon_cap=remaining,
-            best_arms=best_arms,
-            entropy_threshold=self.entropy_threshold,
-        )
+        key = (probs.tobytes(), arm, info_arm, remaining, tuple(best_arms), *self._memo_tag)
+        result = self.rollout_memo.get(key)
+        if result is None:
+            result = self.rollout_memo[key] = reward_estimator(
+                BeliefState(probs), self.model, self.kernel, greedy_arm=arm, info_arm=info_arm, r_u=self.r_u,
+                horizon_cap=remaining, best_arms=best_arms, entropy_threshold=self.entropy_threshold)
         self.rollouts_run += 1
         self.rollout_fallbacks += result.degenerate_fallbacks
         gain = result.reward_ig - result.reward_ps

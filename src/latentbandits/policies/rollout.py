@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # posterior_update stays a name of this module for the benchmark's probes
-from ..belief import BeliefStack, entropy_bits, expected_dwell_time, posterior_update  # noqa: F401
+from ..belief import BeliefStack, entropy_reaches, expected_dwell_time, posterior_update  # noqa: F401
 from ..models import BeliefState, DegenerateEvidenceError, RewardModel, TransitionKernel
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -124,8 +124,9 @@ def reward_estimator(
     Every hypothesis advances at once: the H probe trajectories and the
     H greedy-only ones are the rows of one ``[2H, S]`` belief stack,
     filtered together each step, and each row's arithmetic is that of
-    the scalar filter.  The re-probe gate takes the lead first and the
-    entropy only of the rows whose lead clears ``r_u``.
+    the scalar filter.  The re-probe gate takes the lead first, and then
+    :func:`~latentbandits.belief.entropy_reaches`, which computes the
+    entropy only where its bound can reach the threshold.
     """
     if info_arm == greedy_arm:
         raise ValueError("the probe arm must differ from the greedy arm")
@@ -159,7 +160,7 @@ def reward_estimator(
     for _ in range(t_exp):
         for h in range(count):
             # the lead first: the entropy only where the lead clears r_u
-            gate = rewards_ig[h] - rewards_ps[h] > r_u and entropy_bits(beliefs.rows[h]) >= entropy_threshold
+            gate = rewards_ig[h] - rewards_ps[h] > r_u and entropy_reaches(beliefs.rows[h], entropy_threshold)
             if gate:
                 rewards_ig[h] -= r_u
             if gate != reprobing[h]:

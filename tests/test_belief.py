@@ -22,7 +22,7 @@ from latentbandits import (
     propagate,
     single_step_regret_bound,
 )
-from latentbandits.belief import likelihoods_from_log, reward_log_likelihoods
+from latentbandits.belief import ENTROPY_SLACK, entropy_bits, entropy_reaches, likelihoods_from_log, reward_log_likelihoods
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -233,6 +233,55 @@ class TestEntropy:
                 assert 0.0 <= h <= cap + 1e-12
                 if h == 0.0:
                     assert np.isclose(b.probs.max(), 1.0)
+
+
+@st.composite
+def entropy_rows(draw):
+    """Non-negative rows of 2 to 20 entries: spread (with zeros and tiny
+    entries), uniform or a point mass, summing to 1 or to 1 +- 1e-12."""
+    size = draw(st.integers(2, 20))
+    kind = draw(st.sampled_from(["spread", "uniform", "point"]))
+    if kind == "spread":
+        weights = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
+                                          min_size=size, max_size=size)))
+        row = weights / weights.sum() if weights.sum() > 0.0 else np.eye(size)[0]
+    elif kind == "uniform":
+        row = np.full(size, 1.0 / size)
+    else:
+        row = np.eye(size)[draw(st.integers(0, size - 1))]
+    return row * draw(st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12]))
+
+
+class TestEntropyReaches:
+    @settings(max_examples=300, deadline=None)
+    @given(entropy_rows())
+    def test_equals_the_entropy_comparison(self, row):
+        """At the row's own entropy, 1 and 2 ulps either side of it and
+        the slack either side of it, the pre-check gives the comparison's
+        answer."""
+        value = entropy_bits(row)
+        thresholds = [value, value + ENTROPY_SLACK, value - ENTROPY_SLACK]
+        for direction in (math.inf, -math.inf):
+            near = value
+            for _ in range(2):
+                near = math.nextafter(near, direction)
+                thresholds.append(near)
+        for threshold in thresholds:
+            assert entropy_reaches(row, threshold) == (entropy_bits(row) >= threshold), threshold
+
+    def test_a_bound_below_the_threshold_skips_the_entropy(self, monkeypatch):
+        import latentbandits.belief as belief_module
+
+        calls = []
+        monkeypatch.setattr(belief_module, "entropy_bits", lambda probs: calls.append(probs) or 1.0)
+        assert not entropy_reaches(np.array([0.9, 0.05, 0.05]), 1.0)
+        assert calls == []
+        assert entropy_reaches(np.full(3, 1.0 / 3.0), 1.0)
+        assert len(calls) == 1
+
+    def test_a_nan_entry_proves_nothing(self):
+        row = np.array([0.1, np.nan, 0.9])
+        assert entropy_reaches(row, 0.3) == (entropy_bits(row) >= 0.3) is True
 
 
 class TestGaussianKL:

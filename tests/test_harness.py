@@ -19,7 +19,7 @@ from latentbandits import (
     sweep,
 )
 from latentbandits.environments import ProtocolViolationError
-from latentbandits.harness import default_out_dir, load_config, resolve_environment, save_config
+from latentbandits.harness import _apply_axis, default_out_dir, load_config, resolve_environment, save_config
 
 
 def tiny_config(policies=("mts",), horizon=50, num_runs=3, seed=0, **env_kwargs):
@@ -418,6 +418,127 @@ class TestBenchmarkHooks:
         for name in ("run_0000.jsonl", "run_0001.jsonl"):
             plain, wrapped = (tmp_path / side / "traces" / name for side in ("plain", "wrapped"))
             assert wrapped.read_bytes() == plain.read_bytes()
+
+
+class _Forgetful(dict):
+    """A roll-out memo that stores nothing, so every roll-out is computed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _run_record(results) -> list:
+    """Every run's arms, regret, info flags, final beliefs and counters,
+    the arrays as bytes so that equality is bit for bit."""
+    return [
+        {name: (run.arms[name].tobytes(), run.cum_regret[name].tobytes(), run.cum_realized_regret[name].tobytes(),
+                run.info_flags[name].tobytes(), np.array(run.final_beliefs[name]).tobytes(),
+                run.policy_counters[name])
+         for name in run.arms}
+        for run in results.runs
+    ]
+
+
+class TestRolloutMemo:
+    """One roll-out memo per experiment, shared by every AGEmTS of it."""
+
+    def _estimator_calls(self, monkeypatch) -> list:
+        from latentbandits.policies import agemts
+
+        calls = []
+        real = agemts.reward_estimator
+        monkeypatch.setattr(agemts, "reward_estimator", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        return calls
+
+    def _memos(self, monkeypatch) -> list:
+        """The memo of every AGEmTS built, validation's builds included, in build order."""
+        from latentbandits import policies
+
+        memos = []
+        real = policies._build
+
+        def recording(factory, quantities, params):
+            policy = real(factory, quantities, params)
+            if factory is policies.AGEmTS:
+                memos.append(policy.rollout_memo)
+            return policy
+
+        monkeypatch.setattr(policies, "_build", recording)
+        return memos
+
+    def _fresh(self, config, monkeypatch):
+        """``config``'s results with every roll-out computed, none looked up."""
+        from latentbandits import harness as harness_module
+
+        real = harness_module.make_policy
+        with monkeypatch.context() as patch:
+            patch.setattr(harness_module, "make_policy",
+                          lambda *args, **kwargs: real(*args, **{**kwargs, "rollout_memo": _Forgetful()}))
+            return run_experiment(config)
+
+    @pytest.mark.parametrize("recipe", ["two_state_stationary", "five_state_nonuniform"])
+    def test_memoised_runs_match_fresh_runs_bit_for_bit(self, monkeypatch, recipe):
+        """Criterion 4's config (two-state stationary, mts and agemts, 2,000
+        steps) and the five-state graph with a kernel drawn per run, at 4 runs."""
+        from latentbandits.recipes import get_recipe
+
+        config = get_recipe(recipe, policies=("mts", "agemts"), num_runs=4)
+        calls = self._estimator_calls(monkeypatch)
+        memoised = run_experiment(config)
+        shared = len(calls)
+        fresh = self._fresh(config, monkeypatch)
+        assert _run_record(memoised) == _run_record(fresh)
+        rollouts = sum(run.policy_counters["agemts"]["rollouts_run"] for run in memoised.runs)
+        assert len(calls) - shared == rollouts
+        if recipe == "two_state_stationary":
+            # every run rolls out once, on step 1, from the uniform prior
+            assert (shared, rollouts) == (1, 4)
+        else:
+            assert 0 < shared <= rollouts
+
+    def test_runs_on_different_kernels_share_no_roll_out(self, monkeypatch):
+        """The kernel is part of the key: the same decision on another
+        run's kernel computes its own roll-out."""
+        from latentbandits.recipes import get_recipe
+
+        config = get_recipe("five_state_nonuniform", policies=("agemts",), num_runs=3, horizon=300)
+        calls = self._estimator_calls(monkeypatch)
+        memos = self._memos(monkeypatch)
+        results = run_experiment(config)
+        # the key ends with the kernel's bytes, then r_u's and the threshold's
+        kernels = {key[-2] for key in memos[-1]}
+        assert len(kernels) == sum(run.policy_counters["agemts"]["rollouts_run"] > 0 for run in results.runs) > 1
+        assert len(calls) == len(memos[-1])
+
+    def test_validation_and_sweep_points_get_memos_of_their_own(self, monkeypatch):
+        memos = self._memos(monkeypatch)
+        config = replace(tiny_config(policies=("agemts",), horizon=30, num_runs=2),
+                         sweep_axes={"probe_sigma": (0.01, 0.05)})
+        rows = sweep(config)
+        # sweep's validate, then per grid point its validate and its two runs
+        assert len(memos) == 7
+        assert len({id(memo) for memo in memos}) == 5
+        for point in (memos[2:4], memos[5:7]):
+            assert point[0] is point[1] and point[0]
+        for memo in (memos[0], memos[1], memos[4]):
+            assert memo == {}
+        assert memos[2] is not memos[5]
+        for row, sigma in zip(rows, (0.01, 0.05)):
+            plain = run_experiment(_apply_axis(config, "probe_sigma", sigma))
+            assert row["regret"]["agemts"] == float(plain.regret_matrix("agemts")[:, -1].mean())
+
+
+def test_entropy_is_computed_only_at_a_uniform_belief(monkeypatch):
+    """On two-state stationary the Fano pre-check leaves one entropy per
+    run: at the uniform prior, where the gate opens."""
+    from latentbandits import belief
+
+    rows = []
+    real = belief.entropy_bits
+    monkeypatch.setattr(belief, "entropy_bits", lambda probs: rows.append(probs.tolist()) or real(probs))
+    results = run_experiment(tiny_config(policies=("mts", "agemts"), horizon=2000, num_runs=3))
+    assert sum(run.info_flags["agemts"][0] for run in results.runs) == 3
+    assert rows == [[0.5, 0.5]] * 3
 
 
 class TestBayesRegret:

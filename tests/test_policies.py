@@ -353,6 +353,67 @@ class TestAGEmTS:
             policy.observe(reward, likelihood_row(five_state, arm, reward))
 
 
+class TestAGEmTSRolloutMemo:
+    """Policies that share a roll-out memo decide as fresh ones do; a
+    directly built AGEmTS keeps a memo of its own."""
+
+    def _play(self, policies, model, steps=200, seed=3):
+        """Step ``policies`` side by side on one reward stream from state 0;
+        returns their arms and counters."""
+        env_rng = np.random.default_rng(seed)
+        arms = [[] for _ in policies]
+        for _ in range(steps):
+            draw = float(env_rng.standard_normal())
+            for policy, played in zip(policies, arms):
+                arm = policy.step(ALL_ARMS3, model.best_arms())
+                reward = float(model.means[arm, 0] + model.stds[arm, 0] * draw)
+                policy.observe(reward, likelihood_row(model, arm, reward))
+                played.append(arm)
+        return [(played, policy.rollouts_run, policy.info_plays, policy.rollout_fallbacks, policy.belief_probs.tobytes())
+                for policy, played in zip(policies, arms)]
+
+    def _estimator_calls(self, monkeypatch) -> list:
+        from latentbandits.policies import agemts
+
+        calls = []
+        real = agemts.reward_estimator
+        monkeypatch.setattr(agemts, "reward_estimator", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        return calls
+
+    def test_direct_builds_keep_their_own_memos(self, two_state, identity2):
+        first, second = (AGEmTS(two_state, identity2, [0.5, 0.5], 10, np.random.default_rng(0)) for _ in range(2))
+        assert first.rollout_memo == {} and first.rollout_memo is not second.rollout_memo
+
+    @pytest.mark.parametrize("vary", ["threshold", "kernel"])
+    def test_a_shared_memo_keys_threshold_and_kernel(self, monkeypatch, two_state, identity2, switch_kernel, vary):
+        """Two thresholds (as two agemts specs of one experiment would have)
+        or two kernels (as two runs of a per-run kernel draw) never share
+        a roll-out, and each decides as with a memo of its own."""
+        settings = ([(identity2, 1.0), (identity2, 0.5)] if vary == "threshold"
+                    else [(identity2, 1.0), (switch_kernel, 1.0)])
+
+        def build(memo):
+            return [AGEmTS(two_state, kernel, [0.5, 0.5], 200, np.random.default_rng(i),
+                           entropy_threshold=threshold, rollout_memo=memo)
+                    for i, (kernel, threshold) in enumerate(settings)]
+
+        calls = self._estimator_calls(monkeypatch)
+        shared = self._play(build({}), two_state)
+        shared_calls = len(calls)
+        fresh = self._play(build(None), two_state)
+        assert shared == fresh
+        assert shared_calls == len(calls) - shared_calls >= 2
+
+    def test_a_repeated_decision_is_looked_up(self, monkeypatch, two_state, identity2):
+        calls = self._estimator_calls(monkeypatch)
+        memo = {}
+        policies = [AGEmTS(two_state, identity2, [0.5, 0.5], 200, np.random.default_rng(i), rollout_memo=memo)
+                    for i in range(3)]
+        assert len({tuple(map(repr, record)) for record in self._play(policies, two_state)}) == 1
+        assert len(calls) == 1 and len(memo) == 1
+        assert [policy.rollouts_run for policy in policies] == [1, 1, 1]
+
+
 class TestPolicyRegistry:
     @pytest.mark.parametrize(
         "name", ["mts", "agemts", "cducb", "cdts", "exp4s", "mucb", "oracle", "uniform_random"]
