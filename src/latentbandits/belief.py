@@ -17,12 +17,12 @@ import math
 import numpy as np
 
 from .models import (
-    STOCHASTIC_ATOL,
     BeliefState,
     DegenerateEvidenceError,
     InfoArmStats,
     RewardModel,
     TransitionKernel,
+    _on_simplex,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -73,18 +73,19 @@ class BeliefStack:
     its own gemv, ``(W[:, None, :] @ K)[:, 0]``, with the bits of the 1-D
     ``W[r] @ K`` (a plain ``W @ K`` goes through gemm and does not), so a
     row's bits do not depend on what else is stacked (through the identity:
-    the product plus 0.0, as the gemv turns -0.0 into +0.0).  Rows off the
-    simplex raise ValueError as they enter, after a fallback, and after any
-    step through a matrix not a stochastic kernel (negative likelihoods are
-    the caller's to reject).  ``rows`` is updated in place.
+    the product plus 0.0, as the gemv turns -0.0 into +0.0).  Rows raise
+    ValueError as they enter unless on the simplex with one entry per
+    kernel state, and after a fallback unless on the simplex; a normalised
+    row needs no check, as the kernel is row-stochastic (negative
+    likelihoods are the caller's to reject).  ``rows`` is updated in place.
     """
 
-    def __init__(self, rows, matrix: np.ndarray):
-        self.rows = _on_simplex(np.array(rows, dtype=float, ndmin=2))
-        self.matrix = matrix
+    def __init__(self, rows, kernel: TransitionKernel):
+        self.rows = _on_simplex(np.array(rows, dtype=float, ndmin=2), "belief")
+        self.matrix, self._identity = kernel.matrix, kernel.is_identity
         count, size = self.rows.shape
-        self._stochastic = bool(matrix.min() >= 0.0 and (abs(matrix.sum(1) - 1.0) <= STOCHASTIC_ATOL).all())
-        self._identity = self._stochastic and bool((matrix == np.eye(size)).all())
+        if size != kernel.num_states:
+            raise ValueError(f"belief rows need one entry per kernel state, got {size} for {kernel.num_states}")
         self._stacked = self.rows[:, None, :]
         self._weighted = np.empty((count, 1, size))
         self._propagated = np.empty((count, 1, size))
@@ -110,23 +111,13 @@ class BeliefStack:
             dropped = np.array([not 0.0 < mass < math.inf for mass in masses])
             fallen = int(dropped.sum())
             np.divide(propagated, totals, out=stacked, where=~dropped[:, None, None])
-            self.rows[dropped] = _on_simplex((stacked[dropped] @ self.matrix)[:, 0])
-        if not self._stochastic:
-            _on_simplex(self.rows)
+            self.rows[dropped] = _on_simplex((stacked[dropped] @ self.matrix)[:, 0], "belief")
         return fallen
 
     def expect(self, values: np.ndarray) -> list:
         """Each row's expectation of its own row of ``values``, shaped
         [rows, states, 1], with the bits of the 1-D ``rows[r] @ values[r]``."""
         return np.matmul(self._stacked, values, out=self._expected).ravel().tolist()
-
-
-def _on_simplex(rows: np.ndarray) -> np.ndarray:
-    """``rows``, after a ValueError unless all are on the simplex (a NaN fails its sum if the minimum skips it)."""
-    sums = np.add.reduce(rows, 1).tolist()
-    if not (min(rows.ravel().tolist()) >= 0.0 and all(abs(total - 1.0) <= STOCHASTIC_ATOL for total in sums)):
-        raise ValueError(f"belief left the probability simplex: {rows!r}, row sums {sums}")
-    return rows
 
 
 def entropy_bits(probs: np.ndarray) -> float:
@@ -171,7 +162,7 @@ def posterior_update(belief: BeliefState, kernel: TransitionKernel, likelihoods)
         raise ValueError("likelihoods must have one entry per state")
     if (liks < 0).any():
         raise ValueError("likelihoods must be non-negative")
-    stack = BeliefStack(belief.probs, kernel.matrix)
+    stack = BeliefStack(belief.probs, kernel)
     if stack.filter(liks):
         raise DegenerateEvidenceError("posterior update produced zero mass in every state")
     return BeliefState(stack.rows[0])

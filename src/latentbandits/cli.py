@@ -125,7 +125,7 @@ class DatasetConfig(TypedConfig):
             key: check_type(f"variance param {key!r}", value, wanted[key])
             for key, value in self.variance_params.items()
         })
-        sigma = self.variance_params.get("sigma", 0.25)
+        sigma = self.variance_params.get("sigma", datasets.FIXED_SIGMA)
         if not 0.0 < sigma:
             raise ConfigError(f"variance param 'sigma' must be positive, got {sigma}")
         for pair in self.pairing:

@@ -19,6 +19,7 @@ from .models import RewardModel
 log = logging.getLogger(__name__)
 
 SIGMA_FLOOR = 0.01
+FIXED_SIGMA = 0.25  # the ``fixed`` variance mode's sigma when its params leave it out
 # the ways build_reward_model sets its stds -> the params each one reads, with their types
 VARIANCE_PARAMS = {"fixed": {"sigma": float}, "three_nn": {}, "sampled_normal": {}}
 VARIANCE_MODES = tuple(VARIANCE_PARAMS)
@@ -335,11 +336,11 @@ def build_reward_model(
 
     Means are exactly the factor inner products U[i_s] . V[item].  Stds
     come from the chosen mode: ``fixed`` uses a constant sigma (default
-    0.25); ``three_nn`` uses, per (item, state), the standard deviation of
-    that user's predicted ratings over the item's three nearest neighbors
-    in item-factor space; ``sampled_normal`` draws one sigma per item from
-    Normal(2, 0.8), resampling up to 100 times until positive.  Any
-    non-positive sigma is clamped to the 0.01 floor and logged.
+    ``FIXED_SIGMA``); ``three_nn`` uses, per (item, state), the standard
+    deviation of that user's predicted ratings over the item's three
+    nearest neighbors in item-factor space; ``sampled_normal`` draws one
+    sigma per item from Normal(2, 0.8), resampling up to 100 times until
+    positive.  Sigmas below ``SIGMA_FLOOR`` are clamped to it and logged.
     """
     params = dict(params or {})
     catalog = np.asarray(catalog, dtype=int)
@@ -350,7 +351,7 @@ def build_reward_model(
     means = model.V[catalog] @ user_vectors.T  # [item, state]
 
     if variance_mode == "fixed":
-        sigma = params.get("sigma", 0.25)
+        sigma = params.get("sigma", FIXED_SIGMA)
         stds = np.full((catalog.size, num_states), sigma)
     elif variance_mode == "three_nn":
         stds = _three_nn_stds(model, super_user, catalog)

@@ -236,8 +236,8 @@ def resolve_environment(spec: EnvironmentSpec) -> ResolvedEnvironment:
     for step in spec.schedule or ():
         if check_type("a schedule time", step, int) < 1:
             raise ConfigError(f"schedule times are steps counted from 1, got {step}")
-    if spec.schedule is not None and len(set(spec.schedule)) != len(spec.schedule):
-        raise ConfigError(f"schedule times must be distinct, got {list(spec.schedule)}")
+    if spec.schedule is not None and (not spec.schedule or len(set(spec.schedule)) != len(spec.schedule)):
+        raise ConfigError(f"a schedule lists one or more distinct times (null for none), got {list(spec.schedule)}")
     size = spec.arm_set_size
     if size is not None and not 1 <= size <= model.num_arms:
         raise ConfigError(f"arm_set_size must be in [1, {model.num_arms}], got {size}")

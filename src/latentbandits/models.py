@@ -27,18 +27,25 @@ class DegenerateEvidenceError(ValueError):
     """
 
 
+def _on_simplex(rows: np.ndarray, name: str) -> np.ndarray:
+    """``rows``, after a ValueError unless it is a non-empty vector or stack
+    of rows on the probability simplex: entries non-negative and each row
+    summing to 1 within ``STOCHASTIC_ATOL`` (a NaN or an infinity fails its
+    row's sum where the minimum skips it)."""
+    sums = np.add.reduce(rows, -1).ravel().tolist()
+    if not (rows.size and min(rows.ravel().tolist()) >= 0.0
+            and all(abs(total - 1.0) <= STOCHASTIC_ATOL for total in sums)):
+        raise ValueError(f"{name} is off the probability simplex (entries non-negative, rows that sum to 1 "
+                         f"within {STOCHASTIC_ATOL}): {rows!r}, row sums {sums}")
+    return rows
+
+
 def _as_prob_vector(values, name: str) -> np.ndarray:
     # a copy, so the vector neither aliases nor freezes the caller's array
     vec = np.array(values, dtype=float)
     if vec.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(vec < 0):
-        raise ValueError(f"{name} contains negative entries")
-    if abs(vec.sum() - 1.0) > STOCHASTIC_ATOL:
-        raise ValueError(f"{name} must sum to 1 within {STOCHASTIC_ATOL}, got {vec.sum()!r}")
-    return vec
+    return _on_simplex(vec, name)
 
 
 @dataclass(frozen=True)
@@ -106,24 +113,22 @@ class RewardModel:
 class TransitionKernel:
     """Row-stochastic state transition matrix.
 
-    The identity matrix encodes the stationary setting.
+    The identity matrix encodes the stationary setting; ``is_identity``,
+    derived once at construction, says whether this is it.
     """
 
     matrix: np.ndarray
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=float)  # a copy, as RewardModel's tables are
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("transition matrix contains non-finite entries")
-        if np.any(matrix < 0) or np.any(matrix > 1):
+        if (_on_simplex(matrix, "transition matrix") > 1.0).any():
             raise ValueError("transition probabilities must lie in [0, 1]")
-        row_sums = matrix.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > STOCHASTIC_ATOL):
-            raise ValueError(f"every row must sum to 1 within {STOCHASTIC_ATOL}, got {row_sums}")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "is_identity", bool((matrix == np.eye(len(matrix))).all()))
 
     @property
     def num_states(self) -> int:

@@ -91,7 +91,7 @@ class BeliefPolicy(Policy):
         if not model.num_states == kernel.num_states == self.prior.num_states:
             raise ValueError(f"the model, the kernel and the prior must have the same number of states, "
                              f"got {model.num_states}, {kernel.num_states} and {self.prior.num_states}")
-        self._beliefs = BeliefStack(self.prior.probs, kernel.matrix)
+        self._beliefs = BeliefStack(self.prior.probs, kernel)
         self.belief_probs = self._beliefs.rows[0]
         self.degenerate_fallbacks = 0
 

@@ -149,9 +149,9 @@ def reward_estimator(
     payoff = np.tile(model.means[greedy][:, hypotheses].T, (2, 1))[:, :, None]
 
     # rows [0, H): the probe trajectories; rows [H, 2H): greedy only
-    probe = BeliefStack(np.tile(probs, (count, 1)), kernel.matrix)
+    probe = BeliefStack(np.tile(probs, (count, 1)), kernel)
     fallbacks = probe.filter(info_rows[:, None, :])
-    beliefs = BeliefStack(np.concatenate([probe.rows, np.tile(probs, (count, 1))]), kernel.matrix)
+    beliefs = BeliefStack(np.concatenate([probe.rows, np.tile(probs, (count, 1))]), kernel)
     likelihoods = np.tile(greedy_rows, (2, 1))[:, None, :]
     # Python floats, added as the scalar loop added them
     rewards_ig = [-r_u] * count

@@ -7,8 +7,11 @@ walked one hypothesis at a time, and of the scalar likelihood row
 (``reward_log_likelihoods`` and ``likelihoods_from_log``) as it stood
 while every filter step built its own.  The belief stack, the
 policies, the per-run evidence table and the stacked roll-out must
-reproduce them bit for bit; this module is imported by tests only and
-is not a test file.
+reproduce them bit for bit.  It also keeps the three statements of the
+simplex rule that ``models._on_simplex`` replaced (the probability
+vector's, the transition kernel's and the belief stack's), which must
+accept and reject the same inputs.  This module is imported by tests
+only and is not a test file.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import numpy as np
 
 from latentbandits.belief import expected_dwell_time
-from latentbandits.models import BeliefState, DegenerateEvidenceError
+from latentbandits.models import STOCHASTIC_ATOL, BeliefState, DegenerateEvidenceError
 from step_reference import best_arm
 
 
@@ -140,3 +143,40 @@ def reward_estimator(belief, model, kernel, greedy_arm, info_arm, r_u, horizon_c
         total_ps += r_ps
     scale = model.num_states - 1
     return total_ig / scale, total_ps / scale, t_exp, fallbacks
+
+
+def as_prob_vector(values, name):
+    """The probability-vector rule, behind ``BeliefState`` and priors."""
+    vec = np.array(values, dtype=float)
+    if vec.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if np.any(vec < 0):
+        raise ValueError(f"{name} contains negative entries")
+    if abs(vec.sum() - 1.0) > STOCHASTIC_ATOL:
+        raise ValueError(f"{name} must sum to 1 within {STOCHASTIC_ATOL}, got {vec.sum()!r}")
+    return vec
+
+
+def transition_matrix(values):
+    """The transition kernel's rule."""
+    matrix = np.array(values, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"transition matrix must be square, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("transition matrix contains non-finite entries")
+    if np.any(matrix < 0) or np.any(matrix > 1):
+        raise ValueError("transition probabilities must lie in [0, 1]")
+    row_sums = matrix.sum(axis=1)
+    if np.any(np.abs(row_sums - 1.0) > STOCHASTIC_ATOL):
+        raise ValueError(f"every row must sum to 1 within {STOCHASTIC_ATOL}, got {row_sums}")
+    return matrix
+
+
+def on_simplex(rows):
+    """The belief stack's rule, on the rows that enter it and its fallback rows."""
+    sums = np.add.reduce(rows, 1).tolist()
+    if not (min(rows.ravel().tolist()) >= 0.0 and all(abs(total - 1.0) <= STOCHASTIC_ATOL for total in sums)):
+        raise ValueError(f"belief left the probability simplex: {rows!r}, row sums {sums}")
+    return rows

@@ -181,6 +181,7 @@ class TestValidate:
         lambda doc: doc["policies"].append({"name": "agemts", "params": {"entropy_threshold": float("nan")}}),
         on_five_states("explore_then_ps", info_arm=4),
         on_five_states("explore_then_ps", info_arm=4, tau=None),
+        lambda doc: doc["environment"].update(schedule=[]),
     ], ids=["duplicate_names", "unknown_param", "missing_info_arm", "duplicate_schedule",
             "explore_commit_without_budget", "cd_linucb_without_features", "cd_lints_without_features",
             "explore_commit_info_arm_7", "explore_commit_info_arm_-1", "explore_then_ps_info_arm_7",
@@ -200,7 +201,7 @@ class TestValidate:
             "features_not_finite", "exp4s_learning_rate_nan", "exp4s_weight_floor_nan",
             "exp4s_negative_learning_rate", "exp4s_negative_weight_floor", "exp4s_learning_rate_past_floats",
             "cducb_threshold_nan", "agemts_threshold_nan", "explore_then_ps_forecast_on_five_states",
-            "explore_then_ps_null_forecast_on_five_states"])
+            "explore_then_ps_null_forecast_on_five_states", "empty_schedule"])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, monkeypatch, edit):
         monkeypatch.chdir(tmp_path)  # where an edit writes its model file
         doc = get_recipe("two_state_random_switch", horizon=10, num_runs=2).to_dict()

@@ -306,6 +306,10 @@ class TestBudgetSearchMatchesFullScan:
         assert explore_then_ps_tau(model, 2, horizon) == reference.explore_then_ps_tau(model, 2, horizon)
 
 
+# how far, relative to each total, the search's scored totals may sit from the full scan's
+TOTALS_RTOL = 1e-9
+
+
 def recorded_passes(model, info_arm, horizon):
     """The search's budget and, per ``_ps_regret`` pass, its start
     columns, first step, regret and forecast inputs."""
@@ -430,6 +434,23 @@ class TestSeededBudgetSearch:
         for step in range(steps):
             running[:, : step + 1] += terms[step, :, : step + 1]
         assert np.add.reduce(terms, 0).tobytes() == running.tobytes()
+
+    @pytest.mark.parametrize("probe_std", [0.01, 0.05])
+    @pytest.mark.parametrize("horizon", [300, 1000])
+    def test_presets_score_the_full_scans_totals(self, probe_std, horizon):
+        # the argmin alone could hide a drift in the objective: every total
+        # the search scores is the full scan's within TOTALS_RTOL (the gap is
+        # at most 1.2e-12 here, against totals of 0.5 to 500), and the full
+        # scan's winner beats its runner-up (by 0.087 to 0.5) by more than
+        # that tolerance can move either, so the ranking is the scan's
+        model = two_state_model(probe_std=probe_std)
+        tau, passes = recorded_passes(model, 2, horizon)
+        scored = np.concatenate([objective(model, 2, first, regret) for _, first, regret, *_ in passes])
+        totals = reference.full_scan_totals(model, 2, horizon)
+        np.testing.assert_allclose(scored, totals[: scored.size], rtol=TOTALS_RTOL, atol=0.0)
+        best, runner_up = np.sort(totals)[:2]
+        assert runner_up - best > TOTALS_RTOL * (abs(best) + abs(runner_up))
+        assert tau == int(np.argmin(totals)) == int(np.argmin(scored))
 
     @pytest.mark.parametrize("model,horizon,passes,tau", [
         (two_state_model(probe_std=0.05), 300, [(0, 2)], 1),

@@ -640,7 +640,8 @@ class TestEmitOutputs:
         config = tiny_config(policies=("mts", "oracle"), horizon=30, num_runs=2)
         results = run_experiment(config)
         paths = emit_outputs(results, str(tmp_path))
-        rows = open(paths["aggregate"]).read().splitlines()
+        with open(paths["aggregate"]) as handle:
+            rows = handle.read().splitlines()
         assert rows[0] == "step,policy,mean_regret,ci_low,ci_high"
         assert len(rows) == 1 + 30 * 2
 

@@ -45,6 +45,7 @@ from latentbandits.harness import (
     _trace_lines,
     emit_outputs,
 )
+from latentbandits.models import STOCHASTIC_ATOL, _as_prob_vector, _on_simplex
 from latentbandits.policies import AGEmTS, MTS, reward_estimator, rollout_info_likelihood, rollout_likelihood_matrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -107,12 +108,12 @@ class TestFilterStep:
         beliefs = [random_belief(rng, n) for _ in range(rows)]
         liks = random_liks(rng, model, rows)
         expected = [reference_step(belief, kernel, row) for belief, row in zip(beliefs, liks)]
-        stack = BeliefStack(np.stack([belief.probs for belief in beliefs]), kernel.matrix)
+        stack = BeliefStack(np.stack([belief.probs for belief in beliefs]), kernel)
         assert stack.filter(liks[:, None, :]) == sum(degenerate for _, degenerate in expected)
         assert stack.rows.tobytes() == np.stack([probs for probs, _ in expected]).tobytes()
         assert stack.rows.min() >= 0.0 and (np.abs(stack.rows.sum(axis=1) - 1.0) <= 1e-12).all()
         # a policy's belief: one row, its likelihoods shared
-        single = BeliefStack(beliefs[0].probs, kernel.matrix)
+        single = BeliefStack(beliefs[0].probs, kernel)
         assert single.filter(liks[0]) == expected[0][1]
         assert single.rows[0].tobytes() == expected[0][0].tobytes()
         for belief, row, (probs, degenerate) in zip(beliefs, liks, expected):
@@ -150,18 +151,29 @@ class TestFilterStep:
             assert posterior_update(belief, kernel, liks).probs.tobytes() == probs.tobytes()
 
     def test_result_off_the_simplex_raises(self):
-        # not a stochastic matrix: the propagation fallback leaves the simplex
+        # a matrix that is not a stochastic kernel cannot reach the filter
         with pytest.raises(ValueError, match="simplex"):
-            BeliefStack(np.array([0.5, 0.5]), np.full((2, 2), 1.0)).filter(np.zeros(2))
+            TransitionKernel(np.full((2, 2), 1.0))
         with pytest.raises(ValueError, match="simplex"):
-            BeliefStack(np.array([0.5, 0.5]), np.array([[1.0, -0.5], [0.0, 1.0]])).filter(np.array([1.0, 0.0]))
+            TransitionKernel(np.array([[1.0, -0.5], [0.0, 1.0]]))
         # a NaN after a state with mass: the minimum skips it, its row's sum does not
         with pytest.raises(ValueError, match="simplex"):
-            BeliefStack(np.array([0.5, 0.5]), np.array([[1.0, math.nan], [0.0, 1.0]])).filter(np.zeros(2))
-        # one row off the simplex fails the whole stack
-        stack = BeliefStack(np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]]), np.array([[1.0, -0.5], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="simplex"):
-            stack.filter(np.array([[[0.0, 1.0]], [[1.0, 0.0]], [[0.0, 1.0]]]))
+            TransitionKernel(np.array([[1.0, math.nan], [0.0, 1.0]]))
+        # a fallback row off the simplex fails the whole stack: a row that
+        # entered 9e-13 above a sum of 1, propagated through a kernel whose
+        # rows sum 9e-13 above 1, lands 1.8e-12 above it
+        kernel = TransitionKernel(np.array([[0.5, 0.5 + 9e-13], [0.5 + 9e-13, 0.5]]))
+        stack = BeliefStack(np.array([[0.5, 0.5], [0.5 + 9e-13, 0.5], [0.5, 0.5]]), kernel)
+        with pytest.raises(ValueError, match=r"simplex.*row sums \[1\.0000000000018\]"):
+            stack.filter(np.array([[[0.0, 1.0]], [[0.0, 0.0]], [[1.0, 0.0]]]))
+
+    def test_rows_need_one_entry_per_kernel_state(self):
+        # through the identity no product would catch the mismatch
+        for kernel in (TransitionKernel.identity(3), TransitionKernel(np.full((3, 3), 1.0 / 3.0))):
+            with pytest.raises(ValueError, match="one entry per kernel state, got 2 for 3"):
+                BeliefStack(np.array([[0.5, 0.5], [1.0, 0.0]]), kernel)
+            with pytest.raises(ValueError, match="one entry per kernel state"):
+                posterior_update(BeliefState([0.5, 0.5]), kernel, [1.0, 1.0])
 
     def test_near_stochastic_kernel_drifts_off_the_simplex(self, two_state):
         # each kernel row sums to 1 + 9e-13, inside the kernel's tolerance, and
@@ -188,11 +200,14 @@ class TestFilterStep:
         # likelihoods from 1 down to subnormals
         rng = np.random.default_rng(seed)
         concentration = 0.1 if kind == "sparse" else 1.0
-        kernel = np.eye(n) if kind == "identity" else rng.dirichlet(np.full(n, concentration), size=n)
+        matrix = np.eye(n) if kind == "identity" else rng.dirichlet(np.full(n, concentration), size=n)
         if kind == "near_stochastic":
             # rows within about 1e-14 of summing to 1: five fallback steps in
-            # a row stay well inside the 1e-12 tolerance
-            kernel *= 1.0 + rng.uniform(-1e-14, 1e-14, size=(n, 1))
+            # a row stay well inside the 1e-12 tolerance; entries stay at
+            # most 1, so the matrix is still a kernel
+            matrix = np.minimum(matrix * (1.0 + rng.uniform(-1e-14, 1e-14, size=(n, 1))), 1.0)
+        kernel = TransitionKernel(matrix)
+        assert kernel.is_identity == (kind == "identity")
         beliefs = np.stack([random_belief(rng, n).probs for _ in range(rows)])
         for corrupt in (-1e-3, math.nan, 1e-9):
             entered = beliefs.copy()
@@ -213,7 +228,7 @@ class TestFilterStep:
         assert fallen > 0
 
     def test_zero_evidence_falls_back_to_propagation(self):
-        kernel = np.array([[0.9, 0.1], [0.2, 0.8]])
+        kernel = TransitionKernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
         stack = BeliefStack(np.array([1.0, 0.0]), kernel)
         assert stack.filter(np.array([0.0, 1.0])) == 1
         assert stack.rows[0].tolist() == [0.9, 0.1]
@@ -226,6 +241,92 @@ class TestFilterStep:
     def test_entropy_bit_identical(self, seed, n):
         belief = random_belief(np.random.default_rng(seed), n)
         assert entropy_bits(belief.probs) == reference.entropy(belief) == entropy(belief)
+
+
+# row sums at 1 and 1 +- STOCHASTIC_ATOL, and one ulp either side of each
+BOUNDARY_SUMS = [total for centre in (1.0, 1.0 + STOCHASTIC_ATOL, 1.0 - STOCHASTIC_ATOL)
+                 for total in (np.nextafter(centre, 0.0), centre, np.nextafter(centre, 2.0))]
+SPECIAL_ENTRIES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, -5e-324, -1e-3,
+                   np.nextafter(1.0, 2.0), 2.0]
+
+
+def boundary_rows(rng, rows, n, sums=BOUNDARY_SUMS, special_share=0.3):
+    """Rows summing to one of ``sums``, exactly (two dyadic entries among
+    zeros) or within rounding (a Dirichlet row with its last entry moved),
+    a share of them with one entry replaced by a special value."""
+    out = np.zeros((rows, n))
+    for row in out:
+        total = sums[rng.integers(len(sums))]
+        if n == 1:
+            row[0] = total
+        elif rng.random() < 0.5:
+            first, second = rng.choice(n, size=2, replace=False)
+            row[first], row[second] = 0.5, total - 0.5
+        else:
+            row[:] = rng.dirichlet(np.ones(n))
+            row[-1] += total - row.sum()
+        if rng.random() < special_share:
+            row[rng.integers(n)] = SPECIAL_ENTRIES[rng.integers(len(SPECIAL_ENTRIES))]
+    return out
+
+
+def accepts(check, values) -> bool:
+    """Whether ``check(values)`` returns; any rejection must be a ValueError."""
+    try:
+        check(values)
+    except ValueError:
+        return False
+    return True
+
+
+class TestSimplexRule:
+    """The one statement of the simplex rule against the three it replaced."""
+
+    @given(seeds, st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=6), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_accept_reject_sets_as_the_rules_it_replaced(self, seed, n, rows, square):
+        rng = np.random.default_rng(seed)
+        # half the stacks near a sum of 1 and rarely special, so that whole
+        # stacks and kernels are accepted often enough to compare
+        near = rng.random() < 0.5
+        stack = boundary_rows(rng, n if square else rows, n, BOUNDARY_SUMS[:3] if near else BOUNDARY_SUMS,
+                              0.02 if near else 0.3)
+        vector = stack[0]
+        expected = accepts(lambda v: reference.as_prob_vector(v, "belief"), vector)
+        assert accepts(BeliefState, vector) == accepts(lambda v: _as_prob_vector(v, "prior"), vector) == expected
+        assert accepts(lambda v: _on_simplex(v, "belief"), vector) == expected
+        expected = accepts(reference.on_simplex, stack)
+        assert accepts(lambda v: _on_simplex(v, "belief"), stack) == expected
+        assert accepts(lambda v: BeliefStack(v, TransitionKernel.identity(n)), stack) == expected
+        if square:
+            assert accepts(TransitionKernel, stack) == accepts(reference.transition_matrix, stack)
+
+    def test_edge_cases(self):
+        above_one = np.nextafter(1.0, 2.0)
+        cases = [np.zeros(0), [-0.0, 1.0], [above_one], [1.0 + 1e-13, -0.0], [5e-324, 1.0]]
+        for vector in cases:
+            expected = accepts(lambda v: reference.as_prob_vector(v, "belief"), vector)
+            assert accepts(BeliefState, vector) == accepts(lambda v: _as_prob_vector(v, "prior"), vector) == expected
+        assert [accepts(BeliefState, vector) for vector in cases] == [False, True, True, True, True]
+        for rows in (np.zeros((0, 3)), np.zeros((2, 0))):
+            assert not accepts(lambda v: BeliefStack(v, TransitionKernel.identity(3)), rows)
+            assert not accepts(reference.on_simplex, rows)
+        # an entry above 1 in a row that sums to 1 within the tolerance: on
+        # the simplex, but not a transition probability
+        for matrix in ([[above_one]], [[1.0 + 1e-13, 0.0], [0.0, 1.0]], [[1.0, -0.0], [0.0, 1.0]]):
+            assert accepts(TransitionKernel, matrix) == accepts(reference.transition_matrix, matrix)
+            assert accepts(lambda v: _on_simplex(np.array(v), "belief"), matrix)
+        # a kernel over no states: the kernel's own rule took it, the shared one does not
+        assert accepts(reference.transition_matrix, np.zeros((0, 0)))
+        assert not accepts(TransitionKernel, np.zeros((0, 0)))
+
+    def test_the_messages_name_the_rule_and_the_rows(self):
+        with pytest.raises(ValueError, match=r"prior is off the probability simplex .*sum to 1.*: "
+                                             r"array\(\[0\.9, 0\.3\]\), row sums \[1\.2\]"):
+            _as_prob_vector([0.9, 0.3], "prior")
+        with pytest.raises(ValueError, match=r"(?s)transition matrix is off the probability simplex .*sum to 1.*"
+                                             r"row sums \[1\.1, 1\.0\]"):
+            TransitionKernel([[0.9, 0.2], [0.5, 0.5]])
 
 
 class TestPolicies:
@@ -509,13 +610,13 @@ class TestBatchingRecipe:
         liks = random_liks(rng, model, rows)
         # rows without evidence, as a probe row can be
         liks[rng.random(rows) < 0.2] = 0.0
-        stack = BeliefStack(beliefs, kernel.matrix)
+        stack = BeliefStack(beliefs, kernel)
         fallen = stack.filter(liks[:, None, :])
         expected = [reference_step(BeliefState(beliefs[r]), kernel, liks[r]) for r in range(rows)]
         assert fallen == sum(degenerate for _, degenerate in expected)
         assert stack.rows.tobytes() == np.stack([probs for probs, _ in expected]).tobytes()
         for r in range(rows):
-            single = BeliefStack(beliefs[r], kernel.matrix)
+            single = BeliefStack(beliefs[r], kernel)
             assert single.filter(liks[r]) == expected[r][1]
             assert single.rows.tobytes() == stack.rows[r].tobytes()
 
@@ -540,9 +641,10 @@ class TestBatchingRecipe:
         liks = np.where(pick, rng.choice(np.append(specials, [math.inf, math.nan]), size=(rows, n)),
                         rng.uniform(0.0, 2.0, size=(rows, n)))
         liks[rng.random(rows) < 0.2] = 0.0
-        stack = BeliefStack(beliefs, np.eye(n))
+        kernel = TransitionKernel.identity(n)
+        stack = BeliefStack(beliefs, kernel)
         fallen = stack.filter(liks[:, None, :])
-        expected = [reference_step(BeliefState(beliefs[r]), TransitionKernel.identity(n), liks[r]) for r in range(rows)]
+        expected = [reference_step(BeliefState(beliefs[r]), kernel, liks[r]) for r in range(rows)]
         assert fallen == sum(degenerate for _, degenerate in expected)
         assert stack.rows.tobytes() == np.stack([probs for probs, _ in expected]).tobytes()
 

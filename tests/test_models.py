@@ -2,15 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentbandits import (
     BeliefState,
+    EnvironmentSpec,
     InfoArmStats,
     RewardModel,
     TransitionKernel,
     load_model_json,
     save_model_json,
 )
+from latentbandits.harness import resolve_environment
 
 
 class TestRewardModel:
@@ -64,6 +68,42 @@ class TestTransitionKernel:
     def test_identity_is_valid_stationary_encoding(self):
         kernel = TransitionKernel.identity(3)
         assert np.array_equal(kernel.matrix, np.eye(3))
+
+    @pytest.mark.parametrize("kernel", [{"identity": True}, {"matrix": np.eye(3).tolist()},
+                                        {"graph": {"kind": "fully_connected", "num_states": 3, "stay_prob": 1.0}},
+                                        {"graph": {"kind": "custom", "num_states": 3, "stay_prob": 1.0,
+                                                   "edges": [[0, 1], [1, 2]]}}],
+                             ids=["identity", "matrix", "fully_connected_graph", "custom_graph"])
+    def test_the_identity_in_every_config_form_is_the_identity(self, kernel):
+        means = np.arange(6.0).reshape(2, 3)
+        env = resolve_environment(EnvironmentSpec(model={"means": means.tolist(), "stds": np.ones((2, 3)).tolist()},
+                                                  kernel=kernel))
+        assert env.kernel.is_identity
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12),
+           st.sampled_from(["identity", "signed_zeros", "dense", "sparse", "permutation", "near_identity"]))
+    @settings(max_examples=120, deadline=None)
+    def test_is_identity_only_for_the_identity(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind in ("identity", "signed_zeros"):
+            # -0.0 == 0.0, so the identity with negative zeros off the diagonal is the identity
+            matrix = np.where(np.eye(n) == 1.0, 1.0, -0.0 if kind == "signed_zeros" else 0.0)
+        elif kind == "permutation":
+            matrix = np.eye(n)[rng.permutation(n)]
+        elif kind == "near_identity":
+            # one state keeps all but an ulp, or a subnormal, of its mass
+            matrix, state = np.eye(n), rng.integers(n)
+            leak = rng.choice([5e-324, 1.1102230246251565e-16])
+            matrix[state, state] -= leak
+            matrix[state, (state + 1) % n] += leak
+        else:
+            matrix = rng.dirichlet(np.full(n, 1.0 if kind == "dense" else 0.1), size=n)
+        kernel = TransitionKernel(matrix)
+        assert kernel.is_identity == bool((matrix == np.eye(n)).all())
+        if kind in ("identity", "signed_zeros"):
+            assert kernel.is_identity
+        elif kind == "near_identity" and n > 1:
+            assert not kernel.is_identity
 
     def test_copies_the_callers_matrix(self):
         matrix = np.array([[0.9, 0.1], [0.2, 0.8]])
